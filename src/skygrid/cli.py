@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from .geometry import CuboidObstacle, ObstacleKind, Point3
-from .output import emit_comparison, emit_results, _write_table
-from .replan import RepairFailed, detect_conflicts, repair
+from .output import emit_comparison, emit_results, write_table
+from .replan import detect_conflicts
 from .sampling import PlanningFailed
 from .scenario import (
     ParseError,
@@ -27,7 +27,7 @@ from .scenario import (
     load_scenario_file,
     single_cell_scenario,
 )
-from .sim import Mode, ScenarioInvalid, SimMetrics, World
+from .sim import ExecutedPath, Mode, SimMetrics, World
 
 DEFAULT_MULTI_UAV_CONFIG = "random_uavs: {count: 50, min_cell_separation: 5}\n"
 
@@ -107,7 +107,7 @@ def cmd_replan_demo(args) -> int:
     scenario = single_cell_scenario(seed=args.seed or 0)
     world = World(scenario, Mode.SSP)
     uav = world.uavs[0]
-    world._enter_cell(uav, 1, Point3.from_array(uav.position))
+    world.step(scenario.dt)
     if uav.active_waypath is None:
         print("initial planning failed", file=sys.stderr)
         return 1
@@ -123,21 +123,16 @@ def cmd_replan_demo(args) -> int:
         id="demo-sudden",
     )
     conflicts = detect_conflicts(committed, ob)
-    try:
-        repaired = repair(
-            committed, ob, world._cell_obstacles(1), world._constraints_for(1), uav.rng,
-            scenario.rrt, scenario.smooth_window,
-        )
-    except RepairFailed as exc:
-        print(f"repair failed: {exc}", file=sys.stderr)
+    world.inject_sudden_obstacle(ob, world.tick)
+    if any(e["kind"] == "repair_failed" for e in world.metrics.events):
+        print("repair failed", file=sys.stderr)
         return 1
+    repaired = uav.active_waypath
     metrics = SimMetrics(n_cells=1)
-    from .sim import ExecutedPath
-
     metrics.convergence = world.metrics.convergence
     metrics.executed = [ExecutedPath("committed", 1, committed.waypoints)]
     emit_results(metrics, args.out, args.format)
-    _write_table(
+    write_table(
         f"{args.out}/waypoints_repaired",
         ["uav_id", "seq", "x", "y", "z", "cell_id"],
         [
@@ -204,10 +199,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ScenarioInvalid, ValueError) as exc:
+    except (ParseError, ValidationError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (PlanningFailed, RepairFailed) as exc:
+    except PlanningFailed as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -22,7 +22,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_table(path: str, header: list[str], rows: Iterable[list], fmt: str) -> None:
+def write_table(path: str, header: list[str], rows: Iterable[list], fmt: str) -> None:
     if fmt == "csv":
         with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -90,7 +90,7 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    _write_table(
+    write_table(
         os.path.join(out_dir, "waypoints"),
         ["uav_id", "seq", "x", "y", "z", "cell_id"],
         waypoint_rows(metrics),
@@ -98,7 +98,7 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
     )
     written.append("waypoints")
 
-    _write_table(
+    write_table(
         os.path.join(out_dir, "occupancy"),
         ["cell_id", "max_uavs"],
         [[i + 1, int(c)] for i, c in enumerate(metrics.max_occupancy)],
@@ -110,7 +110,7 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
     for run_id, history in metrics.convergence:
         for it, cost in enumerate(history):
             conv_rows.append([run_id, it, float(cost)])
-    _write_table(
+    write_table(
         os.path.join(out_dir, "convergence"), ["run_id", "iteration", "cost"], conv_rows, fmt
     )
     written.append("convergence")
@@ -119,13 +119,13 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
         [uav_id, float(length), uav_id in metrics.arrived]
         for uav_id, length in sorted(metrics.per_uav_length.items())
     ]
-    _write_table(
+    write_table(
         os.path.join(out_dir, "lengths"), ["uav_id", "length_m", "arrived"], length_rows, fmt
     )
     written.append("lengths")
 
     if bus_log is not None:
-        _write_table(
+        write_table(
             os.path.join(out_dir, "adsb_log"),
             ["tick", "sender", "payload_kind", "detail"],
             adsb_rows(bus_log),
@@ -133,7 +133,7 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
         )
         written.append("adsb_log")
 
-    _write_table(
+    write_table(
         os.path.join(out_dir, "events"),
         ["tick", "kind", "who", "detail"],
         [
@@ -155,7 +155,7 @@ def emit_comparison(rows: list[dict], out_dir: str, fmt: str = "csv") -> None:
     """Per-(seed, mode) summary table for paired-mode experiments."""
     os.makedirs(out_dir, exist_ok=True)
     header = ["seed", "mode", "total_length_m", "max_occupancy", "arrived", "failed"]
-    _write_table(
+    write_table(
         os.path.join(out_dir, "comparison"),
         header,
         [[r[k] for k in header] for r in rows],

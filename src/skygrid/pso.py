@@ -29,7 +29,7 @@ from .sampling import (
 VIOLATION_PENALTY = 1.0e6
 
 
-class NoFeasibleSeed(Exception):
+class NoFeasibleSeed(PlanningFailed):
     """Every particle still has infinite penalized cost after the iteration budget."""
 
 

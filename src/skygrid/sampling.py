@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,11 +127,24 @@ def point_free(p: Sequence[float], boxes: Boxes) -> bool:
     return True
 
 
-def _require_free_endpoints(start: Point3, goal: Point3, boxes: Boxes) -> None:
-    if not point_free((start.x, start.y, start.z), boxes):
+def _endpoints(obstacles: Iterable[CuboidObstacle], start: Point3, goal: Point3, step: float):
+    """Shared prologue of the tree planners: (boxes, start, goal, trivial path).
+
+    The trivial path is the whole answer when the endpoints coincide or see
+    each other within one step, and None otherwise.
+    """
+    boxes = flatten_obstacles(obstacles)
+    s = (start.x, start.y, start.z)
+    g = (goal.x, goal.y, goal.z)
+    if not point_free(s, boxes):
         raise PlanningFailed(f"start point {start} lies inside an obstacle")
-    if not point_free((goal.x, goal.y, goal.z), boxes):
+    if not point_free(g, boxes):
         raise PlanningFailed(f"goal point {goal} lies inside an obstacle")
+    if s == g:
+        return boxes, s, g, np.array([s])
+    if _dist(s, g) <= step and segment_free(s, g, boxes):
+        return boxes, s, g, np.array([s, g])
+    return boxes, s, g, None
 
 
 def rrt_plan(
@@ -143,14 +156,9 @@ def rrt_plan(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Grow a tree from start until it can reach goal; return the raw polyline."""
-    boxes = flatten_obstacles(obstacles)
-    _require_free_endpoints(start, goal, boxes)
-    s = (start.x, start.y, start.z)
-    g = (goal.x, goal.y, goal.z)
-    if s == g:
-        return np.array([s])
-    if _dist(s, g) <= params.step_size and segment_free(s, g, boxes):
-        return np.array([s, g])
+    boxes, s, g, trivial = _endpoints(obstacles, start, goal, params.step_size)
+    if trivial is not None:
+        return trivial
 
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
@@ -193,14 +201,9 @@ def birrt_plan(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Bi-RRT: trees from both endpoints with a greedy connect step each iteration."""
-    boxes = flatten_obstacles(obstacles)
-    _require_free_endpoints(start, goal, boxes)
-    s = (start.x, start.y, start.z)
-    g = (goal.x, goal.y, goal.z)
-    if s == g:
-        return np.array([s])
-    if _dist(s, g) <= params.step_size and segment_free(s, g, boxes):
-        return np.array([s, g])
+    boxes, s, g, trivial = _endpoints(obstacles, start, goal, params.step_size)
+    if trivial is not None:
+        return trivial
 
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)

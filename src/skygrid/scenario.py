@@ -9,9 +9,8 @@ in [25, 240] m, one UAV from (0, 0, 0) to (750, 900, 80) at 5 m/s).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -19,7 +18,7 @@ import yaml
 from .coarse import SspParams
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, OutOfAirspace
-from .pso import CostParams, SwarmParams
+from .pso import ConstraintParams, CostParams, SwarmParams
 from .sampling import DEFAULT_SMOOTH_WINDOW, DEFAULT_WAYPOINT_COUNT, RrtParams, flatten_obstacles, point_free
 
 DEFAULT_EXTENT = (1000.0, 1000.0, 250.0)
@@ -38,6 +37,18 @@ CELL_OBSTACLES = (
     ((20.0, 120.0, 0.0), (30.0, 30.0, 100.0)),
     ((150.0, 125.0, 0.0), (30.0, 30.0, 100.0)),
 )
+
+# Parameter sections: each YAML key maps onto the same-named dataclass fields.
+PARAM_SECTIONS = {"ssp": SspParams, "rrt": RrtParams, "cost": CostParams, "swarm": SwarmParams}
+# Top-level scalars; their defaults and types are those of the Scenario fields.
+SCALAR_KEYS = (
+    "waypoints_per_cell", "smooth_window", "seed", "mode", "max_ticks", "stagger", "loss_rate", "dt",
+)
+
+
+def _default_limits() -> dict[str, float]:
+    """The scalar limits of ConstraintParams (its fields with a plain default)."""
+    return {f.name: f.default for f in fields(ConstraintParams) if f.default is not MISSING}
 
 
 class ParseError(Exception):
@@ -67,9 +78,7 @@ class Scenario:
     rrt: RrtParams = field(default_factory=RrtParams)
     cost: CostParams = field(default_factory=CostParams)
     swarm: SwarmParams = field(default_factory=SwarmParams)
-    constraint_limits: dict[str, float] = field(
-        default_factory=lambda: {"l_max": 40.0, "L_max": 400.0, "ta_max": 60.0, "pa_max": 45.0}
-    )
+    constraint_limits: dict[str, float] = field(default_factory=_default_limits)
     waypoints_per_cell: int = DEFAULT_WAYPOINT_COUNT
     smooth_window: int = DEFAULT_SMOOTH_WINDOW
     seed: int = 0
@@ -105,40 +114,9 @@ class Scenario:
             "injections": [
                 {"tick": t, "obstacle": ob_dict(ob)} for t, ob in self.injections
             ],
-            "ssp": {
-                "k1": self.ssp.k1,
-                "k2": self.ssp.k2,
-                "window_length": self.ssp.window_length,
-            },
-            "rrt": {
-                "step_size": self.rrt.step_size,
-                "max_iterations": self.rrt.max_iterations,
-                "goal_bias": self.rrt.goal_bias,
-            },
-            "cost": {
-                "k3": self.cost.k3,
-                "k4": self.cost.k4,
-                "k5": self.cost.k5,
-                "k6": self.cost.k6,
-            },
-            "swarm": {
-                "inertia": self.swarm.inertia,
-                "c1": self.swarm.c1,
-                "c2": self.swarm.c2,
-                "v_max": self.swarm.v_max,
-                "max_iterations": self.swarm.max_iterations,
-                "n_rrt": self.swarm.n_rrt,
-                "n_birrt": self.swarm.n_birrt,
-            },
+            **{name: asdict(getattr(self, name)) for name in PARAM_SECTIONS},
             "constraints": dict(self.constraint_limits),
-            "waypoints_per_cell": self.waypoints_per_cell,
-            "smooth_window": self.smooth_window,
-            "seed": self.seed,
-            "mode": self.mode,
-            "max_ticks": self.max_ticks,
-            "stagger": self.stagger,
-            "loss_rate": self.loss_rate,
-            "dt": self.dt,
+            **{key: getattr(self, key) for key in SCALAR_KEYS},
         }
 
     def to_yaml(self) -> str:
@@ -279,9 +257,7 @@ def load_scenario(
         cfg,
         {
             "airspace", "obstacles", "random_obstacles", "uavs", "random_uavs",
-            "injections", "ssp", "rrt", "cost", "swarm", "constraints",
-            "waypoints_per_cell", "smooth_window", "seed", "mode", "max_ticks",
-            "stagger", "loss_rate", "dt",
+            "injections", "constraints", *PARAM_SECTIONS, *SCALAR_KEYS,
         },
         "scenario",
     )
@@ -298,36 +274,25 @@ def load_scenario(
     if any(e <= 0 for e in extent):
         raise ValidationError("airspace.extent entries must be positive")
 
-    seed = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
-    mode = str(cfg.get("mode", "SSP")) if mode_override is None else str(mode_override)
+    overrides = {"seed": seed_override, "mode": mode_override}
+    scalars = {}
+    for f in fields(Scenario):
+        if f.name in SCALAR_KEYS:
+            value = overrides.get(f.name)
+            scalars[f.name] = type(f.default)(cfg.get(f.name, f.default) if value is None else value)
+    seed = scalars["seed"]
 
-    def params(section: str, cls, mapping: dict[str, str]):
+    sections = {}
+    for section, cls in PARAM_SECTIONS.items():
         raw = _section(cfg, section)
-        _reject_unknown(raw, set(mapping), section)
-        kwargs = {mapping[k]: raw[k] for k in raw}
+        _reject_unknown(raw, {f.name for f in fields(cls)}, section)
         try:
-            return cls(**kwargs)
+            sections[section] = cls(**raw)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{section}: {exc}") from exc
-
-    ssp = params("ssp", SspParams, {"k1": "k1", "k2": "k2", "window_length": "window_length"})
-    rrt = params(
-        "rrt",
-        RrtParams,
-        {"step_size": "step_size", "max_iterations": "max_iterations", "goal_bias": "goal_bias"},
-    )
-    cost = params("cost", CostParams, {"k3": "k3", "k4": "k4", "k5": "k5", "k6": "k6"})
-    swarm = params(
-        "swarm",
-        SwarmParams,
-        {
-            "inertia": "inertia", "c1": "c1", "c2": "c2", "v_max": "v_max",
-            "max_iterations": "max_iterations", "n_rrt": "n_rrt", "n_birrt": "n_birrt",
-        },
-    )
     constraints_raw = _section(cfg, "constraints")
-    _reject_unknown(constraints_raw, {"l_max", "L_max", "ta_max", "pa_max"}, "constraints")
-    limits = {"l_max": 40.0, "L_max": 400.0, "ta_max": 60.0, "pa_max": 45.0}
+    limits = _default_limits()
+    _reject_unknown(constraints_raw, set(limits), "constraints")
     for k, v in constraints_raw.items():
         v = float(v)
         if v <= 0:
@@ -424,19 +389,9 @@ def load_scenario(
         obstacles=obstacles,
         uavs=uavs,
         injections=injections,
-        ssp=ssp,
-        rrt=rrt,
-        cost=cost,
-        swarm=swarm,
         constraint_limits=limits,
-        waypoints_per_cell=int(cfg.get("waypoints_per_cell", DEFAULT_WAYPOINT_COUNT)),
-        smooth_window=int(cfg.get("smooth_window", DEFAULT_SMOOTH_WINDOW)),
-        seed=seed,
-        mode=mode,
-        max_ticks=int(cfg.get("max_ticks", 5000)),
-        stagger=int(cfg.get("stagger", 0)),
-        loss_rate=float(cfg.get("loss_rate", 0.0)),
-        dt=float(cfg.get("dt", 1.0)),
+        **sections,
+        **scalars,
     )
     if scenario.waypoints_per_cell < 3:
         raise ValidationError("waypoints_per_cell must be >= 3")

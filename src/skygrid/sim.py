@@ -16,30 +16,27 @@ from typing import Optional
 
 import numpy as np
 
-from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, broadcast_sudden_obstacle
+from .adsb import (
+    AdsbBus,
+    AdsbMessage,
+    OccupancyReport,
+    PositionReport,
+    aggregate_occupancy,
+    broadcast_sudden_obstacle,
+)
 from .coarse import (
     CoarsePlan,
-    SspParams,
     attraction_region,
     plan_coarse,
     select_exit_point,
     sliding_window_replan,
 )
-from .geometry import CuboidObstacle, ObstacleKind, Point3
+from .geometry import CuboidObstacle, ObstacleKind, Point3, path_is_collision_free
 from .grid import AirspaceGrid
-from .pso import (
-    ConstraintParams,
-    CostParams,
-    SwarmParams,
-    build_seed_population,
-    feasibility_penalty,
-    optimize,
-    penalized_cost,
-)
+from .pso import ConstraintParams, build_seed_population, feasibility_penalty, optimize
 from .replan import RepairFailed, repair, should_replan
 from .sampling import (
     PlanningFailed,
-    RrtParams,
     Waypath,
     birrt_plan,
     flatten_obstacles,
@@ -48,7 +45,7 @@ from .sampling import (
     smooth_and_resample,
     straight_waypath,
 )
-from .geometry import path_is_collision_free
+from .scenario import Scenario, ValidationError
 
 FINE_PLAN_ATTEMPTS = 5
 
@@ -66,10 +63,6 @@ class UavPhase(Enum):
     FLYING = "Flying"
     ARRIVED = "Arrived"
     FAILED = "Failed"
-
-
-class ScenarioInvalid(Exception):
-    pass
 
 
 @dataclass
@@ -100,11 +93,9 @@ class SimMetrics:
     n_cells: int
     max_occupancy: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     per_uav_length: dict[str, float] = field(default_factory=dict)
-    per_uav_cell_cost: list[tuple[str, int, float]] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     executed: list[ExecutedPath] = field(default_factory=list)
     convergence: list[tuple[str, list[float]]] = field(default_factory=list)
-    position_log: list[tuple[int, str, float, float, float]] = field(default_factory=list)
     min_separation: list[tuple[int, float]] = field(default_factory=list)
     arrived: list[str] = field(default_factory=list)
     failed: list[str] = field(default_factory=list)
@@ -118,11 +109,9 @@ class SimMetrics:
 class World:
     """Simulation state: grid, message bus, UAVs, and recorded metrics."""
 
-    def __init__(self, scenario, mode: Mode):
-        from .scenario import Scenario  # local import to avoid a cycle
-
+    def __init__(self, scenario: Scenario, mode: Mode):
         if not isinstance(scenario, Scenario):
-            raise ScenarioInvalid("expected a Scenario instance")
+            raise ValidationError("expected a Scenario instance")
         self.scenario = scenario
         self.mode = mode
         self.grid = AirspaceGrid(
@@ -136,7 +125,7 @@ class World:
         self.tick = 0
         self.metrics = SimMetrics(n_cells=self.grid.n_cells)
         self.occupancy = np.zeros(self.grid.n_cells, dtype=int)
-        self._latest_reports: dict[str, PositionReport] = {}
+        self._delivered: dict[str, PositionReport] = {}
         self._plan_counter = 0
 
         root = np.random.SeedSequence(scenario.seed)
@@ -144,6 +133,7 @@ class World:
         self.bus = AdsbBus(
             loss_rate=scenario.loss_rate, rng=np.random.default_rng(streams[-1])
         )
+        self.bus.subscribe(self._ground_station)
         self.uavs: list[UavState] = []
         for i, spec in enumerate(scenario.uavs):
             self.uavs.append(
@@ -172,11 +162,7 @@ class World:
 
     def _constraints_for(self, cell: int) -> ConstraintParams:
         lo, hi = self.grid.cell_bounds(cell)
-        c = self.scenario.constraint_limits
-        return ConstraintParams(
-            l_max=c["l_max"], L_max=c["L_max"], ta_max=c["ta_max"], pa_max=c["pa_max"],
-            bounds_lo=lo, bounds_hi=hi,
-        )
+        return ConstraintParams(**self.scenario.constraint_limits, bounds_lo=lo, bounds_hi=hi)
 
     def _coarse_plan(self, uav: UavState, current_cell: int) -> CoarsePlan:
         goal_cell = self.grid.locate(uav.goal)
@@ -202,7 +188,7 @@ class World:
             window = plan.cells[idx : idx + self.scenario.ssp.window_length]
             if len(window) >= 2:
                 face = attraction_region(self.grid, window, face)
-        blockers = flatten_obstacles(self._cell_obstacles(cell) + self._cell_obstacles(nxt))
+        obstacles = self._cell_obstacles(cell) + self._cell_obstacles(nxt)
         # Face points inside an obstacle are unusable as entry/exit; resample,
         # preferring a little clearance. A point whose straight line from the
         # entry climbs/dives steeper than the pitch limit is also rejected
@@ -217,9 +203,7 @@ class World:
             return rise > 1e-12 and math.atan2(rise, run) > pa_max
 
         for margin, check_pitch in ((1.0, True), (1.0, False), (0.0, False)):
-            boxes = flatten_obstacles(
-                self._cell_obstacles(cell) + self._cell_obstacles(nxt), margin
-            ) if margin else blockers
+            boxes = flatten_obstacles(obstacles, margin)
             for _ in range(100):
                 p = select_exit_point(face, uav.rng)
                 if not point_free((p.x, p.y, p.z), boxes):
@@ -312,10 +296,6 @@ class World:
         uav.active_waypath = waypath
         uav.next_waypoint_index = 1
         uav.current_cell = cell
-        cost = penalized_cost(
-            waypath, self._cell_obstacles(cell), self.scenario.cost, self._constraints_for(cell)
-        )
-        self.metrics.per_uav_cell_cost.append((uav.id, cell, cost))
         self.metrics.executed.append(ExecutedPath(uav.id, cell, waypath.waypoints.copy()))
         self._log("cell_entered", uav.id, cell=cell)
 
@@ -323,7 +303,7 @@ class World:
 
     def inject_sudden_obstacle(self, ob: CuboidObstacle, tick: int) -> None:
         if ob.kind is not ObstacleKind.SUDDEN:
-            raise ScenarioInvalid("injected obstacles must be sudden")
+            raise ValidationError("injected obstacles must be sudden")
         broadcast_sudden_obstacle(self.bus, ob, self.grid, tick)
         self.sudden_obstacles.append(ob)
         self._log("sudden_obstacle", "ground-station", cell=self.grid.locate(ob.center))
@@ -420,26 +400,25 @@ class World:
                 return
             self._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))
 
+    def _ground_station(self, msg: AdsbMessage) -> None:
+        """Bus subscriber: keeps the position reports delivered this tick."""
+        if isinstance(msg.payload, PositionReport):
+            self._delivered[msg.payload.uav_id] = msg.payload
+
     def _record_tick(self) -> None:
         airborne = [u for u in self.uavs if u.phase is UavPhase.FLYING]
-        self._latest_reports = {}
+        self._delivered = {}
         for uav in airborne:
-            pos = Point3.from_array(uav.position)
-            report = PositionReport(uav_id=uav.id, position=pos)
+            report = PositionReport(uav_id=uav.id, position=Point3.from_array(uav.position))
             self.bus.publish(AdsbMessage(sender=uav.id, tick=self.tick, payload=report))
-            self._latest_reports[uav.id] = report
-            self.metrics.position_log.append((self.tick, uav.id, pos.x, pos.y, pos.z))
-        counts = np.zeros(self.grid.n_cells, dtype=int)
-        for report in self._latest_reports.values():
-            counts[self.grid.locate(report.position) - 1] += 1
-        self.occupancy = counts
+        self.occupancy = aggregate_occupancy(self._delivered, self.grid)
         self.bus.publish(
             AdsbMessage(
                 sender="ground-station", tick=self.tick,
-                payload=OccupancyReport(counts=tuple(int(c) for c in counts)),
+                payload=OccupancyReport(counts=tuple(int(c) for c in self.occupancy)),
             )
         )
-        np.maximum(self.metrics.max_occupancy, counts, out=self.metrics.max_occupancy)
+        np.maximum(self.metrics.max_occupancy, self.occupancy, out=self.metrics.max_occupancy)
         if len(airborne) >= 2:
             pos = np.stack([u.position for u in airborne])
             d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
@@ -467,12 +446,12 @@ class World:
         return self.metrics
 
 
-def run_scenario(scenario, mode: Mode | str = Mode.SSP) -> SimMetrics:
+def run_scenario(scenario: Scenario, mode: Mode | str = Mode.SSP) -> SimMetrics:
     """Run a complete scenario in the given mode and return its metrics."""
     if isinstance(mode, str):
         try:
             mode = Mode(mode)
         except ValueError as exc:
-            raise ScenarioInvalid(f"unknown mode {mode!r}") from exc
+            raise ValidationError(f"unknown mode {mode!r}") from exc
     world = World(scenario, mode)
     return world.run()

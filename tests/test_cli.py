@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+from skygrid import sim
 from skygrid.cli import main
+from skygrid.pso import NoFeasibleSeed
+from skygrid.replan import RepairFailed
 
 SMALL_SCENARIO = """\
 airspace: {extent: [200, 200, 50], cells: [1, 1, 1]}
@@ -125,6 +128,24 @@ def test_exit_1_on_planning_failure(tmp_path):
     assert main(["plan", "--scenario", str(sealed), "--seed", "1", "--out", out]) == 1
     # Partial results are still written for post-mortem inspection.
     assert os.path.exists(os.path.join(out, "events.csv"))
+
+
+def test_exit_1_when_no_seed_is_feasible(tmp_path, monkeypatch, capsys):
+    def optimize(*args, **kwargs):
+        raise NoFeasibleSeed("no particle reached a finite penalized cost")
+
+    monkeypatch.setattr(sim, "optimize", optimize)
+    assert main(["plan-sub", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert "planning failed for: uav0" in capsys.readouterr().err
+
+
+def test_replan_demo_exit_1_when_repair_fails(tmp_path, monkeypatch, capsys):
+    def repair(*args, **kwargs):
+        raise RepairFailed("no collision-free bracketing waypoints remain")
+
+    monkeypatch.setattr(sim, "repair", repair)
+    assert main(["replan-demo", "--seed", "0", "--out", str(tmp_path / "o")]) == 1
+    assert "repair failed" in capsys.readouterr().err
 
 
 # -- determinism -------------------------------------------------------------

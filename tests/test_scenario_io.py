@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skygrid.geometry import ObstacleKind
+from skygrid.pso import SwarmParams
 from skygrid.sampling import flatten_obstacles, point_free
 from skygrid.scenario import (
     ParseError,
@@ -161,6 +162,14 @@ def test_yaml_roundtrip_is_stable():
     again = load_scenario(text)
     assert again.to_yaml() == text
     assert len(again.obstacles) == len(sc.obstacles)
+
+
+def test_swarm_stall_fields_roundtrip():
+    sc = single_cell_scenario(seed=1)
+    sc.swarm = SwarmParams(stall_iterations=7, stall_tolerance=0.5)
+    again = load_scenario(sc.to_yaml())
+    assert again.swarm == sc.swarm
+    assert again.to_dict() == sc.to_dict()
 
 
 def test_load_scenario_file(tmp_path):

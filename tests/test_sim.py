@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_sample_penetrates, make_sudden
+from skygrid import sim
+from skygrid.adsb import OccupancyReport, PositionReport
 from skygrid.geometry import Point3, path_is_collision_free
-from skygrid.pso import feasibility_penalty
-from skygrid.scenario import load_scenario, single_cell_scenario
-from skygrid.sim import Mode, ScenarioInvalid, UavPhase, World, run_scenario
+from skygrid.pso import NoFeasibleSeed, feasibility_penalty
+from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
+from skygrid.sim import Mode, UavPhase, World, run_scenario
 
 
 def empty_single_cell(seed=0):
@@ -125,14 +127,55 @@ def test_position_reports_every_tick():
     sc = single_cell_scenario(seed=0)
     world = World(sc, Mode.SSP)
     metrics = world.run()
-    from skygrid.adsb import OccupancyReport, PositionReport
-
     positions = [m for m in world.bus.log if isinstance(m.payload, PositionReport)]
     occupancies = [m for m in world.bus.log if isinstance(m.payload, OccupancyReport)]
     # One position report per airborne tick, one occupancy report per tick.
     assert len(occupancies) == metrics.ticks
-    assert len(positions) == len(metrics.position_log)
     assert len(positions) >= metrics.ticks - 1
+
+
+OPEN_SKY_FLEET = "obstacles: []\nrandom_uavs: {count: 6, min_cell_separation: 3}\nseed: 5\n"
+
+
+def _fleet_run(loss_rate):
+    world = World(load_scenario(OPEN_SKY_FLEET + f"loss_rate: {loss_rate}\n"), Mode.SSP)
+    return world, world.run()
+
+
+def _counts_by_tick(world):
+    """(broadcast, ground-station view) per tick, recounted from the bus log."""
+    broadcast, station = {}, {}
+    for m in world.bus.log:
+        if isinstance(m.payload, PositionReport):
+            counts = broadcast.setdefault(m.tick, np.zeros(world.grid.n_cells, dtype=int))
+            counts[world.grid.locate(m.payload.position) - 1] += 1
+        elif isinstance(m.payload, OccupancyReport):
+            station[m.tick] = np.array(m.payload.counts)
+    zero = np.zeros(world.grid.n_cells, dtype=int)
+    return [(broadcast.get(t, zero), station[t]) for t in sorted(station)]
+
+
+def test_lossless_ground_station_sees_every_report():
+    world, metrics = _fleet_run(0.0)
+    ticks = _counts_by_tick(world)
+    assert all(np.array_equal(sent, seen) for sent, seen in ticks)
+    peak = np.max([seen for _, seen in ticks], axis=0)
+    assert np.array_equal(metrics.max_occupancy, peak)
+    assert peak.max() >= 1
+
+
+def test_lost_reports_leave_the_occupancy_view():
+    world, _ = _fleet_run(0.5)
+    ticks = _counts_by_tick(world)
+    assert all((seen <= sent).all() for sent, seen in ticks)
+    assert sum(seen.sum() for _, seen in ticks) < sum(sent.sum() for sent, _ in ticks)
+
+
+def test_total_loss_zeroes_max_occupancy():
+    world, metrics = _fleet_run(1.0)
+    assert not metrics.max_occupancy.any()
+    assert any(isinstance(m.payload, PositionReport) for m in world.bus.log)
+    assert len(metrics.arrived) == 6
 
 
 # -- modes -------------------------------------------------------------------
@@ -148,9 +191,9 @@ def test_all_modes_complete_reference_run(mode):
 def test_mode_string_coercion_and_validation():
     metrics = run_scenario(empty_single_cell(), "SSP")
     assert metrics.arrived == ["uav0"]
-    with pytest.raises(ScenarioInvalid):
+    with pytest.raises(ValidationError):
         run_scenario(empty_single_cell(), "NoSuchMode")
-    with pytest.raises(ScenarioInvalid):
+    with pytest.raises(ValidationError):
         World("not a scenario", Mode.SSP)
 
 
@@ -212,3 +255,36 @@ def test_injection_via_scenario_schedule():
     metrics = run_scenario(sc2, Mode.SSP)
     assert metrics.arrived == ["uav0"]
     assert any(e["kind"] == "sudden_obstacle" for e in metrics.events)
+
+
+# -- planner failures --------------------------------------------------------
+
+
+def test_no_feasible_seed_is_recorded_as_fine_plan_failure(monkeypatch):
+    calls = []
+
+    def optimize(*args, **kwargs):
+        calls.append(1)
+        raise NoFeasibleSeed("no particle reached a finite penalized cost")
+
+    monkeypatch.setattr(sim, "optimize", optimize)
+    metrics = run_scenario(single_cell_scenario(seed=0), Mode.SSP)
+    assert metrics.failed == ["uav0"]
+    assert [e["kind"] for e in metrics.events] == ["fine_plan_failed"]
+    assert len(calls) == sim.FINE_PLAN_ATTEMPTS
+
+
+def test_fine_plan_retries_after_no_feasible_seed(monkeypatch):
+    real = sim.optimize
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NoFeasibleSeed("no particle reached a finite penalized cost")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "optimize", flaky)
+    metrics = run_scenario(single_cell_scenario(seed=0), Mode.SSP)
+    assert metrics.arrived == ["uav0"]
+    assert len(calls) == 2
