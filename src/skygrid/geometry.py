@@ -7,9 +7,9 @@ pure function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class CuboidObstacle:
     len_z: float
     kind: ObstacleKind = ObstacleKind.STATIC
     id: str = ""
+    # Corners (x0, y0, z0, x1, y1, z1) as plain floats, computed once.
+    box: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.len_x <= 0 or self.len_y <= 0 or self.len_z <= 0:
@@ -74,14 +76,27 @@ class CuboidObstacle:
             raise ValueError("static obstacle must be grounded (anchor.z == 0)")
         if self.anchor.z < 0:
             raise ValueError("obstacle anchor.z must be >= 0")
+        x0, y0, z0 = float(self.anchor.x), float(self.anchor.y), float(self.anchor.z)
+        object.__setattr__(
+            self,
+            "box",
+            (x0, y0, z0, x0 + float(self.len_x), y0 + float(self.len_y), z0 + float(self.len_z)),
+        )
 
     @property
     def lo(self) -> np.ndarray:
-        return self.anchor.as_array()
+        return np.array(self.box[:3])
 
     @property
     def hi(self) -> np.ndarray:
-        return self.anchor.as_array() + np.array([self.len_x, self.len_y, self.len_z])
+        return np.array(self.box[3:])
+
+    def overlaps(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
+        """True iff the volume overlaps the box [lo, hi] (open-interval overlap)."""
+        x0, y0, z0, x1, y1, z1 = self.box
+        return (
+            x0 < hi[0] and x1 > lo[0] and y0 < hi[1] and y1 > lo[1] and z0 < hi[2] and z1 > lo[2]
+        )
 
     @property
     def center(self) -> Point3:
@@ -176,42 +191,48 @@ def segments_intersect_cuboids(
     """
     if len(lo) == 0:
         return np.zeros(len(starts), dtype=bool)
-    lo_m = lo - margin
-    hi_m = hi + margin
-    a = starts[:, None, :]  # (S, 1, 3)
-    d = ends[:, None, :] - a  # (S, 1, 3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (lo_m[None, :, :] - a) / d
-        t1 = (hi_m[None, :, :] - a) / d
+    # Axis-major layout (3, 2K, S): the K lower and K upper slab planes of
+    # every axis are divided in one pass over whole rows of segments, and the
+    # per-axis min/max folds are two plain calls.
+    k = len(lo)
+    planes = np.concatenate((lo - margin, hi + margin)).T[:, :, None]  # (3, 2K, 1)
+    a = np.ascontiguousarray(starts.T)[:, None, :]  # (3, 1, S)
+    d = np.ascontiguousarray((ends - starts).T)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (planes - a) / d  # (3, 2K, S)
+    t0, t1 = t[:, :k], t[:, k:]
     t_near = np.minimum(t0, t1)
     t_far = np.maximum(t0, t1)
-    # Degenerate axes (d == 0): inside the slab iff lo <= a <= hi.
-    zero = d == 0
-    inside = (a >= lo_m[None, :, :]) & (a <= hi_m[None, :, :])
-    t_near = np.where(zero, np.where(inside, -np.inf, np.inf), t_near)
-    t_far = np.where(zero, np.where(inside, np.inf, -np.inf), t_far)
-    enter = np.max(t_near, axis=-1)
-    exit_ = np.min(t_far, axis=-1)
+    # A degenerate axis (d == 0) divides to infinities that already decide
+    # the box: -inf/+inf inside the slab, the same infinity twice outside it,
+    # which rules the box out. Only a start exactly on one of that axis's
+    # planes gives 0/0 = NaN; then the explicit rule applies: inside iff
+    # lo <= a <= hi.
+    if np.isnan(t).any():
+        zero = d == 0
+        inside = (a >= planes[:, :k]) & (a <= planes[:, k:])
+        t_near = np.where(zero, np.where(inside, -np.inf, np.inf), t_near)
+        t_far = np.where(zero, np.where(inside, np.inf, -np.inf), t_far)
+    enter = np.maximum(np.maximum(t_near[0], t_near[1]), t_near[2])  # (K, S)
+    exit_ = np.minimum(np.minimum(t_far[0], t_far[1]), t_far[2])
     hit = (enter <= exit_) & (exit_ >= 0.0) & (enter <= 1.0)
-    return hit.any(axis=1)
+    return hit.any(axis=0)
 
 
 def path_is_collision_free(
     waypoints: np.ndarray, obstacles: Iterable[CuboidObstacle], margin: float = 0.0
 ) -> bool:
     """Check every consecutive segment of a waypoint array against all obstacles."""
-    obs = list(obstacles)
-    if not obs or len(waypoints) < 2:
+    lo, hi = obstacle_arrays(obstacles)
+    if not len(lo) or len(waypoints) < 2:
         return True
-    lo = np.stack([o.lo for o in obs])
-    hi = np.stack([o.hi for o in obs])
     hits = segments_intersect_cuboids(waypoints[:-1], waypoints[1:], lo, hi, margin)
     return not bool(hits.any())
 
 
 def obstacle_arrays(obstacles: Iterable[CuboidObstacle]) -> tuple[np.ndarray, np.ndarray]:
     """Stack obstacle corners into (K, 3) lo/hi arrays for the batched tests."""
-    obs = list(obstacles)
-    if not obs:
+    boxes = [o.box for o in obstacles]
+    if not boxes:
         return np.zeros((0, 3)), np.zeros((0, 3))
-    return np.stack([o.lo for o in obs]), np.stack([o.hi for o in obs])
+    return np.array([b[:3] for b in boxes]), np.array([b[3:] for b in boxes])

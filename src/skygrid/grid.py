@@ -45,20 +45,19 @@ class AirspaceGrid:
     counts: tuple[int, int, int]
     obstacles: list[CuboidObstacle] = field(default_factory=list)
 
+    cell_size: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if any(e <= 0 for e in self.extent):
             raise ValueError("airspace extent must be positive")
         if any(c < 1 or int(c) != c for c in self.counts):
             raise ValueError("cell counts must be positive integers")
+        self.cell_size = tuple(self.extent[i] / self.counts[i] for i in range(3))
 
     @property
     def n_cells(self) -> int:
         ax, ay, az = self.counts
         return ax * ay * az
-
-    @property
-    def cell_size(self) -> tuple[float, float, float]:
-        return tuple(self.extent[i] / self.counts[i] for i in range(3))
 
     def cell_id(self, ix: int, iy: int, iz: int) -> int:
         ax, ay, _ = self.counts
@@ -83,10 +82,11 @@ class AirspaceGrid:
         """Cell containing p. Cells are half-open [lo, hi) except at the
         global maximum face, which belongs to the last cell."""
         idx = []
+        size = self.cell_size
         for i, coord in enumerate((p.x, p.y, p.z)):
             if coord < 0 or coord > self.extent[i]:
                 raise OutOfAirspace(f"coordinate {coord} outside [0, {self.extent[i]}] on axis {i}")
-            k = int(coord // self.cell_size[i])
+            k = int(coord // size[i])
             idx.append(min(k, self.counts[i] - 1))
         return self.cell_id(*idx)
 
@@ -117,14 +117,10 @@ class AirspaceGrid:
 
     def static_obstacle_count(self, cell: int) -> int:
         """Static obstacles whose volume overlaps the cell (open-interval overlap)."""
-        lo, hi = self.cell_bounds(cell)
-        count = 0
-        for ob in self.obstacles:
-            if ob.kind is not ObstacleKind.STATIC:
-                continue
-            if all(ob.lo[i] < hi[i] and ob.hi[i] > lo[i] for i in range(3)):
-                count += 1
-        return count
+        lo, hi = (b.tolist() for b in self.cell_bounds(cell))
+        return sum(
+            1 for ob in self.obstacles if ob.kind is ObstacleKind.STATIC and ob.overlaps(lo, hi)
+        )
 
     def static_obstacle_counts(self) -> np.ndarray:
         """Per-cell static obstacle counts, index 0 = cell 1."""
@@ -133,10 +129,6 @@ class AirspaceGrid:
     def obstacles_in_cell(self, cell: int, margin: float = 0.0) -> list[CuboidObstacle]:
         """Obstacles (any kind) overlapping the cell box inflated by margin."""
         lo, hi = self.cell_bounds(cell)
-        lo = lo - margin
-        hi = hi + margin
-        return [
-            ob
-            for ob in self.obstacles
-            if all(ob.lo[i] < hi[i] and ob.hi[i] > lo[i] for i in range(3))
-        ]
+        lo = (lo - margin).tolist()
+        hi = (hi + margin).tolist()
+        return [ob for ob in self.obstacles if ob.overlaps(lo, hi)]

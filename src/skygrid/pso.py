@@ -73,9 +73,23 @@ class SwarmParams:
     n_rrt: int = 15
     n_birrt: int = 15
 
+    def __post_init__(self):
+        # Velocities are clamped to [-v_max, v_max].
+        if not self.v_max > 0:
+            raise ValueError("v_max must be positive")
+
+
+def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment vectors (P, J-1, 3), their lengths (P, J-1) and the path
+    lengths (P,) of a (P, J, 3) batch."""
+    diffs = paths[:, 1:] - paths[:, :-1]
+    lengths = np.linalg.norm(diffs, axis=2)
+    return diffs, lengths, lengths.sum(axis=1)
+
 
 def _batch_cost(
     paths: np.ndarray,
+    total_len: np.ndarray,
     static_lo: np.ndarray,
     static_hi: np.ndarray,
     sudden_lo: np.ndarray,
@@ -83,8 +97,6 @@ def _batch_cost(
     cp: CostParams,
 ) -> np.ndarray:
     """Clearance-plus-length cost for a (P, J, 3) batch of paths."""
-    lengths = np.linalg.norm(np.diff(paths, axis=1), axis=2)  # (P, J-1)
-    total_len = lengths.sum(axis=1)
     cost = cp.k4 * total_len
     for lo, hi, k in ((static_lo, static_hi, cp.k5), (sudden_lo, sudden_hi, cp.k6)):
         if len(lo) == 0 or k == 0:
@@ -100,44 +112,57 @@ def _batch_cost(
 
 def _batch_penalty(
     paths: np.ndarray,
+    diffs: np.ndarray,
+    lengths: np.ndarray,
+    total_len: np.ndarray,
     constraints: ConstraintParams,
     all_lo: np.ndarray,
     all_hi: np.ndarray,
 ) -> np.ndarray:
     """Constraint-violation and collision counts scaled by the penalty weight."""
     n, j, _ = paths.shape
-    diffs = np.diff(paths, axis=1)  # (P, J-1, 3)
-    lengths = np.linalg.norm(diffs, axis=2)
-    violations = np.zeros(n)
 
-    # C1: per-segment length limit; C2: total length limit.
-    violations += (lengths > constraints.l_max).sum(axis=1)
-    violations += lengths.sum(axis=1) > constraints.L_max
+    # C1: per-segment length limit; C2: total length limit. Counts are
+    # integers, so their sum does not depend on the order of the terms.
+    violations = (lengths > constraints.l_max).sum(axis=1)
+    violations += total_len > constraints.L_max
 
     # C3: turning angle between consecutive horizontal headings. Zero-norm
     # horizontal projections (purely vertical segments) count as violations.
-    h = diffs[:, :, :2]
-    hn = np.linalg.norm(h, axis=2)
-    dot = (h[:, :-1, :] * h[:, 1:, :]).sum(axis=2)
+    # A two-term sum rounds once, so these equal numpy's norm and sum.
+    hx = diffs[:, :, 0]
+    hy = diffs[:, :, 1]
+    hn = np.sqrt(hx * hx + hy * hy)
+    dot = hx[:, :-1] * hx[:, 1:] + hy[:, :-1] * hy[:, 1:]
     denom = hn[:, :-1] * hn[:, 1:]
     degenerate = denom == 0.0
+    any_degenerate = degenerate.any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        cosang = np.clip(dot / denom, -1.0, 1.0)
-    ta = np.degrees(np.arccos(np.where(degenerate, 0.0, cosang)))
-    violations += (np.where(degenerate, np.inf, ta) > constraints.ta_max).sum(axis=1)
+        cosang = np.minimum(np.maximum(dot / denom, -1.0), 1.0)
+    if any_degenerate:
+        cosang[degenerate] = 0.0
+    ta = np.degrees(np.arccos(cosang))
+    if any_degenerate:
+        ta[degenerate] = np.inf
+    violations += (ta > constraints.ta_max).sum(axis=1)
 
     # C4: pitch angle of each segment; zero-length segments are degenerate.
     zero_len = lengths == 0.0
+    any_zero = zero_len.any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinp = np.clip(diffs[:, :, 2] / lengths, -1.0, 1.0)
-    pa = np.degrees(np.arcsin(np.where(zero_len, 0.0, sinp)))
-    violations += (np.where(zero_len, np.inf, np.abs(pa)) > constraints.pa_max).sum(axis=1)
+        sinp = np.minimum(np.maximum(diffs[:, :, 2] / lengths, -1.0), 1.0)
+    if any_zero:
+        sinp[zero_len] = 0.0
+    pa = np.abs(np.degrees(np.arcsin(sinp)))
+    if any_zero:
+        pa[zero_len] = np.inf
+    violations += (pa > constraints.pa_max).sum(axis=1)
 
     # C5-C7: interior waypoints must stay inside the cell box (endpoints are
     # fixed boundary conditions on the cell faces).
     interior = paths[:, 1:-1, :]
     outside = (interior < constraints.bounds_lo) | (interior > constraints.bounds_hi)
-    violations += outside.any(axis=2).sum(axis=1)
+    violations += (outside[:, :, 0] | outside[:, :, 1] | outside[:, :, 2]).sum(axis=1)
 
     # Colliding segments.
     if len(all_lo):
@@ -169,7 +194,8 @@ def trajectory_cost(
     """
     s_lo, s_hi = obstacle_arrays(static_obstacles)
     u_lo, u_hi = obstacle_arrays(sudden_obstacles)
-    return float(_batch_cost(path.waypoints[None, :, :], s_lo, s_hi, u_lo, u_hi, cp)[0])
+    paths = path.waypoints[None, :, :]
+    return float(_batch_cost(paths, _segments(paths)[2], s_lo, s_hi, u_lo, u_hi, cp)[0])
 
 
 def feasibility_penalty(
@@ -180,7 +206,8 @@ def feasibility_penalty(
     """0 when all constraints hold and no segment collides; otherwise
     VIOLATION_PENALTY per violated constraint or colliding segment."""
     lo, hi = obstacle_arrays(obstacles)
-    return float(_batch_penalty(path.waypoints[None, :, :], constraints, lo, hi)[0])
+    paths = path.waypoints[None, :, :]
+    return float(_batch_penalty(paths, *_segments(paths), constraints, lo, hi)[0])
 
 
 def penalized_cost(
@@ -232,8 +259,9 @@ def optimize(
         paths[:, 0, :] = first
         paths[:, -1, :] = last
         paths[:, 1:-1, :] = x
-        return _batch_cost(paths, s_lo, s_hi, u_lo, u_hi, cp) + _batch_penalty(
-            paths, constraints, all_lo, all_hi
+        diffs, lengths, total_len = _segments(paths)
+        return _batch_cost(paths, total_len, s_lo, s_hi, u_lo, u_hi, cp) + _batch_penalty(
+            paths, diffs, lengths, total_len, constraints, all_lo, all_hi
         )
 
     x = np.stack([s.waypoints[1:-1] for s in seeds])  # (P, J-2, 3)
@@ -251,9 +279,11 @@ def optimize(
         r1 = rng.random(x.shape)
         r2 = rng.random(x.shape)
         v = params.inertia * v + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
-        np.clip(v, -params.v_max, params.v_max, out=v)
+        np.maximum(v, -params.v_max, out=v)
+        np.minimum(v, params.v_max, out=v)
         x = x + v
-        np.clip(x, constraints.bounds_lo, constraints.bounds_hi, out=x)
+        np.maximum(x, constraints.bounds_lo, out=x)
+        np.minimum(x, constraints.bounds_hi, out=x)
         cost = evaluate(x)
 
         improved = cost < pbest_cost

@@ -73,49 +73,64 @@ Boxes = list[tuple[float, float, float, float, float, float]]
 
 
 def flatten_obstacles(obstacles: Iterable[CuboidObstacle], margin: float = 0.0) -> Boxes:
-    out = []
-    for ob in obstacles:
-        lo, hi = ob.lo, ob.hi
-        out.append(
-            (
-                lo[0] - margin,
-                lo[1] - margin,
-                lo[2] - margin,
-                hi[0] + margin,
-                hi[1] + margin,
-                hi[2] + margin,
-            )
-        )
-    return out
+    return [
+        (x0 - margin, y0 - margin, z0 - margin, x1 + margin, y1 + margin, z1 + margin)
+        for x0, y0, z0, x1, y1, z1 in (ob.box for ob in obstacles)
+    ]
 
 
 def segment_free(a: Sequence[float], b: Sequence[float], boxes: Boxes) -> bool:
-    """Scalar slab test of segment a-b against every box; True if it misses all."""
+    """Scalar slab test of segment a-b against every box; True if it misses all.
+
+    The three axes are unrolled; each clips the entry/exit interval [0, 1]
+    and a box is missed as soon as the interval empties.
+    """
     ax, ay, az = a[0], a[1], a[2]
     dx, dy, dz = b[0] - ax, b[1] - ay, b[2] - az
     for x0, y0, z0, x1, y1, z1 in boxes:
-        t_enter = 0.0
-        t_exit = 1.0
-        hit = True
-        for start, delta, lo, hi in ((ax, dx, x0, x1), (ay, dy, y0, y1), (az, dz, z0, z1)):
-            if delta == 0.0:
-                if start < lo or start > hi:
-                    hit = False
-                    break
-            else:
-                t0 = (lo - start) / delta
-                t1 = (hi - start) / delta
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                if t0 > t_enter:
-                    t_enter = t0
-                if t1 < t_exit:
-                    t_exit = t1
-                if t_enter > t_exit:
-                    hit = False
-                    break
-        if hit:
-            return False
+        if dx == 0.0:
+            if ax < x0 or ax > x1:
+                continue
+            t_enter = 0.0
+            t_exit = 1.0
+        else:
+            t0 = (x0 - ax) / dx
+            t1 = (x1 - ax) / dx
+            if t0 > t1:
+                t0, t1 = t1, t0
+            t_enter = t0 if t0 > 0.0 else 0.0
+            t_exit = t1 if t1 < 1.0 else 1.0
+            if t_enter > t_exit:
+                continue
+        if dy == 0.0:
+            if ay < y0 or ay > y1:
+                continue
+        else:
+            t0 = (y0 - ay) / dy
+            t1 = (y1 - ay) / dy
+            if t0 > t1:
+                t0, t1 = t1, t0
+            if t0 > t_enter:
+                t_enter = t0
+            if t1 < t_exit:
+                t_exit = t1
+            if t_enter > t_exit:
+                continue
+        if dz == 0.0:
+            if az < z0 or az > z1:
+                continue
+        else:
+            t0 = (z0 - az) / dz
+            t1 = (z1 - az) / dz
+            if t0 > t1:
+                t0, t1 = t1, t0
+            if t0 > t_enter:
+                t_enter = t0
+            if t1 < t_exit:
+                t_exit = t1
+            if t_enter > t_exit:
+                continue
+        return False
     return True
 
 
@@ -160,35 +175,26 @@ def rrt_plan(
     if trivial is not None:
         return trivial
 
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
-    nodes = np.empty((params.max_iterations + 2, 3))
-    nodes[0] = s
-    parents = np.empty(params.max_iterations + 2, dtype=np.int64)
-    parents[0] = -1
-    n = 1
+    lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
+    hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
+    wx, wy, wz = hx - lx, hy - ly, hz - lz
+    tree = _Tree(s, params.max_iterations + 2)
     step = params.step_size
+    goal_bias = params.goal_bias
+    random = rng.random
 
     for _ in range(params.max_iterations):
-        if rng.random() < params.goal_bias:
+        if random() < goal_bias:
             target = g
         else:
-            u = rng.random(3)
-            target = (
-                lo[0] + u[0] * (hi[0] - lo[0]),
-                lo[1] + u[1] * (hi[1] - lo[1]),
-                lo[2] + u[2] * (hi[2] - lo[2]),
-            )
-        idx, new = _extend(nodes, n, target, step, boxes)
-        if idx < 0:
+            ux, uy, uz = random(3).tolist()
+            target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
+        new = tree.extend(target, step, boxes)
+        if new is None:
             continue
-        nodes[n] = new
-        parents[n] = idx
-        n += 1
         if _dist(new, g) <= step and segment_free(new, g, boxes):
-            nodes[n] = g
-            parents[n] = n - 1
-            return _trace(nodes, parents, n)
+            tree.add(g, len(tree.pts) - 1)
+            return tree.trace()
     raise PlanningFailed(f"RRT failed to connect within {params.max_iterations} iterations")
 
 
@@ -205,47 +211,33 @@ def birrt_plan(
     if trivial is not None:
         return trivial
 
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
+    lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
+    hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
+    wx, wy, wz = hx - lx, hy - ly, hz - lz
     # The greedy connect march can add several nodes per iteration.
     cap = 2 * params.max_iterations + 64
-    trees = [np.empty((cap, 3)), np.empty((cap, 3))]
-    parents = [np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)]
-    trees[0][0] = s
-    trees[1][0] = g
-    parents[0][0] = -1
-    parents[1][0] = -1
-    sizes = [1, 1]
+    trees = [_Tree(s, cap), _Tree(g, cap)]
     step = params.step_size
+    random = rng.random
     a = 0  # tree extended toward the sample this iteration
 
     for _ in range(params.max_iterations):
-        if sizes[0] >= cap - 1 or sizes[1] >= cap - 1:
+        if len(trees[0].pts) >= cap - 1 or len(trees[1].pts) >= cap - 1:
             break
-        u = rng.random(3)
-        target = (
-            lo[0] + u[0] * (hi[0] - lo[0]),
-            lo[1] + u[1] * (hi[1] - lo[1]),
-            lo[2] + u[2] * (hi[2] - lo[2]),
-        )
-        idx, new = _extend(trees[a], sizes[a], target, step, boxes)
-        if idx >= 0:
-            trees[a][sizes[a]] = new
-            parents[a][sizes[a]] = idx
-            sizes[a] += 1
+        ux, uy, uz = random(3).tolist()
+        target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
+        new = trees[a].extend(target, step, boxes)
+        if new is not None:
             # Greedy connect: march the other tree toward the new node until
             # blocked or joined.
-            b = 1 - a
-            while sizes[b] < cap - 1:
-                jdx, jnew = _extend(trees[b], sizes[b], new, step, boxes)
-                if jdx < 0:
+            other = trees[1 - a]
+            while len(other.pts) < cap - 1:
+                jnew = other.extend(new, step, boxes)
+                if jnew is None:
                     break
-                trees[b][sizes[b]] = jnew
-                parents[b][sizes[b]] = jdx
-                sizes[b] += 1
                 if _dist(jnew, new) <= 1e-9:
-                    path_a = _trace(trees[a], parents[a], sizes[a] - 1)
-                    path_b = _trace(trees[b], parents[b], sizes[b] - 1)
+                    path_a = trees[a].trace()
+                    path_b = other.trace()
                     if a == 0:
                         joined = np.vstack([path_a, path_b[::-1][1:]])
                     else:
@@ -259,35 +251,55 @@ def _dist(a, b) -> float:
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
-def _extend(nodes: np.ndarray, n: int, target, step: float, boxes: Boxes):
-    """One collision-checked step from the nearest tree node toward target.
+class _Tree:
+    """Search tree of one planner: nodes in a (cap, 3) buffer for the nearest
+    search, the same nodes as float tuples for the scalar steps, and parents.
 
-    Returns (parent index, new point) or (-1, None) when blocked/degenerate.
+    The nearest node is the first `argmin` of numpy `einsum` squared
+    distances. Recomputing those in Python rounds some of them differently
+    in the last bit, which can change the pick, so the ranking stays in numpy.
     """
-    d = nodes[:n] - target
-    idx = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-    near = nodes[idx]
-    dist = _dist(near, target)
-    if dist <= 1e-12:
-        return -1, None
-    scale = min(1.0, step / dist)
-    new = (
-        near[0] + (target[0] - near[0]) * scale,
-        near[1] + (target[1] - near[1]) * scale,
-        near[2] + (target[2] - near[2]) * scale,
-    )
-    if not segment_free(near, new, boxes):
-        return -1, None
-    return idx, new
 
+    def __init__(self, root, cap: int):
+        self.nodes = np.empty((cap, 3))
+        self.nodes[0] = root
+        self.pts = [tuple(self.nodes[0].tolist())]
+        self.parents = [-1]
 
-def _trace(nodes: np.ndarray, parents: np.ndarray, tip: int) -> np.ndarray:
-    order = []
-    i = tip
-    while i >= 0:
-        order.append(i)
-        i = int(parents[i])
-    return nodes[order[::-1]].copy()
+    def add(self, p, parent: int) -> None:
+        self.nodes[len(self.pts)] = p
+        self.pts.append(p)
+        self.parents.append(parent)
+
+    def extend(self, target, step: float, boxes: Boxes):
+        """One collision-checked step from the nearest node toward target.
+
+        Adds and returns the new point, or returns None when blocked or
+        degenerate.
+        """
+        d = self.nodes[: len(self.pts)] - target
+        idx = int(np.einsum("ij,ij->i", d, d).argmin())
+        near = self.pts[idx]
+        dist = _dist(near, target)
+        if dist <= 1e-12:
+            return None
+        scale = min(1.0, step / dist)
+        nx, ny, nz = near
+        tx, ty, tz = target
+        new = (nx + (tx - nx) * scale, ny + (ty - ny) * scale, nz + (tz - nz) * scale)
+        if not segment_free(near, new, boxes):
+            return None
+        self.add(new, idx)
+        return new
+
+    def trace(self) -> np.ndarray:
+        """Root-to-newest-node path."""
+        order = []
+        i = len(self.pts) - 1
+        while i >= 0:
+            order.append(i)
+            i = self.parents[i]
+        return self.nodes[order[::-1]].copy()
 
 
 def shortcut(path: np.ndarray, boxes: Boxes) -> np.ndarray:

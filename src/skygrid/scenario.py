@@ -123,28 +123,33 @@ class Scenario:
         return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
-def _triple(value, name: str) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValidationError(f"{name} must be a list of three numbers")
+def _scalar(value, cast, name: str):
+    """cast(value), with a ValidationError naming the key for a malformed value."""
     try:
-        return tuple(float(v) for v in value)
+        return cast(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must contain numbers: {exc}") from exc
+        raise ValidationError(f"{name}: expected {cast.__name__}, got {value!r}") from exc
 
 
-def _parse_obstacle(cfg: dict, index: int, kind: ObstacleKind) -> CuboidObstacle:
-    _reject_unknown(cfg, {"anchor", "lengths", "kind", "id"}, f"obstacles[{index}]")
-    anchor = _triple(cfg.get("anchor"), f"obstacles[{index}].anchor")
-    lengths = _triple(cfg.get("lengths"), f"obstacles[{index}].lengths")
+def _floats(value, count: int, name: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ValidationError(f"{name} must be a list of {count} numbers")
+    return tuple(_scalar(v, float, name) for v in value)
+
+
+def _parse_obstacle(cfg: dict, index: int, kind: ObstacleKind, where: str) -> CuboidObstacle:
+    _reject_unknown(cfg, {"anchor", "lengths", "kind", "id"}, where)
+    anchor = _floats(cfg.get("anchor"), 3, f"{where}.anchor")
+    lengths = _floats(cfg.get("lengths"), 3, f"{where}.lengths")
     names = ("len_x", "len_y", "len_z")
     for n, l in zip(names, lengths):
         if l <= 0:
-            raise ValidationError(f"obstacles[{index}].{n} must be positive, got {l}")
+            raise ValidationError(f"{where}.{n} must be positive, got {l}")
     if "kind" in cfg:
         try:
             kind = ObstacleKind(cfg["kind"])
         except ValueError as exc:
-            raise ValidationError(f"obstacles[{index}].kind: {exc}") from exc
+            raise ValidationError(f"{where}.kind: {exc}") from exc
     try:
         return CuboidObstacle(
             anchor=Point3(*anchor),
@@ -155,10 +160,12 @@ def _parse_obstacle(cfg: dict, index: int, kind: ObstacleKind) -> CuboidObstacle
             id=str(cfg.get("id", f"ob{index}")),
         )
     except ValueError as exc:
-        raise ValidationError(f"obstacles[{index}]: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _reject_unknown(cfg: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{where} must be a mapping, got {cfg!r}")
     unknown = set(cfg) - allowed
     if unknown:
         raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -264,11 +271,11 @@ def load_scenario(
 
     airspace = _section(cfg, "airspace")
     _reject_unknown(airspace, {"extent", "cells"}, "airspace")
-    extent = _triple(airspace.get("extent", DEFAULT_EXTENT), "airspace.extent")
+    extent = _floats(airspace.get("extent", DEFAULT_EXTENT), 3, "airspace.extent")
     cells_raw = airspace.get("cells", DEFAULT_COUNTS)
     if not isinstance(cells_raw, (list, tuple)) or len(cells_raw) != 3:
         raise ValidationError("airspace.cells must be a list of three integers")
-    counts = tuple(int(c) for c in cells_raw)
+    counts = tuple(_scalar(c, int, "airspace.cells") for c in cells_raw)
     if any(c < 1 for c in counts):
         raise ValidationError("airspace.cells entries must be >= 1")
     if any(e <= 0 for e in extent):
@@ -279,7 +286,8 @@ def load_scenario(
     for f in fields(Scenario):
         if f.name in SCALAR_KEYS:
             value = overrides.get(f.name)
-            scalars[f.name] = type(f.default)(cfg.get(f.name, f.default) if value is None else value)
+            raw = cfg.get(f.name, f.default) if value is None else value
+            scalars[f.name] = _scalar(raw, type(f.default), f.name)
     seed = scalars["seed"]
 
     sections = {}
@@ -294,7 +302,7 @@ def load_scenario(
     limits = _default_limits()
     _reject_unknown(constraints_raw, set(limits), "constraints")
     for k, v in constraints_raw.items():
-        v = float(v)
+        v = _scalar(v, float, f"constraints.{k}")
         if v <= 0:
             raise ValidationError(f"constraints.{k} must be positive, got {v}")
         limits[k] = v
@@ -306,7 +314,7 @@ def load_scenario(
         if not isinstance(cfg["obstacles"], list):
             raise ValidationError("obstacles must be a list")
         for i, ob_cfg in enumerate(cfg["obstacles"]):
-            obstacles.append(_parse_obstacle(ob_cfg, i, ObstacleKind.STATIC))
+            obstacles.append(_parse_obstacle(ob_cfg, i, ObstacleKind.STATIC, f"obstacles[{i}]"))
 
     # Explicit UAVs.
     uavs: list[UavSpec] = []
@@ -315,9 +323,9 @@ def load_scenario(
             raise ValidationError("uavs must be a list")
         for i, u in enumerate(cfg["uavs"]):
             _reject_unknown(u, {"id", "start", "goal", "speed"}, f"uavs[{i}]")
-            start = Point3(*_triple(u.get("start"), f"uavs[{i}].start"))
-            goal = Point3(*_triple(u.get("goal"), f"uavs[{i}].goal"))
-            speed = float(u.get("speed", DEFAULT_SPEED))
+            start = Point3(*_floats(u.get("start"), 3, f"uavs[{i}].start"))
+            goal = Point3(*_floats(u.get("goal"), 3, f"uavs[{i}].goal"))
+            speed = _scalar(u.get("speed", DEFAULT_SPEED), float, f"uavs[{i}].speed")
             if speed <= 0:
                 raise ValidationError(f"uavs[{i}].speed must be positive")
             uavs.append(UavSpec(id=str(u.get("id", f"uav{i}")), start=start, goal=goal, speed=speed))
@@ -336,24 +344,23 @@ def load_scenario(
         uavs = [UavSpec(id="uav0", start=Point3(*DEFAULT_START), goal=Point3(*DEFAULT_GOAL))]
 
     if want_random_obstacles:
-        count = int(rob.get("count", DEFAULT_OBSTACLE_COUNT))
+        count = _scalar(rob.get("count", DEFAULT_OBSTACLE_COUNT), int, "random_obstacles.count")
         if count < 0:
             raise ValidationError("random_obstacles.count must be >= 0")
         hr = rob.get("height_range", DEFAULT_HEIGHT_RANGE)
         fr = rob.get("footprint_range", DEFAULT_FOOTPRINT_RANGE)
+        hr = _floats(hr, 2, "random_obstacles.height_range")
+        fr = _floats(fr, 2, "random_obstacles.footprint_range")
         keep_clear = [p for u in uavs for p in (u.start, u.goal)]
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5)))
-        obstacles = obstacles + generate_obstacles(
-            extent, count, (float(hr[0]), float(hr[1])), (float(fr[0]), float(fr[1])),
-            keep_clear, rng,
-        )
+        obstacles = obstacles + generate_obstacles(extent, count, hr, fr, keep_clear, rng)
 
     grid = AirspaceGrid(extent=extent, counts=counts, obstacles=obstacles)
 
     if want_random_uavs:
-        count = int(ruav.get("count", 1))
-        sep = int(ruav.get("min_cell_separation", 0))
-        speed = float(ruav.get("speed", DEFAULT_SPEED))
+        count = _scalar(ruav.get("count", 1), int, "random_uavs.count")
+        sep = _scalar(ruav.get("min_cell_separation", 0), int, "random_uavs.min_cell_separation")
+        speed = _scalar(ruav.get("speed", DEFAULT_SPEED), float, "random_uavs.speed")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0A7)))
         uavs = uavs + generate_uavs(grid, count, sep, speed, rng)
 
@@ -364,10 +371,12 @@ def load_scenario(
             raise ValidationError("injections must be a list")
         for i, inj in enumerate(cfg["injections"]):
             _reject_unknown(inj, {"tick", "obstacle"}, f"injections[{i}]")
-            tick = int(inj.get("tick", -1))
+            tick = _scalar(inj.get("tick", -1), int, f"injections[{i}].tick")
             if tick < 0:
                 raise ValidationError(f"injections[{i}].tick must be >= 0")
-            ob = _parse_obstacle(inj.get("obstacle", {}), i, ObstacleKind.SUDDEN)
+            ob = _parse_obstacle(
+                inj.get("obstacle", {}), i, ObstacleKind.SUDDEN, f"injections[{i}].obstacle"
+            )
             if ob.kind is not ObstacleKind.SUDDEN:
                 raise ValidationError(f"injections[{i}].obstacle.kind must be sudden")
             injections.append((tick, ob))

@@ -151,12 +151,8 @@ class World:
 
     def _cell_obstacles(self, cell: int) -> list[CuboidObstacle]:
         static = self.grid.obstacles_in_cell(cell)
-        lo, hi = self.grid.cell_bounds(cell)
-        sudden = [
-            ob
-            for ob in self.sudden_obstacles
-            if all(ob.lo[i] < hi[i] and ob.hi[i] > lo[i] for i in range(3))
-        ]
+        lo, hi = (b.tolist() for b in self.grid.cell_bounds(cell))
+        sudden = [ob for ob in self.sudden_obstacles if ob.overlaps(lo, hi)]
         seen = {id(o) for o in static}
         return static + [o for o in sudden if id(o) not in seen]
 

@@ -110,6 +110,23 @@ def test_exit_2_on_invalid_scenario(tmp_path):
     assert main(["plan", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text,key_path",
+    [
+        ("obstacles: [5]\n", "obstacles[0]"),
+        ("seed: [1]\n", "seed"),
+        ("random_obstacles: {height_range: 5}\n", "random_obstacles.height_range"),
+    ],
+)
+def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["plan", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and key_path in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_on_unknown_mode(small_scenario, tmp_path):
     code = main(
         ["plan", "--scenario", small_scenario, "--mode", "Nope", "--out", str(tmp_path / "o")]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,28 @@ def test_rejects_bad_parameter_values():
         load_scenario("loss_rate: 1.5\nobstacles: []\n")
     with pytest.raises(ValidationError):
         load_scenario("waypoints_per_cell: 2\nobstacles: []\n")
+
+
+@pytest.mark.parametrize(
+    "text,key_path",
+    [
+        ("uavs: [x]\n", "uavs[0]"),
+        ("injections: [3]\n", "injections[0]"),
+        ("injections:\n  - {tick: 1, obstacle: {anchor: 5, lengths: [1, 1, 1]}}\n",
+         "injections[0].obstacle.anchor"),
+        ("obstacles:\n  - {anchor: [0, 0, [0]], lengths: [1, 1, 1]}\n", "obstacles[0].anchor"),
+        ("airspace: {cells: [[1], 1, 1]}\n", "airspace.cells"),
+        ("constraints: {l_max: [1]}\n", "constraints.l_max"),
+        ("random_obstacles: {count: [3]}\n", "random_obstacles.count"),
+        ("random_obstacles: {footprint_range: [1, 2, 3]}\n", "random_obstacles.footprint_range"),
+        ("random_uavs: {speed: fast}\n", "random_uavs.speed"),
+        ("max_ticks: many\n", "max_ticks"),
+        ("swarm: {v_max: 0}\nobstacles: []\n", "swarm"),
+    ],
+)
+def test_malformed_values_name_their_key(text, key_path):
+    with pytest.raises(ValidationError, match=re.escape(key_path)):
+        load_scenario(text)
 
 
 def test_injections_parsed_as_sudden():
