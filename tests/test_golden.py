@@ -15,6 +15,23 @@ from skygrid.cli import main
 
 TEN_UAVS = "random_uavs: {count: 10, min_cell_separation: 5}\n"
 
+# A YAML-listed sudden obstacle, two injections from the scenario file and a
+# lossy bus; at seed 3 one UAV repairs around the first injected cube.
+SUDDEN_LOSSY = """\
+airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}
+obstacles:
+  - {anchor: [60, 20, 0], lengths: [30, 30, 50]}
+  - {anchor: [120, 140, 10], lengths: [20, 20, 20], kind: sudden}
+uavs:
+  - {start: [10, 100, 10], goal: [390, 100, 10]}
+  - {start: [10, 60, 20], goal: [390, 150, 30]}
+  - {start: [390, 20, 15], goal: [10, 180, 25]}
+injections:
+  - {tick: 6, obstacle: {anchor: [95, 95, 5], lengths: [12, 12, 12]}}
+  - {tick: 30, obstacle: {anchor: [290, 90, 5], lengths: [12, 12, 12]}}
+loss_rate: 0.3
+"""
+
 GOLDEN = {
     "plan-sub --seed 1": (
         ["plan-sub", "--seed", "1"],
@@ -50,6 +67,18 @@ GOLDEN = {
             "lengths": "aa7d42493d227157eec64dc763be215af85d6e9d899483a30105e4efbfb7de26",
             "occupancy": "4bccdfc88833ee241bcabce388abc87dc3a7f4cd5363645d2b3407879a54296b",
             "waypoints": "b4e5f0b16e4d8f020486a30a63fb65157216c848366d0058a20e537635b36b81",
+        },
+    ),
+    "simulate --seed 3 (sudden obstacles, loss 0.3)": (
+        ["simulate", "--seed", "3"],
+        SUDDEN_LOSSY,
+        {
+            "adsb_log": "e01ef071e6b2522fc8ff30be93cdb6fcf7be69c73fccdee02871a1cd2f709f10",
+            "convergence": "98356964ca5b3c998795d0412469ba8c97584c47bae0dac75e3c3625657b3de2",
+            "events": "03070d7036626c3c7de24c0f9ab85b495f1ac2200c55de76154a667e93786f4e",
+            "lengths": "5d9681a53bb72277722b6fd9ef65667b08d593b18268bf6664ac15411f02faf9",
+            "occupancy": "5b2cea63dbe85ec99bedaa8e60255aa33e4747876b55aa997d5d7ece8d4f581a",
+            "waypoints": "feaffcf302246dbeb11fbccde4fe2ad03cf78f3cae2da57a91b3b5dd1d7fc6f5",
         },
     ),
     "replan-demo --seed 4": (
