@@ -10,7 +10,7 @@ the region the upcoming turns point toward (attraction mechanism).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,12 +37,7 @@ class SspParams:
 @dataclass
 class CoarsePlan:
     cells: list[int]
-    exit_points: list[Optional[Point3]] = field(default_factory=list)
     total_cost: float = 0.0
-
-    def __post_init__(self):
-        if not self.exit_points:
-            self.exit_points = [None] * (len(self.cells) - 1)
 
     def remaining_cells(self, current: int) -> int:
         """Cells left including the current one; 0 if current not on the plan."""
@@ -88,7 +83,6 @@ def plan_coarse(
 
     # Dijkstra keyed by (cost, length, path); the composite order is preserved
     # under extension, so the first settle of a cell is its best label.
-    best: dict[int, tuple] = {}
     heap: list[tuple[float, int, tuple[int, ...]]] = [(start_cost, 1, (start,))]
     settled: set[int] = set()
     while heap:

@@ -219,14 +219,12 @@ def segments_intersect_cuboids(
     return hit.any(axis=0)
 
 
-def path_is_collision_free(
-    waypoints: np.ndarray, obstacles: Iterable[CuboidObstacle], margin: float = 0.0
-) -> bool:
+def path_is_collision_free(waypoints: np.ndarray, obstacles: Iterable[CuboidObstacle]) -> bool:
     """Check every consecutive segment of a waypoint array against all obstacles."""
     lo, hi = obstacle_arrays(obstacles)
     if not len(lo) or len(waypoints) < 2:
         return True
-    hits = segments_intersect_cuboids(waypoints[:-1], waypoints[1:], lo, hi, margin)
+    hits = segments_intersect_cuboids(waypoints[:-1], waypoints[1:], lo, hi)
     return not bool(hits.any())
 
 

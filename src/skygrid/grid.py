@@ -126,9 +126,7 @@ class AirspaceGrid:
         """Per-cell static obstacle counts, index 0 = cell 1."""
         return np.array([self.static_obstacle_count(c) for c in range(1, self.n_cells + 1)])
 
-    def obstacles_in_cell(self, cell: int, margin: float = 0.0) -> list[CuboidObstacle]:
-        """Obstacles (any kind) overlapping the cell box inflated by margin."""
-        lo, hi = self.cell_bounds(cell)
-        lo = (lo - margin).tolist()
-        hi = (hi + margin).tolist()
+    def obstacles_in_cell(self, cell: int) -> list[CuboidObstacle]:
+        """Obstacles (any kind) overlapping the cell box (open-interval overlap)."""
+        lo, hi = (b.tolist() for b in self.cell_bounds(cell))
         return [ob for ob in self.obstacles if ob.overlaps(lo, hi)]

@@ -182,8 +182,8 @@ def _split_obstacles(obstacles: Iterable[CuboidObstacle]):
 
 def trajectory_cost(
     path: Waypath,
-    static_obstacles: Sequence[CuboidObstacle],
-    sudden_obstacles: Sequence[CuboidObstacle],
+    static: Sequence[CuboidObstacle],
+    sudden: Sequence[CuboidObstacle],
     cp: CostParams,
 ) -> float:
     """Clearance-plus-length cost of one trajectory.
@@ -192,8 +192,8 @@ def trajectory_cost(
     every obstacle of the kind; a sum of exactly 0 (waypoint touching an
     obstacle) yields +inf.
     """
-    s_lo, s_hi = obstacle_arrays(static_obstacles)
-    u_lo, u_hi = obstacle_arrays(sudden_obstacles)
+    s_lo, s_hi = obstacle_arrays(static)
+    u_lo, u_hi = obstacle_arrays(sudden)
     paths = path.waypoints[None, :, :]
     return float(_batch_cost(paths, _segments(paths)[2], s_lo, s_hi, u_lo, u_hi, cp)[0])
 

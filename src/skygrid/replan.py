@@ -58,9 +58,9 @@ def detect_conflicts(path: Waypath, ob: CuboidObstacle, margin: float = 0.0) -> 
     return conflicts
 
 
-def should_replan(path: Waypath, next_waypoint_index: int, ob: CuboidObstacle, margin: float = 0.0) -> bool:
+def should_replan(path: Waypath, next_waypoint_index: int, ob: CuboidObstacle) -> bool:
     """True iff a conflict lies on the not-yet-flown part of the trajectory."""
-    return any(j >= next_waypoint_index for j in detect_conflicts(path, ob, margin))
+    return any(j >= next_waypoint_index for j in detect_conflicts(path, ob))
 
 
 def repair(
@@ -71,7 +71,6 @@ def repair(
     rng: np.random.Generator,
     rrt_params: Optional[RrtParams] = None,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-    margin: float = 0.0,
 ) -> Waypath:
     """Replace the conflicting stretch with a smoothed Bi-RRT detour.
 
@@ -79,13 +78,13 @@ def repair(
     RepairFailed when no collision-free bracket exists or Bi-RRT cannot
     connect.
     """
-    conflicts = detect_conflicts(path, ob, margin)
+    conflicts = detect_conflicts(path, ob)
     if not conflicts:
         raise ValueError("repair called with no conflicts to fix")
     rrt_params = rrt_params or RrtParams()
 
     full = list(obstacles) + [ob]
-    boxes = flatten_obstacles(full, margin)
+    boxes = flatten_obstacles(full)
     pts = path.waypoints
     # Bracket: the nearest collision-free waypoints at or outside the conflict
     # range. A conflict index that is merely segment-flagged (the point itself

@@ -59,9 +59,6 @@ class Waypath:
     def count(self) -> int:
         return len(self.waypoints)
 
-    def as_points(self) -> list[Point3]:
-        return [Point3.from_array(w) for w in self.waypoints]
-
     def length(self) -> float:
         return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
 

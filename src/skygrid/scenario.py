@@ -9,6 +9,7 @@ in [25, 240] m, one UAV from (0, 0, 0) to (750, 900, 80) at 5 m/s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
@@ -124,11 +125,15 @@ class Scenario:
 
 
 def _scalar(value, cast, name: str):
-    """cast(value), with a ValidationError naming the key for a malformed value."""
+    """cast(value), with a ValidationError naming the key for a malformed value
+    or for a non-integral number where an int is expected."""
     try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: expected {cast.__name__}, got {value!r}") from exc
+    if cast is int and isinstance(value, float) and out != value:
+        raise ValidationError(f"{name}: expected int, got {value!r}")
+    return out
 
 
 def _floats(value, count: int, name: str) -> tuple[float, ...]:
@@ -294,8 +299,12 @@ def load_scenario(
     for section, cls in PARAM_SECTIONS.items():
         raw = _section(cfg, section)
         _reject_unknown(raw, {f.name for f in fields(cls)}, section)
+        values = {
+            f.name: _scalar(raw[f.name], type(f.default), f"{section}.{f.name}")
+            for f in fields(cls) if f.name in raw
+        }
         try:
-            sections[section] = cls(**raw)
+            sections[section] = cls(**values)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{section}: {exc}") from exc
     constraints_raw = _section(cfg, "constraints")
@@ -406,6 +415,10 @@ def load_scenario(
         raise ValidationError("waypoints_per_cell must be >= 3")
     if not 0.0 <= scenario.loss_rate <= 1.0:
         raise ValidationError("loss_rate must be in [0, 1]")
+    if not 0.0 < scenario.dt < math.inf:
+        raise ValidationError(f"dt must be finite and positive, got {scenario.dt}")
+    if scenario.max_ticks < 1:
+        raise ValidationError(f"max_ticks must be >= 1, got {scenario.max_ticks}")
     return scenario
 
 

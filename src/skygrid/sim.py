@@ -31,7 +31,7 @@ from .coarse import (
     select_exit_point,
     sliding_window_replan,
 )
-from .geometry import CuboidObstacle, ObstacleKind, Point3, path_is_collision_free
+from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid
 from .pso import ConstraintParams, build_seed_population, feasibility_penalty, optimize
 from .replan import RepairFailed, repair, should_replan
@@ -48,6 +48,7 @@ from .sampling import (
 from .scenario import Scenario, ValidationError
 
 FINE_PLAN_ATTEMPTS = 5
+EXIT_DRAWS = 3
 
 
 class Mode(Enum):
@@ -96,7 +97,6 @@ class SimMetrics:
     events: list[dict] = field(default_factory=list)
     executed: list[ExecutedPath] = field(default_factory=list)
     convergence: list[tuple[str, list[float]]] = field(default_factory=list)
-    min_separation: list[tuple[int, float]] = field(default_factory=list)
     arrived: list[str] = field(default_factory=list)
     failed: list[str] = field(default_factory=list)
     ticks: int = 0
@@ -118,9 +118,8 @@ class World:
             extent=scenario.extent, counts=scenario.counts, obstacles=list(scenario.obstacles)
         )
         self.obstacle_counts = self.grid.static_obstacle_counts()
-        self.sudden_obstacles: list[CuboidObstacle] = [
-            ob for ob in scenario.obstacles if ob.kind is ObstacleKind.SUDDEN
-        ]
+        # Injected while running; the scenario's sudden obstacles are in grid.obstacles.
+        self.injected: list[CuboidObstacle] = []
         self.pending_injections = sorted(scenario.injections, key=lambda x: x[0])
         self.tick = 0
         self.metrics = SimMetrics(n_cells=self.grid.n_cells)
@@ -150,11 +149,10 @@ class World:
     # -- planning -----------------------------------------------------------
 
     def _cell_obstacles(self, cell: int) -> list[CuboidObstacle]:
-        static = self.grid.obstacles_in_cell(cell)
+        """Scenario obstacles in the cell, then injected ones in injection order."""
         lo, hi = (b.tolist() for b in self.grid.cell_bounds(cell))
-        sudden = [ob for ob in self.sudden_obstacles if ob.overlaps(lo, hi)]
-        seen = {id(o) for o in static}
-        return static + [o for o in sudden if id(o) not in seen]
+        injected = [ob for ob in self.injected if ob.overlaps(lo, hi)]
+        return self.grid.obstacles_in_cell(cell) + injected
 
     def _constraints_for(self, cell: int) -> ConstraintParams:
         lo, hi = self.grid.cell_bounds(cell)
@@ -249,9 +247,8 @@ class World:
             run_id = f"{uav.id}-c{cell}-{self._plan_counter}"
             self._plan_counter += 1
             self.metrics.convergence.append((run_id, history))
-            if feasibility_penalty(best, constraints, obstacles) == 0.0 and path_is_collision_free(
-                best.waypoints, obstacles
-            ):
+            # The penalty counts colliding segments too.
+            if feasibility_penalty(best, constraints, obstacles) == 0.0:
                 return best
             last_error = PlanningFailed("optimizer result violated constraints")
         raise PlanningFailed(f"fine planning failed in cell {cell}: {last_error}")
@@ -266,25 +263,17 @@ class World:
             )
         uav.coarse_plan = plan
         try:
-            waypath = None
-            last_error: Optional[PlanningFailed] = None
             # If fine planning cannot satisfy the constraints for one exit
-            # point (e.g. an awkward corner draw), a fresh draw usually can.
-            for _ in range(3):
+            # point (e.g. an awkward corner draw), a fresh draw usually can;
+            # the goal itself cannot be re-drawn.
+            for draw in range(EXIT_DRAWS):
                 exit_point = self._exit_point(uav, plan, cell, entry)
-                target = exit_point if exit_point is not None else uav.goal
-                idx = plan.cells.index(cell)
-                if exit_point is not None:
-                    plan.exit_points[idx] = exit_point
                 try:
-                    waypath = self._fine_plan(uav, cell, entry, target)
+                    waypath = self._fine_plan(uav, cell, entry, exit_point or uav.goal)
                     break
-                except PlanningFailed as exc:
-                    last_error = exc
-                    if exit_point is None:
-                        raise  # the goal itself cannot be re-drawn
-            if waypath is None:
-                raise last_error if last_error is not None else PlanningFailed("no exit point")
+                except PlanningFailed:
+                    if draw == EXIT_DRAWS - 1 or exit_point is None:
+                        raise
         except PlanningFailed as exc:
             uav.phase = UavPhase.FAILED
             self._log("fine_plan_failed", uav.id, cell=cell, reason=str(exc))
@@ -301,7 +290,7 @@ class World:
         if ob.kind is not ObstacleKind.SUDDEN:
             raise ValidationError("injected obstacles must be sudden")
         broadcast_sudden_obstacle(self.bus, ob, self.grid, tick)
-        self.sudden_obstacles.append(ob)
+        self.injected.append(ob)
         self._log("sudden_obstacle", "ground-station", cell=self.grid.locate(ob.center))
         for uav in self.uavs:
             if uav.phase is not UavPhase.FLYING or uav.active_waypath is None:
@@ -348,7 +337,7 @@ class World:
     # -- time stepping ------------------------------------------------------
 
     def step(self, dt: float = 1.0) -> None:
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be positive")
         while self.pending_injections and self.pending_injections[0][0] <= self.tick:
             _, ob = self.pending_injections.pop(0)
@@ -415,11 +404,6 @@ class World:
             )
         )
         np.maximum(self.metrics.max_occupancy, self.occupancy, out=self.metrics.max_occupancy)
-        if len(airborne) >= 2:
-            pos = np.stack([u.position for u in airborne])
-            d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-            np.fill_diagonal(d, np.inf)
-            self.metrics.min_separation.append((self.tick, float(d.min())))
 
     def _log(self, kind: str, who: str, **details) -> None:
         self.metrics.events.append({"tick": self.tick, "kind": kind, "who": who, **details})

@@ -116,6 +116,11 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("obstacles: [5]\n", "obstacles[0]"),
         ("seed: [1]\n", "seed"),
         ("random_obstacles: {height_range: 5}\n", "random_obstacles.height_range"),
+        ("rrt: {max_iterations: 2.5}\n", "rrt.max_iterations"),
+        ("ssp: {window_length: 1.5}\n", "ssp.window_length"),
+        ("dt: .nan\n", "dt"),
+        ("max_ticks: 0\n", "max_ticks"),
+        ("max_ticks: -1\n", "max_ticks"),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):

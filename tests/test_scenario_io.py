@@ -148,6 +148,13 @@ def test_rejects_bad_parameter_values():
         ("random_uavs: {speed: fast}\n", "random_uavs.speed"),
         ("max_ticks: many\n", "max_ticks"),
         ("swarm: {v_max: 0}\nobstacles: []\n", "swarm"),
+        ("rrt: {max_iterations: 2.5}\n", "rrt.max_iterations"),
+        ("ssp: {window_length: 1.5}\n", "ssp.window_length"),
+        ("swarm: {stall_tolerance: tiny}\n", "swarm.stall_tolerance"),
+        ("stagger: 0.5\n", "stagger"),
+        ("max_ticks: .inf\n", "max_ticks"),
+        ("dt: .inf\nobstacles: []\n", "dt"),
+        ("dt: 0\nobstacles: []\n", "dt"),
     ],
 )
 def test_malformed_values_name_their_key(text, key_path):
@@ -194,6 +201,14 @@ def test_swarm_stall_fields_roundtrip():
     again = load_scenario(sc.to_yaml())
     assert again.swarm == sc.swarm
     assert again.to_dict() == sc.to_dict()
+
+
+def test_section_values_take_their_field_types():
+    # YAML 1.1 reads 1e-6 (no dot) as a string.
+    sc = load_scenario("swarm: {stall_tolerance: 1e-6}\nrrt: {step_size: 4}\nobstacles: []\n")
+    assert sc.swarm.stall_tolerance == 1e-06 and type(sc.swarm.stall_tolerance) is float
+    assert type(sc.rrt.step_size) is float
+    assert load_scenario("rrt: {max_iterations: 300.0}\nobstacles: []\n").rrt.max_iterations == 300
 
 
 def test_load_scenario_file(tmp_path):

@@ -33,6 +33,8 @@ def test_step_rejects_non_positive_dt():
     world = World(empty_single_cell(), Mode.SSP)
     with pytest.raises(ValueError):
         world.step(0.0)
+    with pytest.raises(ValueError):
+        world.step(float("nan"))
 
 
 def test_arrival_at_goal_is_fixpoint():
