@@ -10,6 +10,7 @@ the region the upcoming turns point toward (attraction mechanism).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,11 +27,12 @@ class SspParams:
     window_length: int = 4
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
+        # NaN cell costs would leave the coarse search's heap order undefined.
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError("k1 and k2 must be finite and positive")
         if abs(self.k1 + self.k2 - 1.0) > 1e-9:
             raise ValueError("k1 + k2 must equal 1")
-        if self.window_length < 1:
+        if not self.window_length >= 1:
             raise ValueError("window_length must be >= 1")
 
 
@@ -48,9 +50,15 @@ class CoarsePlan:
 
 def node_cost(params: SspParams, o_n: int, aec_n: int) -> float:
     """Traversal cost of one cell: k1 * static obstacles + k2 * UAV occupancy."""
-    if o_n < 0 or aec_n < 0:
+    return _node_costs(params, [o_n], [aec_n])[0]
+
+
+def _node_costs(params: SspParams, obstacle_counts: list[int], occupancy: list[int]) -> list[float]:
+    """node_cost of each (obstacle count, occupancy) pair."""
+    if min(obstacle_counts) < 0 or min(occupancy) < 0:
         raise ValueError("counts must be non-negative")
-    return params.k1 * o_n + params.k2 * aec_n
+    k1, k2 = params.k1, params.k2
+    return [k1 * o + k2 * a for o, a in zip(obstacle_counts, occupancy)]
 
 
 def plan_coarse(
@@ -69,34 +77,47 @@ def plan_coarse(
 
     occupancy may be shorter than grid.n_cells only if all-zero; index 0 is
     cell 1. obstacle_counts defaults to a fresh count from the grid.
+
+    Dijkstra over labels (cost, length, path). Cell costs are non-negative,
+    so extending a label makes it strictly larger: a cell's first popped
+    label is the smallest ever pushed for it, and only that one is extended.
+    A label is therefore pushed only when it is smaller than the best label
+    already pushed for its cell; a skipped label could only have been popped
+    after that cell was settled, and discarded. (A later label can be the
+    smaller one: float sums over paths of different lengths can round to the
+    same cost.)
     """
     if obstacle_counts is None:
         obstacle_counts = grid.static_obstacle_counts()
-
-    def cost_of(cell: int) -> float:
-        aec = int(occupancy[cell - 1]) if len(occupancy) else 0
-        return node_cost(params, int(obstacle_counts[cell - 1]), aec)
-
-    start_cost = cost_of(start)
     if start == goal:
-        return CoarsePlan(cells=[start], total_cost=start_cost)
+        aec = int(occupancy[start - 1]) if len(occupancy) else 0
+        return CoarsePlan([start], node_cost(params, int(obstacle_counts[start - 1]), aec))
 
-    # Dijkstra keyed by (cost, length, path); the composite order is preserved
-    # under extension, so the first settle of a cell is its best label.
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(start_cost, 1, (start,))]
-    settled: set[int] = set()
+    n = grid.n_cells
+    obs = np.asarray(obstacle_counts, dtype=int).tolist()
+    occ = np.asarray(occupancy, dtype=int).tolist() if len(occupancy) else [0] * n
+    cost = [0.0] + _node_costs(params, obs, occ)  # index 0 is unused
+
+    adjacency = grid.adjacency
+    label = (cost[start], 1, (start,))
+    best: list[Optional[tuple]] = [None] * (n + 1)
+    best[start] = label
+    heap = [label]
     while heap:
-        cost, length, path = heapq.heappop(heap)
+        label = heapq.heappop(heap)
+        c, length, path = label
         cell = path[-1]
-        if cell in settled:
-            continue
-        settled.add(cell)
+        if best[cell] is not label:
+            continue  # superseded by a smaller label, popped earlier
         if cell == goal:
-            return CoarsePlan(cells=list(path), total_cost=cost)
-        for nb in sorted(grid.neighbors(cell)):
-            if nb in settled or nb in path:
-                continue
-            heapq.heappush(heap, (cost + cost_of(nb), length + 1, path + (nb,)))
+            return CoarsePlan(cells=list(path), total_cost=c)
+        length += 1
+        for nb in adjacency[cell]:
+            new = (c + cost[nb], length, path + (nb,))
+            old = best[nb]
+            if old is None or new < old:
+                best[nb] = new
+                heapq.heappush(heap, new)
     raise RuntimeError("goal unreachable; 6-connected grid should be connected")
 
 

@@ -46,6 +46,8 @@ class AirspaceGrid:
     obstacles: list[CuboidObstacle] = field(default_factory=list)
 
     cell_size: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    # adjacency[cell]: the face-adjacent cells in ascending id order; index 0 is unused.
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(e <= 0 for e in self.extent):
@@ -53,6 +55,9 @@ class AirspaceGrid:
         if any(c < 1 or int(c) != c for c in self.counts):
             raise ValueError("cell counts must be positive integers")
         self.cell_size = tuple(self.extent[i] / self.counts[i] for i in range(3))
+        self.adjacency = ((),) + tuple(
+            self._face_neighbors(cell) for cell in range(1, self.n_cells + 1)
+        )
 
     @property
     def n_cells(self) -> int:
@@ -81,25 +86,37 @@ class AirspaceGrid:
     def locate(self, p: Point3) -> int:
         """Cell containing p. Cells are half-open [lo, hi) except at the
         global maximum face, which belongs to the last cell."""
-        idx = []
-        size = self.cell_size
-        for i, coord in enumerate((p.x, p.y, p.z)):
+        x, y, z = p.x, p.y, p.z
+        ex, ey, ez = self.extent
+        if 0 <= x <= ex and 0 <= y <= ey and 0 <= z <= ez:
+            sx, sy, sz = self.cell_size
+            ax, ay, az = self.counts
+            ix, iy, iz = int(x // sx), int(y // sy), int(z // sz)
+            # A point on the maximum face has index == count: clamp it to the last cell.
+            return (
+                1 + (ix if ix < ax else ax - 1) + (iy if iy < ay else ay - 1) * ax
+                + (iz if iz < az else az - 1) * ax * ay
+            )
+        # Outside the extent or NaN: the first such axis raises.
+        for i, coord in enumerate((x, y, z)):
             if coord < 0 or coord > self.extent[i]:
                 raise OutOfAirspace(f"coordinate {coord} outside [0, {self.extent[i]}] on axis {i}")
-            k = int(coord // size[i])
-            idx.append(min(k, self.counts[i] - 1))
-        return self.cell_id(*idx)
+            int(coord // self.cell_size[i])  # ValueError for NaN
 
     def neighbors(self, cell: int) -> set[int]:
         """Face-adjacent (6-connected) cells within bounds."""
+        self.cell_coords(cell)  # range check
+        return set(self.adjacency[cell])
+
+    def _face_neighbors(self, cell: int) -> tuple[int, ...]:
         ix, iy, iz = self.cell_coords(cell)
-        out = set()
+        out = []
         for axis, delta in ((0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)):
             c = [ix, iy, iz]
             c[axis] += delta
             if 0 <= c[axis] < self.counts[axis]:
-                out.add(self.cell_id(*c))
-        return out
+                out.append(self.cell_id(*c))
+        return tuple(sorted(out))
 
     def shared_face(self, a: int, b: int) -> Face:
         ca = self.cell_coords(a)

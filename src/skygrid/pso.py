@@ -8,6 +8,7 @@ additive large penalty. Endpoints are fixed boundary conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -55,8 +56,8 @@ class ConstraintParams:
     def __post_init__(self):
         self.bounds_lo = np.asarray(self.bounds_lo, dtype=float)
         self.bounds_hi = np.asarray(self.bounds_hi, dtype=float)
-        if self.l_max <= 0 or self.L_max <= 0 or self.ta_max <= 0 or self.pa_max <= 0:
-            raise ValueError("constraint limits must be positive")
+        if not all(0 < v < math.inf for v in (self.l_max, self.L_max, self.ta_max, self.pa_max)):
+            raise ValueError("constraint limits must be finite and positive")
         if not np.all(self.bounds_hi > self.bounds_lo):
             raise ValueError("bounds_hi must exceed bounds_lo on every axis")
 
@@ -74,9 +75,11 @@ class SwarmParams:
     n_birrt: int = 15
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.inertia, self.c1, self.c2, self.stall_tolerance)):
+            raise ValueError("inertia, c1, c2 and stall_tolerance must be finite")
         # Velocities are clamped to [-v_max, v_max].
-        if not self.v_max > 0:
-            raise ValueError("v_max must be positive")
+        if not 0 < self.v_max < math.inf:
+            raise ValueError("v_max must be finite and positive")
 
 
 def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -31,11 +31,11 @@ class RrtParams:
     goal_bias: float = 0.05
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be finite and positive")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must be in [0, 1]")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
 
 

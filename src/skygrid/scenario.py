@@ -30,6 +30,9 @@ DEFAULT_SPEED = 5.0
 DEFAULT_OBSTACLE_COUNT = 75
 DEFAULT_HEIGHT_RANGE = (25.0, 240.0)
 DEFAULT_FOOTPRINT_RANGE = (20.0, 60.0)
+# The adjacency table, the static obstacle counts and every tick's occupancy
+# report grow with the cell count (16 x 16 x 16 at most).
+MAX_CELLS = 4096
 
 # Reference single-cell environment: 200x200x50 m box with three buildings.
 CELL_EXTENT = (200.0, 200.0, 50.0)
@@ -125,14 +128,19 @@ class Scenario:
 
 
 def _scalar(value, cast, name: str):
-    """cast(value), with a ValidationError naming the key for a malformed value
-    or for a non-integral number where an int is expected."""
+    """cast(value), with a ValidationError naming the key for a malformed value,
+    a boolean or non-finite number where a number is expected, or a
+    non-integral number where an int is expected."""
+    if cast in (int, float) and isinstance(value, bool):
+        raise ValidationError(f"{name}: expected {cast.__name__}, got {value!r}")
     try:
         out = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: expected {cast.__name__}, got {value!r}") from exc
     if cast is int and isinstance(value, float) and out != value:
         raise ValidationError(f"{name}: expected int, got {value!r}")
+    if cast is float and not math.isfinite(out):
+        raise ValidationError(f"{name}: expected a finite number, got {value!r}")
     return out
 
 
@@ -283,6 +291,8 @@ def load_scenario(
     counts = tuple(_scalar(c, int, "airspace.cells") for c in cells_raw)
     if any(c < 1 for c in counts):
         raise ValidationError("airspace.cells entries must be >= 1")
+    if math.prod(counts) > MAX_CELLS:
+        raise ValidationError(f"airspace.cells: at most {MAX_CELLS} cells, got {math.prod(counts)}")
     if any(e <= 0 for e in extent):
         raise ValidationError("airspace.extent entries must be positive")
 

@@ -400,7 +400,7 @@ class World:
         self.bus.publish(
             AdsbMessage(
                 sender="ground-station", tick=self.tick,
-                payload=OccupancyReport(counts=tuple(int(c) for c in self.occupancy)),
+                payload=OccupancyReport(counts=tuple(self.occupancy.tolist())),
             )
         )
         np.maximum(self.metrics.max_occupancy, self.occupancy, out=self.metrics.max_occupancy)

@@ -1,12 +1,17 @@
-"""Frozen copies of the collision kernels before their overhead rewrite.
+"""Frozen copies of kernels before their overhead rewrites.
 
-The kernels in `skygrid.sampling` and `skygrid.geometry` were rewritten to
-do the same float operations in the same order with less per-call overhead.
-`test_kernel_exactness.py` compares them with these copies, which must stay
-as they are.
+The collision kernels in `skygrid.sampling` and `skygrid.geometry`, the coarse
+search `skygrid.coarse.plan_coarse` and `AirspaceGrid.locate`/`neighbors`
+were rewritten to give the same results with less per-call overhead.
+`test_kernel_exactness.py` and `test_coarse_exactness.py` compare them with
+these copies, which must stay as they are.
 """
 
+import heapq
+
 import numpy as np
+
+from skygrid.grid import OutOfAirspace
 
 
 def segment_free(a, b, boxes) -> bool:
@@ -58,3 +63,61 @@ def segments_intersect_cuboids(starts, ends, lo, hi, margin=0.0):
     exit_ = np.min(t_far, axis=-1)
     hit = (enter <= exit_) & (exit_ >= 0.0) & (enter <= 1.0)
     return hit.any(axis=1)
+
+
+def locate(grid, p) -> int:
+    idx = []
+    size = grid.cell_size
+    for i, coord in enumerate((p.x, p.y, p.z)):
+        if coord < 0 or coord > grid.extent[i]:
+            raise OutOfAirspace(f"coordinate {coord} outside [0, {grid.extent[i]}] on axis {i}")
+        k = int(coord // size[i])
+        idx.append(min(k, grid.counts[i] - 1))
+    return grid.cell_id(*idx)
+
+
+def neighbors(grid, cell: int) -> set:
+    ix, iy, iz = grid.cell_coords(cell)
+    out = set()
+    for axis, delta in ((0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)):
+        c = [ix, iy, iz]
+        c[axis] += delta
+        if 0 <= c[axis] < grid.counts[axis]:
+            out.add(grid.cell_id(*c))
+    return out
+
+
+def node_cost(params, o_n: int, aec_n: int) -> float:
+    if o_n < 0 or aec_n < 0:
+        raise ValueError("counts must be non-negative")
+    return params.k1 * o_n + params.k2 * aec_n
+
+
+def plan_coarse(grid, params, occupancy, start, goal, obstacle_counts=None):
+    """Returns (cells, total_cost)."""
+    if obstacle_counts is None:
+        obstacle_counts = grid.static_obstacle_counts()
+
+    def cost_of(cell: int) -> float:
+        aec = int(occupancy[cell - 1]) if len(occupancy) else 0
+        return node_cost(params, int(obstacle_counts[cell - 1]), aec)
+
+    start_cost = cost_of(start)
+    if start == goal:
+        return [start], start_cost
+
+    heap = [(start_cost, 1, (start,))]
+    settled = set()
+    while heap:
+        cost, length, path = heapq.heappop(heap)
+        cell = path[-1]
+        if cell in settled:
+            continue
+        settled.add(cell)
+        if cell == goal:
+            return list(path), cost
+        for nb in sorted(neighbors(grid, cell)):
+            if nb in settled or nb in path:
+                continue
+            heapq.heappush(heap, (cost + cost_of(nb), length + 1, path + (nb,)))
+    raise RuntimeError("goal unreachable; 6-connected grid should be connected")

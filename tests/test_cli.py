@@ -121,6 +121,10 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("dt: .nan\n", "dt"),
         ("max_ticks: 0\n", "max_ticks"),
         ("max_ticks: -1\n", "max_ticks"),
+        ("ssp: {k1: .nan, k2: .nan}\n", "ssp.k1"),
+        ("swarm: {inertia: .nan}\n", "swarm.inertia"),
+        ("rrt: {step_size: .inf}\n", "rrt.step_size"),
+        ("max_ticks: true\n", "max_ticks"),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):

@@ -1,0 +1,185 @@
+"""Exactness of the table-driven coarse search and cell lookup.
+
+`plan_coarse`, `sliding_window_replan`, `AirspaceGrid.locate` and
+`AirspaceGrid.neighbors` are compared with frozen copies of their earlier code
+(`reference_kernels.py`): the same cells, the same total cost to the last bit,
+and the same exception for points outside the airspace.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference_kernels as ref
+from skygrid.coarse import CoarsePlan, SspParams, plan_coarse, sliding_window_replan
+from skygrid.geometry import Point3
+from skygrid.grid import AirspaceGrid
+
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+weights = st.sampled_from([(0.01, 0.99), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)])
+
+
+@st.composite
+def counts_for(draw, n: int, empty_ok: bool):
+    """Per-cell counts: all zero (every cell ties), sparse, dense, or empty."""
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"] + (["empty"] if empty_ok else [])))
+    if kind == "empty":
+        return np.zeros(0, dtype=int)
+    if kind == "zero":
+        return np.zeros(n, dtype=int)
+    values = [0, 0, 0, 0, 1] if kind == "sparse" else [0, 1, 2, 3, 7]
+    return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=int)
+
+
+@st.composite
+def coarse_cases(draw):
+    counts = draw(shapes)
+    grid = AirspaceGrid(extent=(100.0, 80.0, 30.0), counts=counts)
+    n = grid.n_cells
+    occupancy = draw(counts_for(n, empty_ok=True))
+    obstacle_counts = draw(st.one_of(st.none(), counts_for(n, empty_ok=False)))
+    k1, k2 = draw(weights)
+    start = draw(st.integers(1, n))
+    goal = start if draw(st.booleans()) else draw(st.integers(1, n))
+    return grid, SspParams(k1=k1, k2=k2), occupancy, start, goal, obstacle_counts
+
+
+def _check(case):
+    grid, params, occupancy, start, goal, obstacle_counts = case
+    plan = plan_coarse(grid, params, occupancy, start, goal, obstacle_counts)
+    cells, cost = ref.plan_coarse(grid, params, occupancy, start, goal, obstacle_counts)
+    assert plan.cells == cells
+    assert plan.total_cost == cost
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=coarse_cases())
+def test_plan_coarse_matches_reference(case):
+    _check(case)
+
+
+def test_plan_coarse_matches_reference_on_line_and_single_cell_grids():
+    for counts in ((1, 1, 1), (1, 6, 1), (6, 1, 1), (1, 1, 6)):
+        grid = AirspaceGrid(extent=(10.0, 10.0, 10.0), counts=counts)
+        n = grid.n_cells
+        for start in range(1, n + 1):
+            for goal in range(1, n + 1):
+                _check((grid, SspParams(), np.zeros(n, dtype=int), start, goal, None))
+
+
+def test_plan_coarse_matches_reference_on_every_pair_with_ties():
+    # All-zero costs on the reference grid: every path of minimum length ties
+    # on cost and length, so the cell-id sequence decides.
+    grid = AirspaceGrid(extent=(1000.0, 1000.0, 250.0), counts=(5, 5, 5))
+    zeros = np.zeros(125, dtype=int)
+    for start in range(1, 126, 7):
+        for goal in range(1, 126):
+            _check((grid, SspParams(), zeros, start, goal, zeros))
+
+
+# Cost sums that tie only after rounding: a label pushed later for a cell can
+# be smaller than the first one (equal cost, fewer cells), so the search must
+# compare whole labels. Found by a random search against the reference.
+ROUNDING_TIES = [
+    ((2, 2, 2), 0.9, [0, 1, 1, 3, 2, 0, 50, 0], [0, 0, 0, 3, 0, 75, 75, 3], 6, 7),
+    ((2, 3, 2), 0.03, [0, 50, 1000, 0, 2, 7, 50, 3, 0, 7, 7, 2],
+     [0, 3, 0, 0, 9, 1, 3, 0, 1, 0, 0, 1], 5, 10),
+    ((2, 4, 2), 0.7, [1000, 50, 2, 7, 1, 1, 1, 0, 1, 3, 3, 2, 0, 0, 3, 0],
+     [9, 1, 75, 3, 9, 2, 75, 75, 0, 0, 3, 75, 0, 75, 1, 1], 3, 2),
+]
+
+
+@pytest.mark.parametrize("counts,k1,occupancy,obstacle_counts,start,goal", ROUNDING_TIES)
+def test_plan_coarse_matches_reference_when_costs_tie_after_rounding(
+    counts, k1, occupancy, obstacle_counts, start, goal
+):
+    grid = AirspaceGrid(extent=(10.0, 10.0, 10.0), counts=counts)
+    params = SspParams(k1=k1, k2=1 - k1)
+    _check((grid, params, np.array(occupancy), start, goal, np.array(obstacle_counts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coarse_cases(), data=st.data())
+def test_sliding_window_replan_matches_reference(case, data):
+    grid, params, occupancy, start, goal, obstacle_counts = case
+    params = SspParams(k1=params.k1, k2=params.k2, window_length=data.draw(st.integers(1, 6)))
+    cells, cost = ref.plan_coarse(grid, params, occupancy, start, goal, obstacle_counts)
+    existing = CoarsePlan(cells=cells, total_cost=cost)
+    current = data.draw(st.sampled_from(cells))
+    fresh = data.draw(counts_for(grid.n_cells, empty_ok=True))
+    got = sliding_window_replan(grid, params, fresh, existing, current, goal, obstacle_counts)
+    if existing.remaining_cells(current) <= params.window_length:
+        assert got is existing
+    else:
+        want_cells, want_cost = ref.plan_coarse(grid, params, fresh, current, goal, obstacle_counts)
+        assert got.cells == want_cells and got.total_cost == want_cost
+
+
+# -- grid tables --------------------------------------------------------------
+
+
+def test_neighbors_are_the_face_adjacent_cells():
+    for counts in ((1, 1, 1), (1, 5, 1), (2, 3, 4), (6, 6, 6)):
+        grid = AirspaceGrid(extent=(6.0, 6.0, 6.0), counts=counts)
+        coords = {c: grid.cell_coords(c) for c in range(1, grid.n_cells + 1)}
+        for a, ca in coords.items():
+            brute = {b for b, cb in coords.items() if sum(abs(u - v) for u, v in zip(ca, cb)) == 1}
+            assert grid.neighbors(a) == brute == ref.neighbors(grid, a)
+            assert grid.adjacency[a] == tuple(sorted(brute))
+
+
+def _locate_outcome(locate, p):
+    try:
+        return locate(p)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def lattice_points(draw):
+    """Points on the face planes of the grid, just beside them, at the extent
+    and outside it, plus arbitrary points."""
+    extent = draw(st.tuples(*[st.sampled_from([1.0, 3.3, 7.0, 250.0, 1000.0])] * 3))
+    counts = draw(shapes)
+    grid = AirspaceGrid(extent=extent, counts=counts)
+    coords = []
+    for axis in range(3):
+        size = grid.cell_size[axis]
+        plane = draw(st.integers(-1, counts[axis] + 1)) * size
+        coords.append(
+            draw(
+                st.one_of(
+                    st.just(plane),
+                    st.just(float(np.nextafter(plane, -np.inf))),
+                    st.just(float(np.nextafter(plane, np.inf))),
+                    st.sampled_from([0.0, -0.0, extent[axis], -1e-300]),
+                    st.floats(-0.1 * extent[axis], 1.1 * extent[axis]),
+                )
+            )
+        )
+    return grid, Point3(*coords)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=lattice_points())
+@example(case=(AirspaceGrid(extent=(1.0, 1.0, 1.0), counts=(1, 1, 1)), Point3(1.0, 1.0, 1.0)))
+@example(case=(AirspaceGrid(extent=(3.3, 1.0, 1.0), counts=(3, 1, 1)), Point3(2.2, -1.0, 5.0)))
+def test_locate_matches_reference(case):
+    grid, p = case
+    want = _locate_outcome(lambda q: ref.locate(grid, q), p)
+    assert _locate_outcome(grid.locate, p) == want
+
+
+def test_locate_matches_reference_on_a_face_lattice():
+    grid = AirspaceGrid(extent=(1000.0, 1000.0, 250.0), counts=(5, 5, 5))
+    axes = [
+        sorted({k * grid.cell_size[i] + d for k in range(-1, 7) for d in (-1e-9, 0.0, 1e-9)})
+        for i in range(3)
+    ]
+    for x in axes[0]:
+        for y in axes[1]:
+            for z in axes[2]:
+                p = Point3(x, y, z)
+                assert _locate_outcome(grid.locate, p) == _locate_outcome(
+                    lambda q: ref.locate(grid, q), p
+                )

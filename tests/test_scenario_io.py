@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
+from skygrid.coarse import SspParams
 from skygrid.geometry import ObstacleKind
-from skygrid.pso import SwarmParams
-from skygrid.sampling import flatten_obstacles, point_free
+from skygrid.pso import ConstraintParams, SwarmParams
+from skygrid.sampling import RrtParams, flatten_obstacles, point_free
 from skygrid.scenario import (
     ParseError,
     ValidationError,
@@ -155,11 +156,45 @@ def test_rejects_bad_parameter_values():
         ("max_ticks: .inf\n", "max_ticks"),
         ("dt: .inf\nobstacles: []\n", "dt"),
         ("dt: 0\nobstacles: []\n", "dt"),
+        ("ssp: {k1: .nan, k2: .nan}\nobstacles: []\n", "ssp.k1"),
+        ("swarm: {inertia: .nan}\nobstacles: []\n", "swarm.inertia"),
+        ("rrt: {step_size: .inf}\nobstacles: []\n", "rrt.step_size"),
+        ("constraints: {L_max: .inf}\nobstacles: []\n", "constraints.L_max"),
+        ("max_ticks: true\n", "max_ticks"),
+        ("swarm: {c1: false}\nobstacles: []\n", "swarm.c1"),
+        ("airspace: {cells: [17, 16, 16]}\nobstacles: []\n", "airspace.cells"),
     ],
 )
 def test_malformed_values_name_their_key(text, key_path):
     with pytest.raises(ValidationError, match=re.escape(key_path)):
         load_scenario(text)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "cls,kwargs",
+    [
+        (SspParams, {"k1": NAN, "k2": NAN}),
+        (SwarmParams, {"inertia": NAN}),
+        (SwarmParams, {"stall_tolerance": INF}),
+        (SwarmParams, {"v_max": INF}),
+        (RrtParams, {"step_size": INF}),
+        (RrtParams, {"step_size": NAN}),
+        (ConstraintParams, {"l_max": NAN}),
+        (ConstraintParams, {"ta_max": INF}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+def test_parameter_blocks_reject_non_finite_values(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+def test_largest_grid_loads():
+    sc = load_scenario("airspace: {cells: [16, 16, 16]}\nobstacles: []\n")
+    assert sc.counts == (16, 16, 16)
 
 
 def test_injections_parsed_as_sudden():
