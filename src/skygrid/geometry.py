@@ -153,11 +153,21 @@ def points_to_cuboids_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarra
     """Batched clamp-to-box distances.
 
     points: (..., 3); lo, hi: (K, 3) stacked cuboid corners.
-    Returns distances of shape (..., K).
+    Returns distances of shape (..., K): sqrt((x² + y²) + z²) of the
+    per-axis gaps to the clamped point.
     """
-    p = points[..., None, :]
-    clamped = np.clip(p, lo, hi)
-    return np.linalg.norm(p - clamped, axis=-1)
+    total = None
+    for axis in range(3):
+        c = points[..., axis, None]  # (..., 1)
+        gap = np.maximum(c, lo[:, axis])
+        np.minimum(gap, hi[:, axis], out=gap)
+        np.subtract(gap, c, out=gap)
+        np.multiply(gap, gap, out=gap)
+        if total is None:
+            total = gap
+        else:
+            np.add(total, gap, out=total)
+    return np.sqrt(total, out=total)
 
 
 def segment_intersects_cuboid(a: Point3, b: Point3, ob: CuboidObstacle, margin: float = 0.0) -> bool:

@@ -80,6 +80,10 @@ class SwarmParams:
         # Velocities are clamped to [-v_max, v_max].
         if not 0 < self.v_max < math.inf:
             raise ValueError("v_max must be finite and positive")
+        if self.n_rrt < 0 or self.n_birrt < 0:
+            raise ValueError(f"n_rrt and n_birrt must be >= 0, got {self.n_rrt} and {self.n_birrt}")
+        if self.n_rrt + self.n_birrt < 1:
+            raise ValueError("n_rrt + n_birrt must be >= 1: the swarm needs a sampled seed path")
 
 
 def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

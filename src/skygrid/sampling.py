@@ -175,23 +175,25 @@ def rrt_plan(
     lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
     hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
     wx, wy, wz = hx - lx, hy - ly, hz - lz
-    tree = _Tree(s, params.max_iterations + 2)
+    tree = _Tree(s)
     step = params.step_size
     goal_bias = params.goal_bias
-    random = rng.random
-
-    for _ in range(params.max_iterations):
-        if random() < goal_bias:
-            target = g
-        else:
-            ux, uy, uz = random(3).tolist()
-            target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
-        new = tree.extend(target, step, boxes)
-        if new is None:
-            continue
-        if _dist(new, g) <= step and segment_free(new, g, boxes):
-            tree.add(g, len(tree.pts) - 1)
-            return tree.trace()
+    draws = _Draws(rng)
+    try:
+        for _ in range(params.max_iterations):
+            if draws.one() < goal_bias:
+                target = g
+            else:
+                ux, uy, uz = draws.three()
+                target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
+            new = tree.extend(target, step, boxes)
+            if new is None:
+                continue
+            if _dist(new, g) <= step and segment_free(new, g, boxes):
+                tree.add(g, len(tree.pts) - 1)
+                return tree.trace()
+    finally:
+        draws.rewind()
     raise PlanningFailed(f"RRT failed to connect within {params.max_iterations} iterations")
 
 
@@ -213,34 +215,36 @@ def birrt_plan(
     wx, wy, wz = hx - lx, hy - ly, hz - lz
     # The greedy connect march can add several nodes per iteration.
     cap = 2 * params.max_iterations + 64
-    trees = [_Tree(s, cap), _Tree(g, cap)]
+    trees = [_Tree(s), _Tree(g)]
     step = params.step_size
-    random = rng.random
     a = 0  # tree extended toward the sample this iteration
-
-    for _ in range(params.max_iterations):
-        if len(trees[0].pts) >= cap - 1 or len(trees[1].pts) >= cap - 1:
-            break
-        ux, uy, uz = random(3).tolist()
-        target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
-        new = trees[a].extend(target, step, boxes)
-        if new is not None:
-            # Greedy connect: march the other tree toward the new node until
-            # blocked or joined.
-            other = trees[1 - a]
-            while len(other.pts) < cap - 1:
-                jnew = other.extend(new, step, boxes)
-                if jnew is None:
-                    break
-                if _dist(jnew, new) <= 1e-9:
-                    path_a = trees[a].trace()
-                    path_b = other.trace()
-                    if a == 0:
-                        joined = np.vstack([path_a, path_b[::-1][1:]])
-                    else:
-                        joined = np.vstack([path_b, path_a[::-1][1:]])
-                    return joined
-        a = 1 - a
+    draws = _Draws(rng)
+    try:
+        for _ in range(params.max_iterations):
+            if len(trees[0].pts) >= cap - 1 or len(trees[1].pts) >= cap - 1:
+                break
+            ux, uy, uz = draws.three()
+            target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
+            new = trees[a].extend(target, step, boxes)
+            if new is not None:
+                # Greedy connect: march the other tree toward the new node until
+                # blocked or joined.
+                other = trees[1 - a]
+                while len(other.pts) < cap - 1:
+                    jnew = other.extend(new, step, boxes)
+                    if jnew is None:
+                        break
+                    if _dist(jnew, new) <= 1e-9:
+                        path_a = trees[a].trace()
+                        path_b = other.trace()
+                        if a == 0:
+                            joined = np.vstack([path_a, path_b[::-1][1:]])
+                        else:
+                            joined = np.vstack([path_b, path_a[::-1][1:]])
+                        return joined
+            a = 1 - a
+    finally:
+        draws.rewind()
     raise PlanningFailed(f"Bi-RRT failed to connect within {params.max_iterations} iterations")
 
 
@@ -248,25 +252,118 @@ def _dist(a, b) -> float:
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
-class _Tree:
-    """Search tree of one planner: nodes in a (cap, 3) buffer for the nearest
-    search, the same nodes as float tuples for the scalar steps, and parents.
+class _Draws:
+    """`rng.random()` values drawn in growing blocks and handed out in order.
 
-    The nearest node is the first `argmin` of numpy `einsum` squared
-    distances. Recomputing those in Python rounds some of them differently
-    in the last bit, which can change the pick, so the ranking stays in numpy.
+    `rewind()` puts the generator where one draw per value handed out would
+    have left it: it restores the state saved at construction (a buffered
+    uint32 included) and redraws that many doubles.
     """
 
-    def __init__(self, root, cap: int):
-        self.nodes = np.empty((cap, 3))
-        self.nodes[0] = root
-        self.pts = [tuple(self.nodes[0].tolist())]
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._saved = rng.bit_generator.state
+        self._block = 32  # doubled before each draw, up to 4096
+        self._buf: list[float] = []
+        self._pos = 0
+        self._spent = 0  # values handed out from earlier blocks
+
+    def _refill(self) -> None:
+        self._spent += self._pos
+        self._block = min(2 * self._block, 4096)
+        self._buf = self._buf[self._pos :] + self._rng.random(self._block).tolist()
+        self._pos = 0
+
+    def one(self) -> float:
+        if self._pos >= len(self._buf):
+            self._refill()
+        self._pos += 1
+        return self._buf[self._pos - 1]
+
+    def three(self) -> tuple[float, float, float]:
+        if self._pos + 3 > len(self._buf):
+            self._refill()
+        k = self._pos
+        self._pos = k + 3
+        buf = self._buf
+        return buf[k], buf[k + 1], buf[k + 2]
+
+    def rewind(self) -> None:
+        self._rng.bit_generator.state = self._saved
+        self._rng.random(self._spent + self._pos)
+
+
+# Trees up to this many nodes are ranked by a Python scan over the float
+# tuples, larger ones by numpy over the mirror; the two cost the same per
+# query at about this size.
+_SCAN_MAX_NODES = 36
+# The mirror's column count is the tree size rounded up to this many columns.
+_MIRROR_CHUNK = 64
+
+
+class _Tree:
+    """Search tree of one planner: nodes as float tuples and their parents.
+
+    The nearest node to a target minimises (dx*dx + dz*dz) + dy*dy, where d
+    is node minus target, and the first minimum wins ties. Each operation is
+    one IEEE rounding, so the Python scan of small trees and the numpy path
+    of large ones pick the same node on any numpy build. The numpy path works
+    on an axis-major (3, capacity) mirror of the nodes, filled lazily from
+    the tuples; its spare columns hold +inf, which never wins.
+    """
+
+    def __init__(self, root):
+        self.pts = [tuple(float(v) for v in root)]
         self.parents = [-1]
+        self._mirror = self._sq = np.empty((3, 0))  # nodes; squared gaps
+        self._sq_rows = tuple(self._sq)
+        self._synced = 0  # nodes copied into the mirror
+        self._target = np.empty((3, 1))
 
     def add(self, p, parent: int) -> None:
-        self.nodes[len(self.pts)] = p
         self.pts.append(p)
         self.parents.append(parent)
+
+    def _grow_mirror(self, n: int) -> None:
+        cap = -(-n // _MIRROR_CHUNK) * _MIRROR_CHUNK
+        mirror = np.full((3, cap), np.inf)
+        mirror[:, : self._synced] = self._mirror[:, : self._synced]
+        self._mirror = mirror
+        self._sq = np.empty((3, cap))
+        self._sq_rows = tuple(self._sq)
+
+    def nearest(self, target) -> int:
+        """Index of the node nearest to target (the first one on ties)."""
+        pts = self.pts
+        n = len(pts)
+        if n <= _SCAN_MAX_NODES:
+            tx, ty, tz = target
+            best = math.inf
+            idx = i = 0
+            for x, y, z in pts:
+                dx = x - tx
+                dy = y - ty
+                dz = z - tz
+                d = dx * dx + dz * dz + dy * dy
+                if d < best:
+                    best = d
+                    idx = i
+                i += 1
+            return idx
+        if n > self._mirror.shape[1]:
+            self._grow_mirror(n)
+        mirror = self._mirror
+        for k in range(self._synced, n):
+            mirror[:, k] = pts[k]
+        self._synced = n
+        self._target[:, 0] = target
+        sq = self._sq
+        np.subtract(mirror, self._target, out=sq)
+        np.multiply(sq, sq, out=sq)
+        sx, sy, sz = self._sq_rows
+        np.add(sx, sz, out=sx)
+        np.add(sx, sy, out=sx)
+        return int(sx.argmin())
 
     def extend(self, target, step: float, boxes: Boxes):
         """One collision-checked step from the nearest node toward target.
@@ -274,8 +371,7 @@ class _Tree:
         Adds and returns the new point, or returns None when blocked or
         degenerate.
         """
-        d = self.nodes[: len(self.pts)] - target
-        idx = int(np.einsum("ij,ij->i", d, d).argmin())
+        idx = self.nearest(target)
         near = self.pts[idx]
         dist = _dist(near, target)
         if dist <= 1e-12:
@@ -296,7 +392,7 @@ class _Tree:
         while i >= 0:
             order.append(i)
             i = self.parents[i]
-        return self.nodes[order[::-1]].copy()
+        return np.array([self.pts[i] for i in reversed(order)], dtype=float)
 
 
 def shortcut(path: np.ndarray, boxes: Boxes) -> np.ndarray:

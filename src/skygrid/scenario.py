@@ -33,6 +33,14 @@ DEFAULT_FOOTPRINT_RANGE = (20.0, 60.0)
 # The adjacency table, the static obstacle counts and every tick's occupancy
 # report grow with the cell count (16 x 16 x 16 at most).
 MAX_CELLS = 4096
+# Upper bounds of the inputs that size the planner's work and memory per cell
+# (4 to 200 times their defaults).
+UPPER_BOUNDS = {
+    "rrt.max_iterations": 20_000,
+    "swarm.max_iterations": 10_000,
+    "waypoints_per_cell": 1000,
+    "smooth_window": 1000,
+}
 
 # Reference single-cell environment: 200x200x50 m box with three buildings.
 CELL_EXTENT = (200.0, 200.0, 50.0)
@@ -142,6 +150,14 @@ def _scalar(value, cast, name: str):
     if cast is float and not math.isfinite(out):
         raise ValidationError(f"{name}: expected a finite number, got {value!r}")
     return out
+
+
+def _bounded(value, name: str):
+    """value, or a ValidationError naming the key if it exceeds its upper bound."""
+    limit = UPPER_BOUNDS.get(name)
+    if limit is not None and value > limit:
+        raise ValidationError(f"{name}: at most {limit}, got {value}")
+    return value
 
 
 def _floats(value, count: int, name: str) -> tuple[float, ...]:
@@ -302,17 +318,18 @@ def load_scenario(
         if f.name in SCALAR_KEYS:
             value = overrides.get(f.name)
             raw = cfg.get(f.name, f.default) if value is None else value
-            scalars[f.name] = _scalar(raw, type(f.default), f.name)
+            scalars[f.name] = _bounded(_scalar(raw, type(f.default), f.name), f.name)
     seed = scalars["seed"]
 
     sections = {}
     for section, cls in PARAM_SECTIONS.items():
         raw = _section(cfg, section)
         _reject_unknown(raw, {f.name for f in fields(cls)}, section)
-        values = {
-            f.name: _scalar(raw[f.name], type(f.default), f"{section}.{f.name}")
-            for f in fields(cls) if f.name in raw
-        }
+        values = {}
+        for f in fields(cls):
+            if f.name in raw:
+                key = f"{section}.{f.name}"
+                values[f.name] = _bounded(_scalar(raw[f.name], type(f.default), key), key)
         try:
             sections[section] = cls(**values)
         except (TypeError, ValueError) as exc:

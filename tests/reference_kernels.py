@@ -1,6 +1,8 @@
 """Frozen copies of kernels before their overhead rewrites.
 
-The collision kernels in `skygrid.sampling` and `skygrid.geometry`, the coarse
+The collision kernels in `skygrid.sampling` and `skygrid.geometry`, the tree
+planners `rrt_plan`/`birrt_plan` (per-draw RNG calls, `einsum` nearest-node
+ranking), the clearance kernel `points_to_cuboids_distance`, the coarse
 search `skygrid.coarse.plan_coarse` and `AirspaceGrid.locate`/`neighbors`
 were rewritten to give the same results with less per-call overhead.
 `test_kernel_exactness.py` and `test_coarse_exactness.py` compare them with
@@ -8,10 +10,12 @@ these copies, which must stay as they are.
 """
 
 import heapq
+import math
 
 import numpy as np
 
 from skygrid.grid import OutOfAirspace
+from skygrid.sampling import PlanningFailed, flatten_obstacles, point_free
 
 
 def segment_free(a, b, boxes) -> bool:
@@ -121,3 +125,128 @@ def plan_coarse(grid, params, occupancy, start, goal, obstacle_counts=None):
                 continue
             heapq.heappush(heap, (cost + cost_of(nb), length + 1, path + (nb,)))
     raise RuntimeError("goal unreachable; 6-connected grid should be connected")
+
+
+def points_to_cuboids_distance(points, lo, hi):
+    p = points[..., None, :]
+    clamped = np.clip(p, lo, hi)
+    return np.linalg.norm(p - clamped, axis=-1)
+
+
+def einsum_nearest(nodes, target) -> int:
+    """The tree planners' nearest node: first argmin of einsum squared distances."""
+    d = np.asarray(nodes, dtype=float) - target
+    return int(np.einsum("ij,ij->i", d, d).argmin())
+
+
+def _dist(a, b) -> float:
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
+
+
+class _Tree:
+    def __init__(self, root, cap: int):
+        self.nodes = np.empty((cap, 3))
+        self.nodes[0] = root
+        self.pts = [tuple(self.nodes[0].tolist())]
+        self.parents = [-1]
+
+    def add(self, p, parent: int) -> None:
+        self.nodes[len(self.pts)] = p
+        self.pts.append(p)
+        self.parents.append(parent)
+
+    def extend(self, target, step, boxes):
+        d = self.nodes[: len(self.pts)] - target
+        idx = int(np.einsum("ij,ij->i", d, d).argmin())
+        near = self.pts[idx]
+        dist = _dist(near, target)
+        if dist <= 1e-12:
+            return None
+        scale = min(1.0, step / dist)
+        nx, ny, nz = near
+        tx, ty, tz = target
+        new = (nx + (tx - nx) * scale, ny + (ty - ny) * scale, nz + (tz - nz) * scale)
+        if not segment_free(near, new, boxes):
+            return None
+        self.add(new, idx)
+        return new
+
+    def trace(self):
+        order = []
+        i = len(self.pts) - 1
+        while i >= 0:
+            order.append(i)
+            i = self.parents[i]
+        return self.nodes[order[::-1]].copy()
+
+
+def _endpoints(obstacles, start, goal, step):
+    boxes = flatten_obstacles(obstacles)
+    s = (start.x, start.y, start.z)
+    g = (goal.x, goal.y, goal.z)
+    if not point_free(s, boxes):
+        raise PlanningFailed(f"start point {start} lies inside an obstacle")
+    if not point_free(g, boxes):
+        raise PlanningFailed(f"goal point {goal} lies inside an obstacle")
+    if s == g:
+        return boxes, s, g, np.array([s])
+    if _dist(s, g) <= step and segment_free(s, g, boxes):
+        return boxes, s, g, np.array([s, g])
+    return boxes, s, g, None
+
+
+def rrt_plan(bounds, obstacles, start, goal, params, rng):
+    boxes, s, g, trivial = _endpoints(obstacles, start, goal, params.step_size)
+    if trivial is not None:
+        return trivial
+    lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
+    hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
+    wx, wy, wz = hx - lx, hy - ly, hz - lz
+    tree = _Tree(s, params.max_iterations + 2)
+    step = params.step_size
+    for _ in range(params.max_iterations):
+        if rng.random() < params.goal_bias:
+            target = g
+        else:
+            ux, uy, uz = rng.random(3).tolist()
+            target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
+        new = tree.extend(target, step, boxes)
+        if new is None:
+            continue
+        if _dist(new, g) <= step and segment_free(new, g, boxes):
+            tree.add(g, len(tree.pts) - 1)
+            return tree.trace()
+    raise PlanningFailed(f"RRT failed to connect within {params.max_iterations} iterations")
+
+
+def birrt_plan(bounds, obstacles, start, goal, params, rng):
+    boxes, s, g, trivial = _endpoints(obstacles, start, goal, params.step_size)
+    if trivial is not None:
+        return trivial
+    lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
+    hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
+    wx, wy, wz = hx - lx, hy - ly, hz - lz
+    cap = 2 * params.max_iterations + 64
+    trees = [_Tree(s, cap), _Tree(g, cap)]
+    step = params.step_size
+    a = 0
+    for _ in range(params.max_iterations):
+        if len(trees[0].pts) >= cap - 1 or len(trees[1].pts) >= cap - 1:
+            break
+        ux, uy, uz = rng.random(3).tolist()
+        target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
+        new = trees[a].extend(target, step, boxes)
+        if new is not None:
+            other = trees[1 - a]
+            while len(other.pts) < cap - 1:
+                jnew = other.extend(new, step, boxes)
+                if jnew is None:
+                    break
+                if _dist(jnew, new) <= 1e-9:
+                    path_a = trees[a].trace()
+                    path_b = other.trace()
+                    if a == 0:
+                        return np.vstack([path_a, path_b[::-1][1:]])
+                    return np.vstack([path_b, path_a[::-1][1:]])
+        a = 1 - a
+    raise PlanningFailed(f"Bi-RRT failed to connect within {params.max_iterations} iterations")

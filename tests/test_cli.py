@@ -125,6 +125,10 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("swarm: {inertia: .nan}\n", "swarm.inertia"),
         ("rrt: {step_size: .inf}\n", "rrt.step_size"),
         ("max_ticks: true\n", "max_ticks"),
+        ("rrt: {max_iterations: 100000000000}\n", "rrt.max_iterations"),
+        ("waypoints_per_cell: 2000000000\n", "waypoints_per_cell"),
+        ("swarm: {n_rrt: 0, n_birrt: 0}\n", "swarm: n_rrt + n_birrt"),
+        ("swarm: {n_rrt: -3}\n", "swarm: n_rrt"),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):

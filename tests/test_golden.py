@@ -1,8 +1,11 @@
 """Golden outputs: SHA-256 of every result table for fixed CLI runs.
 
 A refactor or a speedup must leave these hashes unchanged. A change that
-alters results on purpose regenerates them and says why. The hashes depend
-on floating-point results, so a different numpy build may legitimately
+alters results on purpose regenerates them and says why. The tree planners'
+nearest-node ranking is a specified formula and does not depend on the numpy
+build, but the hashes still depend on numpy reductions (`np.linalg.norm`,
+`sum`, `mean`) and on libm functions (`arccos`, `arcsin`, `**`) whose
+rounding numpy does not promise, so a different numpy build may legitimately
 produce other values.
 """
 

@@ -1,12 +1,20 @@
 """Exactness of the rewritten fine-planning kernels.
 
-The collision kernels are compared with frozen copies of their earlier code
-(`reference_kernels.py`) on inputs that hit the edge cases: zero-delta axes,
-endpoints on box faces, touching boxes and margin-inflated boxes. The tree
-planners, the seed population and the swarm are pinned to digests and RNG
-states recorded before the rewrite: same draws, same floats, same result.
-Like the golden hashes, the digests depend on floating-point results, so a
-different numpy build may legitimately produce other values.
+The collision kernels, the clearance kernel and the tree planners are
+compared with frozen copies of their earlier code (`reference_kernels.py`)
+on inputs that hit the edge cases: zero-delta axes, endpoints on box faces,
+touching boxes, margin-inflated boxes, points inside boxes, near-tie and
+duplicate tree nodes, and generators holding a buffered uint32. The tree
+planners, the seed population and the swarm are also pinned to digests and
+RNG states recorded before the rewrites: same draws, same floats, same result.
+
+The nearest-node ranking is a specified formula of single IEEE operations,
+so it gives the same picks on any numpy build. The frozen copies and the
+recorded digests still go through numpy reductions and libm functions
+(`np.linalg.norm` and `sum` in resampling and the swarm's cost, `arccos`,
+`arcsin`, `**`), whose rounding numpy does not promise, and the frozen
+nearest-node ranking is `einsum`'s; a different numpy build may
+legitimately produce other values there.
 """
 
 import hashlib
@@ -16,7 +24,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, segments_intersect_cuboids
+from skygrid import sampling
+from skygrid.geometry import (
+    CuboidObstacle,
+    ObstacleKind,
+    Point3,
+    obstacle_arrays,
+    points_to_cuboids_distance,
+    segments_intersect_cuboids,
+)
 from skygrid.pso import ConstraintParams, CostParams, SwarmParams, build_seed_population, optimize
 from skygrid.sampling import (
     PlanningFailed,
@@ -146,23 +162,125 @@ def test_degenerate_segment_on_a_face_hits():
         )[0]
 
 
-def test_nearest_node_is_the_einsum_argmin_on_near_ties():
+def _specified_nearest(nodes, target) -> int:
+    """The specified ranking: first minimum of (dx*dx + dz*dz) + dy*dy."""
+    tx, ty, tz = target
+    ds = [(x - tx) * (x - tx) + (z - tz) * (z - tz) + (y - ty) * (y - ty) for x, y, z in nodes]
+    return ds.index(min(ds))
+
+
+def _tree_of(nodes) -> _Tree:
+    tree = _Tree(nodes[0])
+    for i, p in enumerate(nodes[1:]):
+        tree.add(tuple(p), i)
+    return tree
+
+
+def _sphere_nodes(rng, n, target, radius):
+    """n nodes at (almost) the same distance from target, so that their
+    squared distances agree up to the last bits; plus exact duplicates."""
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    nodes = np.array(target) + radius * dirs
+    nodes[n // 3] = nodes[n // 5]
+    nodes[n - 1] = nodes[n // 2]
+    return [tuple(p) for p in nodes.tolist()]
+
+
+def test_nearest_node_is_the_specified_argmin_on_near_ties():
     """Nodes on a sphere around the target: their squared distances agree up
-    to the last bits, so only the exact einsum ranking (first index on ties)
-    picks the same parent as before."""
+    to the last bits, so only the specified ranking (first index on ties)
+    picks the parent."""
     rng = np.random.default_rng(7)
     for _ in range(200):
         target = tuple(rng.uniform(20.0, 180.0, 3).tolist())
-        dirs = rng.normal(size=(40, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        nodes = np.array(target) + 3.0 * dirs
-        nodes[5] = nodes[17]  # an exact tie too
-        tree = _Tree(nodes[0], len(nodes) + 1)
-        for i, p in enumerate(nodes[1:].tolist()):
-            tree.add(tuple(p), i)
+        nodes = _sphere_nodes(rng, 40, target, 3.0)
+        tree = _tree_of(nodes)
         assert tree.extend(target, 1.0, []) is not None
-        d = nodes - np.array(target)
-        assert tree.parents[-1] == int(np.argmin(np.einsum("ij,ij->i", d, d)))
+        assert tree.parents[-1] == _specified_nearest(nodes, target)
+
+
+SCAN_MAX = sampling._SCAN_MAX_NODES
+
+
+@pytest.mark.parametrize("n", [SCAN_MAX - 1, SCAN_MAX, SCAN_MAX + 1, 1000, 1500])
+@pytest.mark.parametrize("path", ["natural", "scan", "numpy"])
+def test_nearest_paths_match_the_einsum_ranking(monkeypatch, n, path):
+    """Both nearest-node paths, on trees just below, at and above the scan
+    threshold and far above it, against the frozen einsum ranking (which
+    rounds exactly like the specified formula on this numpy build): near
+    ties on a sphere, exact duplicate nodes, and random trees."""
+    if path != "natural":
+        monkeypatch.setattr(sampling, "_SCAN_MAX_NODES", 10**9 if path == "scan" else 0)
+    rng = np.random.default_rng(n)
+    for trial in range(30):
+        target = tuple(rng.uniform(20.0, 180.0, 3).tolist())
+        if trial % 2:
+            nodes = _sphere_nodes(rng, n, target, float(rng.uniform(0.5, 50.0)))
+        else:
+            nodes = [tuple(p) for p in rng.uniform(0.0, 200.0, (n, 3)).tolist()]
+            nodes[-1] = nodes[n // 2]
+        tree = _tree_of(nodes)
+        want = ref.einsum_nearest(nodes, target)
+        assert want == _specified_nearest(nodes, target)
+        assert tree.nearest(target) == want
+        # The same tree queried again after it grew: the mirror follows.
+        tree.add(target, want)
+        nodes.append(target)
+        other = tuple(rng.uniform(20.0, 180.0, 3).tolist())
+        assert tree.nearest(other) == ref.einsum_nearest(nodes, other)
+
+
+# -- the clearance kernel against its frozen copy -----------------------------
+
+
+@st.composite
+def clearance_inputs(draw):
+    """Boxes (some touching the previous one) and points inside them, on
+    their faces, at signed zeros, or anywhere."""
+    obstacles = draw(cuboids().filter(len))
+    faces = sorted({v for ob in obstacles for v in ob.box})
+    inside = [
+        tuple((ob.box[i] + ob.box[i + 3]) / 2 for i in range(3)) for ob in obstacles
+    ]
+    value = st.one_of(coord, st.sampled_from(faces), st.sampled_from([0.0, -0.0]))
+    point = st.one_of(st.tuples(value, value, value), st.sampled_from(inside))
+    p = draw(st.integers(1, 5))
+    j = draw(st.integers(1, 6))
+    pts = np.array([[draw(point) for _ in range(j)] for _ in range(p)], dtype=float)
+    return obstacles, pts
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=clearance_inputs())
+def test_points_to_cuboids_distance_matches_reference(inputs):
+    obstacles, pts = inputs
+    lo, hi = obstacle_arrays(obstacles)
+    got = points_to_cuboids_distance(pts, lo, hi)
+    want = ref.points_to_cuboids_distance(pts, lo, hi)
+    assert _same_bits(got, want)
+    assert _same_bits(got.sum(axis=(1, 2)), want.sum(axis=(1, 2)))
+    assert _same_bits(points_to_cuboids_distance(pts[0], lo, hi), want[0])
+
+
+def test_points_to_cuboids_distance_matches_reference_on_swarm_shapes():
+    """The shapes the swarm evaluates: 31 particles of 10 waypoints against
+    up to 12 boxes, and one path against them."""
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 12):
+        lo = rng.uniform(0.0, 150.0, (k, 3))
+        hi = lo + rng.uniform(1.0, 60.0, (k, 3))
+        pts = rng.uniform(-10.0, 210.0, (31, 10, 3))
+        pts[0, : min(k, 10)] = lo[:10]  # corners: zero gaps
+        got = points_to_cuboids_distance(pts, lo, hi)
+        want = ref.points_to_cuboids_distance(pts, lo, hi)
+        assert _same_bits(got, want)
+        assert _same_bits(got.sum(axis=(1, 2)), want.sum(axis=(1, 2)))
+        assert _same_bits(points_to_cuboids_distance(pts[:1], lo, hi), want[:1])
 
 
 # -- planners against digests recorded before the rewrite ---------------------
@@ -253,3 +371,91 @@ def test_optimize_matches_recorded(seed):
     best, history = optimize(seeds, obstacles, CostParams(), ConstraintParams(), swarm, rng)
     got = _digest(np.concatenate([best.waypoints.ravel(), history]))
     assert (got, _state(rng)) == RECORDED[("optimize", "ref+sudden", seed)]
+
+
+# -- the whole generator state against per-draw planners ----------------------
+
+
+CAP_BREAK = RrtParams(step_size=1.0, max_iterations=2)
+# name -> (planner, obstacles, params)
+EXITS = {
+    "rrt success": ("rrt_plan", CELL_OBS, RrtParams()),
+    "rrt starved": ("rrt_plan", CELL_OBS, RrtParams(max_iterations=3)),
+    "rrt goal bias 1": ("rrt_plan", [], RrtParams(goal_bias=1.0)),
+    "birrt join": ("birrt_plan", CELL_OBS, RrtParams()),
+    "birrt starved": ("birrt_plan", CELL_OBS, RrtParams(max_iterations=3)),
+    "birrt cap break": ("birrt_plan", [], CAP_BREAK),
+}
+
+
+def _run_both(planner, obstacles, start, goal, params, rngs):
+    """Results of the planner and of its frozen per-draw copy (the array
+    bytes, or the PlanningFailed message)."""
+    out = []
+    for fn, rng in ((getattr(sampling, planner), rngs[0]), (getattr(ref, planner), rngs[1])):
+        try:
+            out.append(fn(BOUNDS, obstacles, start, goal, params, rng).tobytes())
+        except PlanningFailed as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("case", EXITS)
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_block_draws_leave_the_per_draw_generator_state(case, buffered, seed):
+    """The planners draw their doubles in blocks; afterwards the whole
+    generator state, the buffered uint32 of an earlier 32-bit draw included,
+    equals the one the frozen per-draw planner leaves, and so do the results."""
+    planner, obstacles, params = EXITS[case]
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    if buffered:
+        for r in rngs:
+            r.integers(0, 1000, dtype=np.uint32)
+        assert rngs[0].bit_generator.state["has_uint32"] == 1
+    got, want = _run_both(planner, obstacles, START, GOAL, params, rngs)
+    assert got == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    # The streams continue alike.
+    assert rngs[0].random(5).tobytes() == rngs[1].random(5).tobytes()
+    assert rngs[0].integers(0, 2**32, dtype=np.uint32) == rngs[1].integers(0, 2**32, dtype=np.uint32)
+
+
+def test_cap_break_case_reaches_the_node_cap():
+    trees = []
+
+    class Spy(sampling._Tree):
+        def __init__(self, root):
+            super().__init__(root)
+            trees.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_Tree", Spy)
+        with pytest.raises(PlanningFailed):
+            sampling.birrt_plan(BOUNDS, [], START, GOAL, CAP_BREAK, np.random.default_rng(0))
+    cap = 2 * CAP_BREAK.max_iterations + 64
+    assert max(len(t.pts) for t in trees) >= cap - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    planner=st.sampled_from(["rrt_plan", "birrt_plan"]),
+    step=st.sampled_from([2.0, 5.0, 10.0, 25.0]),
+    goal_bias=st.sampled_from([0.0, 0.05, 0.5]),
+    max_iterations=st.sampled_from([1, 4, 40, 400]),
+    buffered=st.booleans(),
+)
+def test_planners_match_per_draw_reference(seed, planner, step, goal_bias, max_iterations, buffered):
+    rng = np.random.default_rng(seed)
+    start = Point3(*rng.uniform([0, 0, 0], [35, 200, 50]).tolist())
+    goal = Point3(*rng.uniform([175, 0, 0], [200, 200, 50]).tolist())
+    params = RrtParams(step_size=step, goal_bias=goal_bias, max_iterations=max_iterations)
+    obstacles = [] if seed % 4 == 0 else CELL_OBS
+    rngs = [np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)]
+    if buffered:
+        for r in rngs:
+            r.integers(0, 7, dtype=np.uint32)
+    got, want = _run_both(planner, obstacles, start, goal, params, rngs)
+    assert got == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state

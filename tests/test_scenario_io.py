@@ -163,6 +163,14 @@ def test_rejects_bad_parameter_values():
         ("max_ticks: true\n", "max_ticks"),
         ("swarm: {c1: false}\nobstacles: []\n", "swarm.c1"),
         ("airspace: {cells: [17, 16, 16]}\nobstacles: []\n", "airspace.cells"),
+        ("rrt: {max_iterations: 100000000000}\nobstacles: []\n", "rrt.max_iterations"),
+        ("rrt: {max_iterations: 20001}\nobstacles: []\n", "rrt.max_iterations"),
+        ("swarm: {max_iterations: 10001}\nobstacles: []\n", "swarm.max_iterations"),
+        ("waypoints_per_cell: 2000000000\nobstacles: []\n", "waypoints_per_cell"),
+        ("smooth_window: 1001\nobstacles: []\n", "smooth_window"),
+        ("swarm: {n_rrt: 0, n_birrt: 0}\nobstacles: []\n", "swarm: n_rrt + n_birrt"),
+        ("swarm: {n_rrt: -3}\nobstacles: []\n", "swarm: n_rrt"),
+        ("swarm: {n_birrt: -1}\nobstacles: []\n", "n_birrt"),
     ],
 )
 def test_malformed_values_name_their_key(text, key_path):
@@ -190,6 +198,24 @@ NAN, INF = float("nan"), float("inf")
 def test_parameter_blocks_reject_non_finite_values(cls, kwargs):
     with pytest.raises(ValueError):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"n_rrt": -1}, {"n_birrt": -1}, {"n_rrt": 0, "n_birrt": 0}], ids=repr
+)
+def test_swarm_needs_a_seed_path(kwargs):
+    with pytest.raises(ValueError):
+        SwarmParams(**kwargs)
+
+
+def test_inputs_at_their_upper_bounds_load():
+    sc = load_scenario(
+        "rrt: {max_iterations: 20000}\nswarm: {max_iterations: 10000, n_rrt: 0, n_birrt: 1}\n"
+        "waypoints_per_cell: 1000\nsmooth_window: 1000\nobstacles: []\n"
+    )
+    assert (sc.rrt.max_iterations, sc.swarm.max_iterations) == (20000, 10000)
+    assert (sc.waypoints_per_cell, sc.smooth_window) == (1000, 1000)
+    assert (sc.swarm.n_rrt, sc.swarm.n_birrt) == (0, 1)
 
 
 def test_largest_grid_loads():
