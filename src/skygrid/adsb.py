@@ -75,10 +75,10 @@ def aggregate_occupancy(
 
     Returns an int array of length grid.n_cells (index 0 = cell 1).
     """
-    counts = np.zeros(grid.n_cells, dtype=int)
+    counts = [0] * grid.n_cells
     for report in reports.values():
         counts[grid.locate(report.position) - 1] += 1
-    return counts
+    return np.array(counts, dtype=int)
 
 
 def broadcast_sudden_obstacle(

@@ -25,6 +25,7 @@ from .scenario import (
     ValidationError,
     load_scenario,
     load_scenario_file,
+    parse_mode,
     single_cell_scenario,
 )
 from .sim import ExecutedPath, Mode, SimMetrics, World
@@ -50,11 +51,12 @@ def _run_and_emit(scenario: Scenario, args) -> int:
 
 
 def cmd_plan_sub(args) -> int:
-    scenario = _load(args) if args.scenario else single_cell_scenario(seed=args.seed or 0)
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if args.mode:
-        scenario.mode = args.mode
+    if args.scenario:
+        scenario = _load(args)
+    else:
+        scenario = single_cell_scenario(seed=args.seed or 0)
+        if args.mode:
+            scenario.mode = parse_mode(args.mode, "--mode").value
     return _run_and_emit(scenario, args)
 
 
@@ -67,14 +69,17 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise ValidationError(f"--seeds: expected 'a..b' or a comma list of integers, got {text!r}") from None
 
 
 def cmd_compare(args) -> int:
-    modes = [Mode(m) for m in args.mode.split(",")] if args.mode else [
+    modes = [parse_mode(m, "--mode") for m in args.mode.split(",")] if args.mode else [
         Mode.SSP, Mode.NO_SLIDING_WINDOW
     ]
     seeds = _parse_seed_range(args.seeds)
@@ -148,6 +153,13 @@ def cmd_replan_demo(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skygrid",
@@ -157,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_mode=True):
         p.add_argument("--scenario", help="scenario YAML file")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
         if with_mode:
             p.add_argument(
                 "--mode",
@@ -199,11 +211,15 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ValueError) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PlanningFailed as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Inputs are validated at load, so this is the planner's own failure.
+        print(f"planning error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -445,7 +445,7 @@ def _merge_vertices(path: np.ndarray, boxes: Boxes, target: int) -> np.ndarray:
     return np.array(pts)
 
 
-def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
+def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) -> np.ndarray:
     """Exactly `count` points along the polyline, preserving every vertex.
 
     The count-1 intervals are shared among segments proportionally to length
@@ -459,28 +459,36 @@ def resample_polyline(path: np.ndarray, count: int) -> np.ndarray:
     n_seg = len(path) - 1
     if n_seg > count - 1:
         raise ValueError(f"cannot keep {len(path)} vertices with only {count} points")
-    lengths = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    total = lengths.sum()
+    # Float arithmetic in the order numpy's norm(diff(path), axis=1) and the
+    # elementwise forms use; only the total keeps numpy's pairwise sum.
+    pts = np.asarray(path, dtype=float).tolist()
+    segments = list(zip(pts, pts[1:]))
+    lengths = []
+    for (ax, ay, az), (bx, by, bz) in segments:
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        lengths.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
+    total = float(np.sum(lengths))
     extra = count - 1 - n_seg
-    shares = np.ones(n_seg, dtype=int)
+    shares = [1] * n_seg
     if extra > 0:
         if total > 0:
-            quota = lengths / total * extra
+            quota = [length / total * extra for length in lengths]
         else:
-            quota = np.full(n_seg, extra / n_seg)
-        base = np.floor(quota).astype(int)
-        shares += base
-        remainder = extra - int(base.sum())
+            quota = [extra / n_seg] * n_seg
+        base = [math.floor(q) for q in quota]
+        shares = [1 + b for b in base]
+        remainder = extra - sum(base)
         if remainder > 0:
             # Largest fractional remainders first; ties to the earlier segment.
-            order = np.lexsort((np.arange(n_seg), -(quota - base)))
+            order = sorted(range(n_seg), key=lambda k: -(quota[k] - base[k]))
             for k in order[:remainder]:
                 shares[k] += 1
-    out = [path[0]]
-    for i in range(n_seg):
-        for k in range(1, shares[i] + 1):
-            t = k / shares[i]
-            out.append(path[i] * (1 - t) + path[i + 1] * t)
+    out = [pts[0]]
+    for ((ax, ay, az), (bx, by, bz)), share in zip(segments, shares):
+        for k in range(1, share + 1):
+            t = k / share
+            u = 1 - t
+            out.append((ax * u + bx * t, ay * u + by * t, az * u + bz * t))
     return np.array(out)
 
 
@@ -529,5 +537,5 @@ def straight_waypath(
     start: Point3, goal: Point3, count: int = DEFAULT_WAYPOINT_COUNT, sub_airspace: int = 0
 ) -> Waypath:
     """Straight-line connection resampled to `count` points (collisions allowed)."""
-    pts = resample_polyline(np.array([start.as_array(), goal.as_array()]), count)
+    pts = resample_polyline([(start.x, start.y, start.z), (goal.x, goal.y, goal.z)], count)
     return Waypath(waypoints=pts, sub_airspace=sub_airspace)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -34,12 +35,18 @@ DEFAULT_FOOTPRINT_RANGE = (20.0, 60.0)
 # report grow with the cell count (16 x 16 x 16 at most).
 MAX_CELLS = 4096
 # Upper bounds of the inputs that size the planner's work and memory per cell
-# (4 to 200 times their defaults).
+# (4 to 200 times their defaults), and of those that size a run: the random
+# fleet (20 times the CLI's 50 UAVs), the random buildings (13 times the 75
+# by default) and the ticks (4 times the default), each of which logs one
+# report per airborne UAV.
 UPPER_BOUNDS = {
     "rrt.max_iterations": 20_000,
     "swarm.max_iterations": 10_000,
     "waypoints_per_cell": 1000,
     "smooth_window": 1000,
+    "random_uavs.count": 1000,
+    "random_obstacles.count": 1000,
+    "max_ticks": 20_000,
 }
 
 # Reference single-cell environment: 200x200x50 m box with three buildings.
@@ -69,6 +76,23 @@ class ParseError(Exception):
 
 class ValidationError(Exception):
     pass
+
+
+class Mode(Enum):
+    SSP = "SSP"
+    NO_SLIDING_WINDOW = "NoSlidingWindow"
+    NO_ATTRACTION = "NoAttraction"
+    RRT_ONLY = "RrtOnly"
+    BIRRT_ONLY = "BirrtOnly"
+
+
+def parse_mode(name: str, key: str = "mode") -> Mode:
+    """The Mode called `name`, or a ValidationError naming the key."""
+    try:
+        return Mode(name)
+    except ValueError:
+        choices = " | ".join(m.value for m in Mode)
+        raise ValidationError(f"{key}: unknown mode {name!r}, expected {choices}") from None
 
 
 @dataclass(frozen=True)
@@ -158,6 +182,22 @@ def _bounded(value, name: str):
     if limit is not None and value > limit:
         raise ValidationError(f"{name}: at most {limit}, got {value}")
     return value
+
+
+def _count(value, name: str) -> int:
+    """A bounded non-negative int, or a ValidationError naming the key."""
+    n = _bounded(_scalar(value, int, name), name)
+    if n < 0:
+        raise ValidationError(f"{name} must be >= 0, got {n}")
+    return n
+
+
+def _range(value, high_max: float, name: str) -> tuple[float, float]:
+    """[low, high] with 0 < low <= high <= high_max, or a ValidationError naming the key."""
+    low, high = _floats(value, 2, name)
+    if not 0 < low <= high <= high_max:
+        raise ValidationError(f"{name} must satisfy 0 < low <= high <= {high_max}, got [{low}, {high}]")
+    return low, high
 
 
 def _floats(value, count: int, name: str) -> tuple[float, ...]:
@@ -319,6 +359,17 @@ def load_scenario(
             value = overrides.get(f.name)
             raw = cfg.get(f.name, f.default) if value is None else value
             scalars[f.name] = _bounded(_scalar(raw, type(f.default), f.name), f.name)
+    parse_mode(scalars["mode"])
+    if scalars["seed"] < 0:
+        raise ValidationError(f"seed must be >= 0, got {scalars['seed']}")
+    if scalars["waypoints_per_cell"] < 3:
+        raise ValidationError("waypoints_per_cell must be >= 3")
+    if not 0.0 <= scalars["loss_rate"] <= 1.0:
+        raise ValidationError("loss_rate must be in [0, 1]")
+    if not 0.0 < scalars["dt"] < math.inf:
+        raise ValidationError(f"dt must be finite and positive, got {scalars['dt']}")
+    if scalars["max_ticks"] < 1:
+        raise ValidationError(f"max_ticks must be >= 1, got {scalars['max_ticks']}")
     seed = scalars["seed"]
 
     sections = {}
@@ -376,29 +427,41 @@ def load_scenario(
     ruav = _section(cfg, "random_uavs")
     _reject_unknown(ruav, {"count", "min_cell_separation", "speed"}, "random_uavs")
 
+    # Every value of the random blocks is checked before anything is generated.
+    if want_random_obstacles:
+        n_obstacles = _count(rob.get("count", DEFAULT_OBSTACLE_COUNT), "random_obstacles.count")
+        # Heights are cut at the airspace top; a footprint must fit the extent.
+        hr = _range(rob.get("height_range", DEFAULT_HEIGHT_RANGE), math.inf, "random_obstacles.height_range")
+        fr = _range(
+            rob.get("footprint_range", DEFAULT_FOOTPRINT_RANGE), min(extent[:2]),
+            "random_obstacles.footprint_range",
+        )
+    if want_random_uavs:
+        n_uavs = _count(ruav.get("count", 1), "random_uavs.count")
+        sep = _count(ruav.get("min_cell_separation", 0), "random_uavs.min_cell_separation")
+        # The largest cell distance (L1 of cell coordinates) in the grid.
+        max_sep = sum(c - 1 for c in counts)
+        if sep > max_sep:
+            raise ValidationError(
+                f"random_uavs.min_cell_separation: at most {max_sep} in this grid, got {sep}"
+            )
+        speed = _scalar(ruav.get("speed", DEFAULT_SPEED), float, "random_uavs.speed")
+        if speed <= 0:
+            raise ValidationError(f"random_uavs.speed must be positive, got {speed}")
+
     if not uavs and not want_random_uavs:
         uavs = [UavSpec(id="uav0", start=Point3(*DEFAULT_START), goal=Point3(*DEFAULT_GOAL))]
 
     if want_random_obstacles:
-        count = _scalar(rob.get("count", DEFAULT_OBSTACLE_COUNT), int, "random_obstacles.count")
-        if count < 0:
-            raise ValidationError("random_obstacles.count must be >= 0")
-        hr = rob.get("height_range", DEFAULT_HEIGHT_RANGE)
-        fr = rob.get("footprint_range", DEFAULT_FOOTPRINT_RANGE)
-        hr = _floats(hr, 2, "random_obstacles.height_range")
-        fr = _floats(fr, 2, "random_obstacles.footprint_range")
         keep_clear = [p for u in uavs for p in (u.start, u.goal)]
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5)))
-        obstacles = obstacles + generate_obstacles(extent, count, hr, fr, keep_clear, rng)
+        obstacles = obstacles + generate_obstacles(extent, n_obstacles, hr, fr, keep_clear, rng)
 
     grid = AirspaceGrid(extent=extent, counts=counts, obstacles=obstacles)
 
     if want_random_uavs:
-        count = _scalar(ruav.get("count", 1), int, "random_uavs.count")
-        sep = _scalar(ruav.get("min_cell_separation", 0), int, "random_uavs.min_cell_separation")
-        speed = _scalar(ruav.get("speed", DEFAULT_SPEED), float, "random_uavs.speed")
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0A7)))
-        uavs = uavs + generate_uavs(grid, count, sep, speed, rng)
+        uavs = uavs + generate_uavs(grid, n_uavs, sep, speed, rng)
 
     # Injections.
     injections: list[tuple[int, CuboidObstacle]] = []
@@ -438,14 +501,6 @@ def load_scenario(
         **sections,
         **scalars,
     )
-    if scenario.waypoints_per_cell < 3:
-        raise ValidationError("waypoints_per_cell must be >= 3")
-    if not 0.0 <= scenario.loss_rate <= 1.0:
-        raise ValidationError("loss_rate must be in [0, 1]")
-    if not 0.0 < scenario.dt < math.inf:
-        raise ValidationError(f"dt must be finite and positive, got {scenario.dt}")
-    if scenario.max_ticks < 1:
-        raise ValidationError(f"max_ticks must be >= 1, got {scenario.max_ticks}")
     return scenario
 
 

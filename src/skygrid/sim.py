@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,18 +45,10 @@ from .sampling import (
     smooth_and_resample,
     straight_waypath,
 )
-from .scenario import Scenario, ValidationError
+from .scenario import Mode, Scenario, ValidationError, parse_mode
 
 FINE_PLAN_ATTEMPTS = 5
 EXIT_DRAWS = 3
-
-
-class Mode(Enum):
-    SSP = "SSP"
-    NO_SLIDING_WINDOW = "NoSlidingWindow"
-    NO_ATTRACTION = "NoAttraction"
-    RRT_ONLY = "RrtOnly"
-    BIRRT_ONLY = "BirrtOnly"
 
 
 class UavPhase(Enum):
@@ -106,6 +98,16 @@ class SimMetrics:
             self.max_occupancy = np.zeros(self.n_cells, dtype=int)
 
 
+class CellContext(NamedTuple):
+    """What planning in one cell reads that stays fixed for a World: nothing
+    changes the grid's obstacles or a ConstraintParams after construction."""
+
+    obstacles: list[CuboidObstacle]  # scenario obstacles overlapping the cell
+    lo: list[float]
+    hi: list[float]
+    constraints: ConstraintParams
+
+
 class World:
     """Simulation state: grid, message bus, UAVs, and recorded metrics."""
 
@@ -121,6 +123,7 @@ class World:
         # Injected while running; the scenario's sudden obstacles are in grid.obstacles.
         self.injected: list[CuboidObstacle] = []
         self.pending_injections = sorted(scenario.injections, key=lambda x: x[0])
+        self._cells: dict[int, CellContext] = {}
         self.tick = 0
         self.metrics = SimMetrics(n_cells=self.grid.n_cells)
         self.occupancy = np.zeros(self.grid.n_cells, dtype=int)
@@ -148,15 +151,20 @@ class World:
 
     # -- planning -----------------------------------------------------------
 
+    def _cell(self, cell: int) -> CellContext:
+        context = self._cells.get(cell)
+        if context is None:
+            lo, hi = self.grid.cell_bounds(cell)
+            context = self._cells[cell] = CellContext(
+                self.grid.obstacles_in_cell(cell), lo.tolist(), hi.tolist(),
+                ConstraintParams(**self.scenario.constraint_limits, bounds_lo=lo, bounds_hi=hi),
+            )
+        return context
+
     def _cell_obstacles(self, cell: int) -> list[CuboidObstacle]:
         """Scenario obstacles in the cell, then injected ones in injection order."""
-        lo, hi = (b.tolist() for b in self.grid.cell_bounds(cell))
-        injected = [ob for ob in self.injected if ob.overlaps(lo, hi)]
-        return self.grid.obstacles_in_cell(cell) + injected
-
-    def _constraints_for(self, cell: int) -> ConstraintParams:
-        lo, hi = self.grid.cell_bounds(cell)
-        return ConstraintParams(**self.scenario.constraint_limits, bounds_lo=lo, bounds_hi=hi)
+        c = self._cell(cell)
+        return c.obstacles + [ob for ob in self.injected if ob.overlaps(c.lo, c.hi)]
 
     def _coarse_plan(self, uav: UavState, current_cell: int) -> CoarsePlan:
         goal_cell = self.grid.locate(uav.goal)
@@ -211,9 +219,9 @@ class World:
 
     def _fine_plan(self, uav: UavState, cell: int, entry: Point3, target: Point3) -> Waypath:
         """Plan the in-cell trajectory; retries with fresh draws before failing."""
-        bounds = self.grid.cell_bounds(cell)
         obstacles = self._cell_obstacles(cell)
-        constraints = self._constraints_for(cell)
+        constraints = self._cell(cell).constraints
+        bounds = (constraints.bounds_lo, constraints.bounds_hi)
         count = self.scenario.waypoints_per_cell
         smooth_window = self.scenario.smooth_window
 
@@ -297,7 +305,7 @@ class World:
                 continue
             if not should_replan(uav.active_waypath, uav.next_waypoint_index, ob):
                 continue
-            constraints = self._constraints_for(uav.current_cell)
+            constraints = self._cell(uav.current_cell).constraints
             obstacles = [o for o in self._cell_obstacles(uav.current_cell) if o is not ob]
             try:
                 old = uav.active_waypath.waypoints
@@ -360,9 +368,11 @@ class World:
         while remaining > 1e-9 and uav.phase is UavPhase.FLYING:
             wp = uav.active_waypath.waypoints
             target = wp[uav.next_waypoint_index]
-            gap = float(np.linalg.norm(target - uav.position))
+            d = target - uav.position
+            # np.linalg.norm of a 1-D array is exactly this.
+            gap = math.sqrt(d.dot(d))
             if gap > remaining:
-                uav.position = uav.position + (target - uav.position) * (remaining / gap)
+                uav.position = uav.position + d * (remaining / gap)
                 uav.flown_length += remaining
                 return
             uav.position = target.copy()
@@ -394,7 +404,7 @@ class World:
         airborne = [u for u in self.uavs if u.phase is UavPhase.FLYING]
         self._delivered = {}
         for uav in airborne:
-            report = PositionReport(uav_id=uav.id, position=Point3.from_array(uav.position))
+            report = PositionReport(uav_id=uav.id, position=Point3(*uav.position.tolist()))
             self.bus.publish(AdsbMessage(sender=uav.id, tick=self.tick, payload=report))
         self.occupancy = aggregate_occupancy(self._delivered, self.grid)
         self.bus.publish(
@@ -429,9 +439,6 @@ class World:
 def run_scenario(scenario: Scenario, mode: Mode | str = Mode.SSP) -> SimMetrics:
     """Run a complete scenario in the given mode and return its metrics."""
     if isinstance(mode, str):
-        try:
-            mode = Mode(mode)
-        except ValueError as exc:
-            raise ValidationError(f"unknown mode {mode!r}") from exc
+        mode = parse_mode(mode)
     world = World(scenario, mode)
     return world.run()

@@ -3,10 +3,12 @@
 The collision kernels in `skygrid.sampling` and `skygrid.geometry`, the tree
 planners `rrt_plan`/`birrt_plan` (per-draw RNG calls, `einsum` nearest-node
 ranking), the clearance kernel `points_to_cuboids_distance`, the coarse
-search `skygrid.coarse.plan_coarse` and `AirspaceGrid.locate`/`neighbors`
-were rewritten to give the same results with less per-call overhead.
-`test_kernel_exactness.py` and `test_coarse_exactness.py` compare them with
-these copies, which must stay as they are.
+search `skygrid.coarse.plan_coarse`, `AirspaceGrid.locate`/`neighbors`, the
+resampling `resample_polyline`/`straight_waypath` (small-array numpy) and the
+simulation's `World._advance` were rewritten to give the same results with
+less per-call overhead. `test_kernel_exactness.py`,
+`test_coarse_exactness.py` and `test_bookkeeping_exactness.py` compare them
+with these copies, which must stay as they are.
 """
 
 import heapq
@@ -250,3 +252,73 @@ def birrt_plan(bounds, obstacles, start, goal, params, rng):
                     return np.vstack([path_b, path_a[::-1][1:]])
         a = 1 - a
     raise PlanningFailed(f"Bi-RRT failed to connect within {params.max_iterations} iterations")
+
+
+def resample_polyline(path, count):
+    if count < 2:
+        raise ValueError("count must be >= 2")
+    if len(path) < 2:
+        return np.repeat(path, count, axis=0)[:count]
+    n_seg = len(path) - 1
+    if n_seg > count - 1:
+        raise ValueError(f"cannot keep {len(path)} vertices with only {count} points")
+    lengths = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    total = lengths.sum()
+    extra = count - 1 - n_seg
+    shares = np.ones(n_seg, dtype=int)
+    if extra > 0:
+        if total > 0:
+            quota = lengths / total * extra
+        else:
+            quota = np.full(n_seg, extra / n_seg)
+        base = np.floor(quota).astype(int)
+        shares += base
+        remainder = extra - int(base.sum())
+        if remainder > 0:
+            order = np.lexsort((np.arange(n_seg), -(quota - base)))
+            for k in order[:remainder]:
+                shares[k] += 1
+    out = [path[0]]
+    for i in range(n_seg):
+        for k in range(1, shares[i] + 1):
+            t = k / shares[i]
+            out.append(path[i] * (1 - t) + path[i + 1] * t)
+    return np.array(out)
+
+
+def straight_waypath(start, goal, count, sub_airspace=0):
+    return resample_polyline(np.array([start.as_array(), goal.as_array()]), count)
+
+
+def advance(world, uav, distance):
+    """`World._advance`, to be bound to a World with types.MethodType."""
+    from skygrid.geometry import Point3
+    from skygrid.sim import UavPhase
+
+    remaining = distance
+    while remaining > 1e-9 and uav.phase is UavPhase.FLYING:
+        wp = uav.active_waypath.waypoints
+        target = wp[uav.next_waypoint_index]
+        gap = float(np.linalg.norm(target - uav.position))
+        if gap > remaining:
+            uav.position = uav.position + (target - uav.position) * (remaining / gap)
+            uav.flown_length += remaining
+            return
+        uav.position = target.copy()
+        uav.flown_length += gap
+        remaining -= gap
+        if uav.next_waypoint_index < len(wp) - 1:
+            uav.next_waypoint_index += 1
+            continue
+        goal_cell = world.grid.locate(uav.goal)
+        if uav.current_cell == goal_cell and np.allclose(uav.position, uav.goal.as_array()):
+            uav.phase = UavPhase.ARRIVED
+            world._log("arrived", uav.id, cell=uav.current_cell)
+            return
+        plan = uav.coarse_plan
+        idx = plan.cells.index(uav.current_cell)
+        if idx >= len(plan.cells) - 1:
+            uav.phase = UavPhase.FAILED
+            world._log("plan_exhausted", uav.id, cell=uav.current_cell)
+            return
+        world._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))

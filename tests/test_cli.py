@@ -129,6 +129,13 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("waypoints_per_cell: 2000000000\n", "waypoints_per_cell"),
         ("swarm: {n_rrt: 0, n_birrt: 0}\n", "swarm: n_rrt + n_birrt"),
         ("swarm: {n_rrt: -3}\n", "swarm: n_rrt"),
+        ("random_uavs: {count: -3}\n", "random_uavs.count"),
+        ("random_uavs: {speed: 0}\n", "random_uavs.speed"),
+        ("random_uavs: {speed: -5}\n", "random_uavs.speed"),
+        ("random_uavs: {count: 1001}\n", "random_uavs.count"),
+        ("random_obstacles: {count: 1001}\n", "random_obstacles.count"),
+        ("max_ticks: 20001\n", "max_ticks"),
+        ("mode: Nope\n", "mode"),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):
@@ -147,8 +154,28 @@ def test_exit_2_on_unknown_mode(small_scenario, tmp_path):
     assert code == 2
 
 
+def test_exit_2_on_unknown_plan_sub_mode(tmp_path, capsys):
+    assert main(["plan-sub", "--mode", "Nope", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("input error: --mode")
+
+
+@pytest.mark.parametrize("seeds", ["1..x", "a,b", "1.5"])
+def test_exit_2_on_bad_seeds(small_scenario, tmp_path, capsys, seeds):
+    code = main(
+        ["compare", "--scenario", small_scenario, "--seeds", seeds, "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --seeds") and "Traceback" not in err
+
+
 def test_exit_2_on_bad_arguments():
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("command", ["plan-sub", "replan-demo", "plan"])
+def test_exit_2_on_a_negative_seed(tmp_path, command):
+    assert main([command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
 
 
 def test_exit_1_on_planning_failure(tmp_path):
@@ -167,6 +194,16 @@ def test_exit_1_when_no_seed_is_feasible(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sim, "optimize", optimize)
     assert main(["plan-sub", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
     assert "planning failed for: uav0" in capsys.readouterr().err
+
+
+def test_exit_1_on_a_planner_value_error(tmp_path, monkeypatch, capsys):
+    def optimize(*args, **kwargs):
+        raise ValueError("seed population is empty")
+
+    monkeypatch.setattr(sim, "optimize", optimize)
+    assert main(["plan-sub", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "planning error: seed population is empty\n"
 
 
 def test_replan_demo_exit_1_when_repair_fails(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from skygrid.coarse import SspParams
 from skygrid.geometry import ObstacleKind
 from skygrid.pso import ConstraintParams, SwarmParams
+from skygrid import scenario as scenario_module
 from skygrid.sampling import RrtParams, flatten_obstacles, point_free
 from skygrid.scenario import (
     ParseError,
@@ -171,6 +172,14 @@ def test_rejects_bad_parameter_values():
         ("swarm: {n_rrt: 0, n_birrt: 0}\nobstacles: []\n", "swarm: n_rrt + n_birrt"),
         ("swarm: {n_rrt: -3}\nobstacles: []\n", "swarm: n_rrt"),
         ("swarm: {n_birrt: -1}\nobstacles: []\n", "n_birrt"),
+        ("random_uavs: {count: -3}\n", "random_uavs.count"),
+        ("random_uavs: {speed: 0}\n", "random_uavs.speed"),
+        ("random_uavs: {speed: -5}\n", "random_uavs.speed"),
+        ("random_uavs: {count: 1001}\n", "random_uavs.count"),
+        ("random_obstacles: {count: 1001}\n", "random_obstacles.count"),
+        ("max_ticks: 20001\n", "max_ticks"),
+        ("mode: Nope\n", "mode"),
+        ("mode: [SSP]\n", "mode"),
     ],
 )
 def test_malformed_values_name_their_key(text, key_path):
@@ -216,6 +225,45 @@ def test_inputs_at_their_upper_bounds_load():
     assert (sc.rrt.max_iterations, sc.swarm.max_iterations) == (20000, 10000)
     assert (sc.waypoints_per_cell, sc.smooth_window) == (1000, 1000)
     assert (sc.swarm.n_rrt, sc.swarm.n_birrt) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "random_uavs: {count: 1001}\n",
+        "random_uavs: {count: 2, speed: 0}\n",
+        "random_obstacles: {count: 1001}\n",
+        "random_obstacles: {count: 5}\nrandom_uavs: {count: -1}\n",
+    ],
+)
+def test_random_block_values_are_checked_before_generation(monkeypatch, text):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated before the random blocks were checked")
+
+    monkeypatch.setattr(scenario_module, "generate_obstacles", generate)
+    monkeypatch.setattr(scenario_module, "generate_uavs", generate)
+    with pytest.raises(ValidationError):
+        load_scenario(text)
+
+
+def test_run_sizes_at_their_upper_bounds_load(monkeypatch):
+    sizes = {}
+
+    def generate_obstacles(extent, count, *args):
+        sizes["obstacles"] = count
+        return []
+
+    def generate_uavs(grid, count, *args):
+        sizes["uavs"] = count
+        return []
+
+    # Stubbed: the bounds are checked, nothing that large is generated.
+    monkeypatch.setattr(scenario_module, "generate_obstacles", generate_obstacles)
+    monkeypatch.setattr(scenario_module, "generate_uavs", generate_uavs)
+    sc = load_scenario(
+        "random_uavs: {count: 1000}\nrandom_obstacles: {count: 1000}\nmax_ticks: 20000\n"
+    )
+    assert sizes == {"obstacles": 1000, "uavs": 1000} and sc.max_ticks == 20000
 
 
 def test_largest_grid_loads():

@@ -89,7 +89,7 @@ def test_executed_paths_feasible_and_collision_free():
     for ex in metrics.executed:
         obstacles = world._cell_obstacles(ex.cell)
         assert path_is_collision_free(ex.waypoints, obstacles)
-        constraints = world._constraints_for(ex.cell)
+        constraints = world._cell(ex.cell).constraints
         from skygrid.sampling import Waypath
 
         assert feasibility_penalty(Waypath(ex.waypoints, ex.cell), constraints, obstacles) == 0.0
