@@ -82,12 +82,13 @@ def aggregate_occupancy(
 
 
 def broadcast_sudden_obstacle(
-    bus: AdsbBus, ob: CuboidObstacle, grid: AirspaceGrid, tick: int, sender: str = "ground-station"
+    bus: AdsbBus, ob: CuboidObstacle, grid: AirspaceGrid, tick: int
 ) -> AdsbMessage:
-    """Publish a sudden-obstacle alert tagged with the cell holding its center."""
+    """Publish the ground station's alert of a sudden obstacle, tagged with the
+    cell holding its center."""
     if ob.kind is not ObstacleKind.SUDDEN:
         raise ValueError("only sudden obstacles are broadcast as alerts")
     alert = SuddenObstacleAlert(obstacle=ob, sub_airspace=grid.locate(ob.center))
-    msg = AdsbMessage(sender=sender, tick=tick, payload=alert)
+    msg = AdsbMessage(sender="ground-station", tick=tick, payload=alert)
     bus.publish(msg)
     return msg

@@ -72,10 +72,14 @@ def _parse_seed_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in text.split(",") if s]
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in text.split(",") if s]
     except ValueError:
-        raise ValidationError(f"--seeds: expected 'a..b' or a comma list of integers, got {text!r}") from None
+        seeds = []
+    if not seeds:
+        raise ValidationError(f"--seeds: expected 'a..b' with a <= b or a comma list of integers, got {text!r}")
+    return seeds
 
 
 def cmd_compare(args) -> int:

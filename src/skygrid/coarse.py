@@ -19,6 +19,8 @@ import numpy as np
 from .geometry import Point3
 from .grid import AirspaceGrid, Face
 
+EXIT_INSET = 1.0  # m between a sampled exit point and the edges of its face region
+
 
 @dataclass(frozen=True)
 class SspParams:
@@ -181,15 +183,15 @@ def attraction_region(grid: AirspaceGrid, window: list[int], face: Face) -> Face
     )
 
 
-def select_exit_point(region: Face, rng: np.random.Generator, clearance: float = 1.0) -> Point3:
-    """Uniform sample inside the face region, inset from its edges.
+def select_exit_point(region: Face, rng: np.random.Generator) -> Point3:
+    """Uniform sample inside the face region, inset EXIT_INSET from its edges.
 
     The inset never exceeds half the region width, so zero-area regions
     collapse to their single point.
     """
 
     def sample(lo: float, hi: float) -> float:
-        inset = min(clearance, (hi - lo) / 2.0)
+        inset = min(EXIT_INSET, (hi - lo) / 2.0)
         a, b = lo + inset, hi - inset
         if a >= b:
             return (lo + hi) / 2.0

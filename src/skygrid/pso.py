@@ -41,6 +41,13 @@ class CostParams:
     k5: float = 100.0
     k6: float = 100.0
 
+    def __post_init__(self):
+        # 0 turns a term off; a negative weight would reward length or closeness.
+        for name in ("k3", "k4", "k5", "k6"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
 
 @dataclass
 class ConstraintParams:
@@ -334,7 +341,9 @@ def build_seed_population(
 
     The straight path is included even when it collides; its penalty removes
     it from contention while guaranteeing the optimal obstacle-free line is
-    never missed. Raises PlanningFailed only if every sampled plan fails.
+    never missed. A sampled plan fails when its planner cannot connect or its
+    smoothed path needs more than `count` points; raises PlanningFailed only
+    if every sampled plan fails.
     """
     rrt_params = rrt_params or RrtParams()
     swarm = swarm or SwarmParams()
@@ -344,13 +353,14 @@ def build_seed_population(
         for _ in range(n):
             try:
                 raw = planner(bounds, obstacles, start, goal, rrt_params, rng)
+                seeds.append(
+                    smooth_and_resample(raw, obstacles, count, smooth_window, sub_airspace)
+                )
             except PlanningFailed:
                 failures += 1
-                continue
-            seeds.append(
-                smooth_and_resample(raw, obstacles, count, smooth_window, sub_airspace)
-            )
     if failures == swarm.n_rrt + swarm.n_birrt and failures > 0:
-        raise PlanningFailed("every RRT and Bi-RRT attempt failed to connect")
+        raise PlanningFailed(
+            f"every RRT and Bi-RRT seed failed to connect or to fit {count} waypoints"
+        )
     seeds.append(straight_waypath(start, goal, count, sub_airspace))
     return seeds

@@ -20,12 +20,11 @@ from .sampling import (
     PlanningFailed,
     RrtParams,
     Waypath,
+    _smooth,
     birrt_plan,
     flatten_obstacles,
-    moving_average_smooth,
     point_free,
     segment_free,
-    shortcut,
 )
 
 
@@ -34,18 +33,17 @@ class RepairFailed(Exception):
     coarse re-plan."""
 
 
-def detect_conflicts(path: Waypath, ob: CuboidObstacle, margin: float = 0.0) -> set[int]:
+def detect_conflicts(path: Waypath, ob: CuboidObstacle) -> set[int]:
     """Waypoint indices in conflict with the obstacle.
 
-    A waypoint within `margin` of the obstacle conflicts directly. A segment
-    crossing the inflated obstacle with both endpoints clear flags both its
-    endpoints (the crossing is otherwise invisible at waypoint granularity);
-    a segment whose crossing is explained by a contained endpoint adds
-    nothing new.
+    A waypoint inside the obstacle conflicts directly. A segment crossing the
+    obstacle with both endpoints clear flags both its endpoints (the crossing
+    is otherwise invisible at waypoint granularity); a segment whose crossing
+    is explained by a contained endpoint adds nothing new.
     """
     if ob.kind is not ObstacleKind.SUDDEN:
         raise ValueError("conflict detection applies to sudden obstacles")
-    boxes = flatten_obstacles([ob], margin)
+    boxes = flatten_obstacles([ob])
     pts = path.waypoints
     contained = {j for j in range(len(pts)) if not point_free(pts[j], boxes)}
     conflicts = set(contained)
@@ -111,9 +109,6 @@ def repair(
     except PlanningFailed as exc:
         raise RepairFailed(str(exc)) from exc
 
-    detour = shortcut(np.asarray(raw, dtype=float), boxes)
-    detour = moving_average_smooth(detour, boxes, smooth_window)
-    detour = shortcut(detour, boxes)
-
+    detour = _smooth(raw, boxes, smooth_window)
     repaired = np.vstack([pts[: lo + 1], detour[1:-1], pts[hi:]])
     return Waypath(waypoints=repaired, sub_airspace=path.sub_airspace)

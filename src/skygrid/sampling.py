@@ -2,8 +2,9 @@
 
 RRT and Bi-RRT produce raw collision-free polylines between two boundary
 points; a shortcut + moving-average smoothing pass and a vertex-preserving
-arc-length resample bring them to a fixed waypoint count so they can feed
-the particle-swarm optimizer.
+resample bring them to a fixed waypoint count so they can feed the
+particle-swarm optimizer. A smoothed path with more vertices than that count
+is a planning failure.
 """
 
 from __future__ import annotations
@@ -425,26 +426,6 @@ def moving_average_smooth(path: np.ndarray, boxes: Boxes, window: int) -> np.nda
     return out
 
 
-def _merge_vertices(path: np.ndarray, boxes: Boxes, target: int) -> np.ndarray:
-    """Remove interior vertices (cheapest detour first) while bridges stay free."""
-    pts = [tuple(p) for p in path]
-    while len(pts) > target:
-        best_i = -1
-        best_gain = -1.0
-        for i in range(1, len(pts) - 1):
-            if not segment_free(pts[i - 1], pts[i + 1], boxes):
-                continue
-            gain = _dist(pts[i - 1], pts[i]) + _dist(pts[i], pts[i + 1]) - _dist(
-                pts[i - 1], pts[i + 1]
-            )
-            if best_i < 0 or gain < best_gain:
-                best_i, best_gain = i, gain
-        if best_i < 0:
-            break
-        del pts[best_i]
-    return np.array(pts)
-
-
 def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) -> np.ndarray:
     """Exactly `count` points along the polyline, preserving every vertex.
 
@@ -492,6 +473,13 @@ def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) 
     return np.array(out)
 
 
+def _smooth(raw, boxes: Boxes, window: int) -> np.ndarray:
+    """Shortcut, moving-average smooth, and shortcut again a raw planner path."""
+    path = shortcut(np.asarray(raw, dtype=float), boxes)
+    path = moving_average_smooth(path, boxes, window)
+    return shortcut(path, boxes)
+
+
 def smooth_and_resample(
     raw: np.ndarray,
     obstacles: Iterable[CuboidObstacle],
@@ -501,36 +489,15 @@ def smooth_and_resample(
 ) -> Waypath:
     """Shortcut, smooth, and resample a raw polyline to exactly `count` points.
 
-    Endpoints are preserved exactly and the result stays collision-free: every
-    transformation only ever replaces subchains with segments it has checked.
+    Endpoints and every vertex of the smoothed path are kept, and the result
+    stays collision-free: each step only replaces subchains with segments it
+    has checked. Raises PlanningFailed when the smoothed path has more than
+    `count` vertices.
     """
-    boxes = flatten_obstacles(obstacles)
-    path = shortcut(np.asarray(raw, dtype=float), boxes)
-    path = moving_average_smooth(path, boxes, smooth_window)
-    path = shortcut(path, boxes)
+    path = _smooth(raw, flatten_obstacles(obstacles), smooth_window)
     if len(path) > count:
-        path = _merge_vertices(path, boxes, count)
-    if len(path) > count:
-        # No collision-free merge left; fall back to plain arc-length spacing.
-        path = _arc_length_resample(path, count)
-    else:
-        path = resample_polyline(path, count)
-    return Waypath(waypoints=path, sub_airspace=sub_airspace)
-
-
-def _arc_length_resample(path: np.ndarray, count: int) -> np.ndarray:
-    lengths = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    targets = np.linspace(0.0, cum[-1], count)
-    out = np.empty((count, 3))
-    for k, t in enumerate(targets):
-        i = min(int(np.searchsorted(cum, t, side="right")) - 1, len(lengths) - 1)
-        seg = lengths[i]
-        frac = 0.0 if seg == 0 else (t - cum[i]) / seg
-        out[k] = path[i] * (1 - frac) + path[i + 1] * frac
-    out[0] = path[0]
-    out[-1] = path[-1]
-    return out
+        raise PlanningFailed(f"smoothed path keeps {len(path)} vertices, more than {count} waypoints")
+    return Waypath(waypoints=resample_polyline(path, count), sub_airspace=sub_airspace)
 
 
 def straight_waypath(

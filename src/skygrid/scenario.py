@@ -37,8 +37,8 @@ MAX_CELLS = 4096
 # Upper bounds of the inputs that size the planner's work and memory per cell
 # (4 to 200 times their defaults), and of those that size a run: the random
 # fleet (20 times the CLI's 50 UAVs), the random buildings (13 times the 75
-# by default) and the ticks (4 times the default), each of which logs one
-# report per airborne UAV.
+# by default), the explicit lists (the same 1000 entries each) and the ticks
+# (4 times the default), each of which logs one report per airborne UAV.
 UPPER_BOUNDS = {
     "rrt.max_iterations": 20_000,
     "swarm.max_iterations": 10_000,
@@ -46,6 +46,9 @@ UPPER_BOUNDS = {
     "smooth_window": 1000,
     "random_uavs.count": 1000,
     "random_obstacles.count": 1000,
+    "uavs": 1000,
+    "obstacles": 1000,
+    "injections": 1000,
     "max_ticks": 20_000,
 }
 
@@ -240,6 +243,18 @@ def _reject_unknown(cfg: dict, allowed: set[str], where: str) -> None:
         raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _entries(cfg: dict, key: str) -> list:
+    """The list under key (empty when absent or null), bounded in length before
+    any entry is parsed, or a ValidationError naming the key."""
+    value = cfg.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list")
+    _bounded(len(value), key)
+    return value
+
+
 def _section(cfg: dict, key: str) -> dict:
     value = cfg.get(key, {})
     if value is None:
@@ -396,26 +411,35 @@ def load_scenario(
 
     # Explicit obstacles; the random block fills in the default field when
     # neither is given.
-    obstacles: list[CuboidObstacle] = []
-    if "obstacles" in cfg and cfg["obstacles"] is not None:
-        if not isinstance(cfg["obstacles"], list):
-            raise ValidationError("obstacles must be a list")
-        for i, ob_cfg in enumerate(cfg["obstacles"]):
-            obstacles.append(_parse_obstacle(ob_cfg, i, ObstacleKind.STATIC, f"obstacles[{i}]"))
+    obstacles = [
+        _parse_obstacle(ob_cfg, i, ObstacleKind.STATIC, f"obstacles[{i}]")
+        for i, ob_cfg in enumerate(_entries(cfg, "obstacles"))
+    ]
 
     # Explicit UAVs.
     uavs: list[UavSpec] = []
-    if "uavs" in cfg and cfg["uavs"] is not None:
-        if not isinstance(cfg["uavs"], list):
-            raise ValidationError("uavs must be a list")
-        for i, u in enumerate(cfg["uavs"]):
-            _reject_unknown(u, {"id", "start", "goal", "speed"}, f"uavs[{i}]")
-            start = Point3(*_floats(u.get("start"), 3, f"uavs[{i}].start"))
-            goal = Point3(*_floats(u.get("goal"), 3, f"uavs[{i}].goal"))
-            speed = _scalar(u.get("speed", DEFAULT_SPEED), float, f"uavs[{i}].speed")
-            if speed <= 0:
-                raise ValidationError(f"uavs[{i}].speed must be positive")
-            uavs.append(UavSpec(id=str(u.get("id", f"uav{i}")), start=start, goal=goal, speed=speed))
+    for i, u in enumerate(_entries(cfg, "uavs")):
+        _reject_unknown(u, {"id", "start", "goal", "speed"}, f"uavs[{i}]")
+        start = Point3(*_floats(u.get("start"), 3, f"uavs[{i}].start"))
+        goal = Point3(*_floats(u.get("goal"), 3, f"uavs[{i}].goal"))
+        speed = _scalar(u.get("speed", DEFAULT_SPEED), float, f"uavs[{i}].speed")
+        if speed <= 0:
+            raise ValidationError(f"uavs[{i}].speed must be positive")
+        uavs.append(UavSpec(id=str(u.get("id", f"uav{i}")), start=start, goal=goal, speed=speed))
+
+    # Injections.
+    injections: list[tuple[int, CuboidObstacle]] = []
+    for i, inj in enumerate(_entries(cfg, "injections")):
+        _reject_unknown(inj, {"tick", "obstacle"}, f"injections[{i}]")
+        tick = _scalar(inj.get("tick", -1), int, f"injections[{i}].tick")
+        if tick < 0:
+            raise ValidationError(f"injections[{i}].tick must be >= 0")
+        ob = _parse_obstacle(
+            inj.get("obstacle", {}), i, ObstacleKind.SUDDEN, f"injections[{i}].obstacle"
+        )
+        if ob.kind is not ObstacleKind.SUDDEN:
+            raise ValidationError(f"injections[{i}].obstacle.kind must be sudden")
+        injections.append((tick, ob))
 
     want_random_obstacles = "random_obstacles" in cfg or (
         "obstacles" not in cfg and "random_obstacles" not in cfg
@@ -462,23 +486,6 @@ def load_scenario(
     if want_random_uavs:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0A7)))
         uavs = uavs + generate_uavs(grid, n_uavs, sep, speed, rng)
-
-    # Injections.
-    injections: list[tuple[int, CuboidObstacle]] = []
-    if "injections" in cfg and cfg["injections"] is not None:
-        if not isinstance(cfg["injections"], list):
-            raise ValidationError("injections must be a list")
-        for i, inj in enumerate(cfg["injections"]):
-            _reject_unknown(inj, {"tick", "obstacle"}, f"injections[{i}]")
-            tick = _scalar(inj.get("tick", -1), int, f"injections[{i}].tick")
-            if tick < 0:
-                raise ValidationError(f"injections[{i}].tick must be >= 0")
-            ob = _parse_obstacle(
-                inj.get("obstacle", {}), i, ObstacleKind.SUDDEN, f"injections[{i}].obstacle"
-            )
-            if ob.kind is not ObstacleKind.SUDDEN:
-                raise ValidationError(f"injections[{i}].obstacle.kind must be sudden")
-            injections.append((tick, ob))
 
     # Endpoint validation: inside the extent and collision-free.
     boxes = flatten_obstacles(obstacles)

@@ -167,6 +167,8 @@ class World:
         return c.obstacles + [ob for ob in self.injected if ob.overlaps(c.lo, c.hi)]
 
     def _coarse_plan(self, uav: UavState, current_cell: int) -> CoarsePlan:
+        """A coarse plan through current_cell: the takeoff cell, or the next
+        cell of the UAV's own plan."""
         goal_cell = self.grid.locate(uav.goal)
         if uav.coarse_plan is None:
             return plan_coarse(
@@ -263,13 +265,7 @@ class World:
 
     def _enter_cell(self, uav: UavState, cell: int, entry: Point3) -> None:
         """Coarse re-plan, exit-point choice, and fine plan on cell entry."""
-        plan = self._coarse_plan(uav, cell)
-        if cell not in plan.cells:
-            plan = plan_coarse(
-                self.grid, self.scenario.ssp, self.occupancy, cell,
-                self.grid.locate(uav.goal), self.obstacle_counts,
-            )
-        uav.coarse_plan = plan
+        plan = uav.coarse_plan = self._coarse_plan(uav, cell)
         try:
             # If fine planning cannot satisfy the constraints for one exit
             # point (e.g. an awkward corner draw), a fresh draw usually can;
@@ -436,8 +432,11 @@ class World:
         return self.metrics
 
 
-def run_scenario(scenario: Scenario, mode: Mode | str = Mode.SSP) -> SimMetrics:
-    """Run a complete scenario in the given mode and return its metrics."""
+def run_scenario(scenario: Scenario, mode: Mode | str | None = None) -> SimMetrics:
+    """Run a complete scenario in the given mode (by default its own) and
+    return its metrics."""
+    if mode is None:
+        mode = scenario.mode
     if isinstance(mode, str):
         mode = parse_mode(mode)
     world = World(scenario, mode)

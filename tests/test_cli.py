@@ -8,6 +8,7 @@ from skygrid import sim
 from skygrid.cli import main
 from skygrid.pso import NoFeasibleSeed
 from skygrid.replan import RepairFailed
+from skygrid.scenario import single_cell_scenario
 
 SMALL_SCENARIO = """\
 airspace: {extent: [200, 200, 50], cells: [1, 1, 1]}
@@ -136,6 +137,9 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("random_obstacles: {count: 1001}\n", "random_obstacles.count"),
         ("max_ticks: 20001\n", "max_ticks"),
         ("mode: Nope\n", "mode"),
+        ("cost: {k4: -1.0, k5: -100.0}\n", "cost: k4"),
+        ("cost: {k3: .nan}\n", "cost.k3"),
+        pytest.param("uavs: [" + "x, " * 1001 + "]\n", "uavs: at most 1000", id="uavs-1001"),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):
@@ -159,7 +163,7 @@ def test_exit_2_on_unknown_plan_sub_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: --mode")
 
 
-@pytest.mark.parametrize("seeds", ["1..x", "a,b", "1.5"])
+@pytest.mark.parametrize("seeds", ["1..x", "a,b", "1.5", "5..1", ","])
 def test_exit_2_on_bad_seeds(small_scenario, tmp_path, capsys, seeds):
     code = main(
         ["compare", "--scenario", small_scenario, "--seeds", seeds, "--out", str(tmp_path / "o")]
@@ -185,6 +189,19 @@ def test_exit_1_on_planning_failure(tmp_path):
     assert main(["plan", "--scenario", str(sealed), "--seed", "1", "--out", out]) == 1
     # Partial results are still written for post-mortem inspection.
     assert os.path.exists(os.path.join(out, "events.csv"))
+
+
+def test_exit_1_when_a_smoothed_path_needs_more_waypoints(tmp_path):
+    # The reference cell at 3 waypoints: this seed's RRT path keeps 4 vertices.
+    sc = single_cell_scenario()
+    sc.waypoints_per_cell = 3
+    sc.mode = "RrtOnly"
+    path = tmp_path / "ref3.yaml"
+    path.write_text(sc.to_yaml())
+    out = str(tmp_path / "out")
+    assert main(["plan", "--scenario", str(path), "--seed", "1", "--out", out]) == 1
+    with open(os.path.join(out, "events.csv")) as fh:
+        assert "fine_plan_failed" in fh.read()
 
 
 def test_exit_1_when_no_seed_is_feasible(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from skygrid.pso import (
     penalized_cost,
     trajectory_cost,
 )
-from skygrid.sampling import RrtParams, Waypath, straight_waypath
+from skygrid.sampling import PlanningFailed, RrtParams, Waypath, straight_waypath
 from skygrid.scenario import single_cell_scenario
 
 BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
@@ -207,3 +207,21 @@ def test_straight_seed_included_even_when_colliding(rng):
     straight = straight_waypath(START, GOAL, 10)
     assert any(np.allclose(s.waypoints, straight.waypoints) for s in seeds)
     assert feasibility_penalty(straight, CONSTRAINTS, CELL_OBS) > 0
+
+
+def test_seed_that_cannot_be_smoothed_to_count_is_a_failure():
+    # A 60 m thick wall leaves a 30 m gap at the far side of the cell: every
+    # path around it needs a vertex at each of its two far corners, so no
+    # smoothed path fits in 3 points.
+    wall = CuboidObstacle(anchor=Point3(70.0, 0.0, 0.0), len_x=60.0, len_y=170.0, len_z=50.0)
+    start, goal = Point3(10.0, 20.0, 10.0), Point3(190.0, 20.0, 10.0)
+    swarm = SwarmParams(n_rrt=2, n_birrt=2)
+    # Smoothing draws nothing, so both calls plan the same four raw paths.
+    seeds = build_seed_population(
+        BOUNDS, [wall], start, goal, np.random.default_rng(0), swarm=swarm, count=10
+    )
+    assert len(seeds) == 5
+    with pytest.raises(PlanningFailed, match="fit 3 waypoints"):
+        build_seed_population(
+            BOUNDS, [wall], start, goal, np.random.default_rng(0), swarm=swarm, count=3
+        )

@@ -41,13 +41,6 @@ def test_crossing_segment_flags_both_endpoints():
     assert detect_conflicts(path, ob) == {3, 4}
 
 
-def test_detection_margin_inflates_obstacle():
-    path = level_path()
-    ob = make_sudden((path.waypoints[5][0], path.waypoints[5][1] + 5.0, path.waypoints[5][2]))
-    assert detect_conflicts(path, ob, margin=0.0) == set()
-    assert 5 in detect_conflicts(path, ob, margin=4.0)
-
-
 def test_detection_requires_sudden_kind():
     static = CuboidObstacle(anchor=Point3(0, 0, 0), len_x=1, len_y=1, len_z=1)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import dense_sample_penetrates
 from skygrid.geometry import CuboidObstacle, Point3, path_is_collision_free
 from skygrid.sampling import (
+    DEFAULT_SMOOTH_WINDOW,
     PlanningFailed,
     RrtParams,
     Waypath,
@@ -169,14 +170,46 @@ def test_resample_rejects_too_many_vertices():
         resample_polyline(path, 1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_smooth_and_resample_contract(seed):
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=3, max_value=12),
+    planner=st.sampled_from([rrt_plan, birrt_plan]),
+)
+def test_smooth_and_resample_contract(seed, count, planner):
+    """Either `count` collision-free points through every smoothed vertex, or
+    PlanningFailed when those vertices do not fit in `count` points."""
     rng = np.random.default_rng(seed)
-    raw = birrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
-    wp = smooth_and_resample(raw, CELL_OBS, count=10, sub_airspace=1)
-    assert wp.count == 10
+    raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
+    boxes = flatten_obstacles(CELL_OBS)
+    smoothed = moving_average_smooth(shortcut(raw, boxes), boxes, DEFAULT_SMOOTH_WINDOW)
+    vertices = shortcut(smoothed, boxes)
+    if len(vertices) > count:
+        with pytest.raises(PlanningFailed, match=f"more than {count} waypoints"):
+            smooth_and_resample(raw, CELL_OBS, count=count, sub_airspace=1)
+        return
+    wp = smooth_and_resample(raw, CELL_OBS, count=count, sub_airspace=1)
+    assert wp.count == count
     assert np.allclose(wp.waypoints[0], START.as_array())
     assert np.allclose(wp.waypoints[-1], GOAL.as_array())
+    for v in vertices:
+        assert (np.linalg.norm(wp.waypoints - v, axis=1) < 1e-9).any()
     assert path_is_collision_free(wp.waypoints, CELL_OBS)
+    assert not dense_sample_penetrates(wp.waypoints, CELL_OBS)
     assert wp.length() <= np.linalg.norm(np.diff(raw, axis=0), axis=1).sum() + 1e-6
+
+
+cell_point = st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0), st.floats(0.0, 50.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(cell_point, min_size=3, max_size=15))
+def test_shortcut_neighbours_of_a_kept_vertex_never_see_each_other(points):
+    """Each kept vertex is the farthest one its predecessor sees, so no kept
+    vertex could be removed by bridging its two neighbours."""
+    boxes = flatten_obstacles(CELL_OBS)
+    path = np.array(points)
+    out = shortcut(path, boxes)
+    assert np.array_equal(out[0], path[0]) and np.array_equal(out[-1], path[-1])
+    for k in range(1, len(out) - 1):
+        assert not segment_free(out[k - 1], out[k + 1], boxes)

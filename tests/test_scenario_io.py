@@ -5,7 +5,7 @@ import pytest
 
 from skygrid.coarse import SspParams
 from skygrid.geometry import ObstacleKind
-from skygrid.pso import ConstraintParams, SwarmParams
+from skygrid.pso import ConstraintParams, CostParams, SwarmParams
 from skygrid import scenario as scenario_module
 from skygrid.sampling import RrtParams, flatten_obstacles, point_free
 from skygrid.scenario import (
@@ -180,6 +180,14 @@ def test_rejects_bad_parameter_values():
         ("max_ticks: 20001\n", "max_ticks"),
         ("mode: Nope\n", "mode"),
         ("mode: [SSP]\n", "mode"),
+        ("cost: {k4: -1.0, k5: -100.0}\nobstacles: []\n", "cost: k4"),
+        ("cost: {k6: -0.5}\nobstacles: []\n", "cost: k6"),
+        ("cost: {k3: .nan}\nobstacles: []\n", "cost.k3"),
+        ("cost: {k5: .inf}\nobstacles: []\n", "cost.k5"),
+        # 1001 malformed entries: the length is checked before any entry.
+        pytest.param("uavs: [" + "x, " * 1001 + "]\n", "uavs: at most 1000", id="uavs-1001"),
+        pytest.param("obstacles: [" + "x, " * 1001 + "]\n", "obstacles: at most 1000", id="obstacles-1001"),
+        pytest.param("injections: [" + "x, " * 1001 + "]\n", "injections: at most 1000", id="injections-1001"),
     ],
 )
 def test_malformed_values_name_their_key(text, key_path):
@@ -201,6 +209,9 @@ NAN, INF = float("nan"), float("inf")
         (RrtParams, {"step_size": NAN}),
         (ConstraintParams, {"l_max": NAN}),
         (ConstraintParams, {"ta_max": INF}),
+        (CostParams, {"k3": NAN}),
+        (CostParams, {"k4": INF}),
+        (CostParams, {"k6": NAN}),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
@@ -262,8 +273,12 @@ def test_run_sizes_at_their_upper_bounds_load(monkeypatch):
     monkeypatch.setattr(scenario_module, "generate_uavs", generate_uavs)
     sc = load_scenario(
         "random_uavs: {count: 1000}\nrandom_obstacles: {count: 1000}\nmax_ticks: 20000\n"
+        "obstacles: [" + "{anchor: [0, 0, 0], lengths: [1, 1, 1]}, " * 1000 + "]\n"
+        "uavs: [" + "{start: [10, 10, 10], goal: [900, 900, 100]}, " * 1000 + "]\n"
+        "injections: [" + "{tick: 5, obstacle: {anchor: [0, 0, 0], lengths: [1, 1, 1]}}, " * 1000 + "]\n"
     )
     assert sizes == {"obstacles": 1000, "uavs": 1000} and sc.max_ticks == 20000
+    assert (len(sc.obstacles), len(sc.uavs), len(sc.injections)) == (1000, 1000, 1000)
 
 
 def test_largest_grid_loads():
@@ -318,6 +333,8 @@ def test_section_values_take_their_field_types():
     assert sc.swarm.stall_tolerance == 1e-06 and type(sc.swarm.stall_tolerance) is float
     assert type(sc.rrt.step_size) is float
     assert load_scenario("rrt: {max_iterations: 300.0}\nobstacles: []\n").rrt.max_iterations == 300
+    # A cost weight of 0 turns its term off.
+    assert load_scenario("cost: {k3: 0, k6: 0}\nobstacles: []\n").cost == CostParams(k3=0.0, k6=0.0)
 
 
 def test_load_scenario_file(tmp_path):

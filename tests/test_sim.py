@@ -197,6 +197,27 @@ def test_mode_string_coercion_and_validation():
         run_scenario(empty_single_cell(), "NoSuchMode")
     with pytest.raises(ValidationError):
         World("not a scenario", Mode.SSP)
+    # Without a mode argument the scenario's own mode runs: RrtOnly optimizes nothing.
+    rrt_only = single_cell_scenario(seed=0)
+    rrt_only.mode = "RrtOnly"
+    assert run_scenario(rrt_only).convergence == []
+
+
+@pytest.mark.parametrize("mode", ["RrtOnly", "BirrtOnly"])
+def test_ablations_never_fly_through_a_building(mode):
+    """The reference cell at 3 waypoints, where most smoothed paths keep 4 or
+    more vertices: a run either arrives on a clear path or fails the cell."""
+    sc = single_cell_scenario()
+    sc.waypoints_per_cell = 3
+    sc.mode = mode
+    text = sc.to_yaml()
+    for seed in range(30):
+        sc = load_scenario(text, seed_override=seed)
+        metrics = run_scenario(sc, mode)
+        for path in metrics.executed:
+            assert not dense_sample_penetrates(path.waypoints, sc.obstacles), seed
+        failed = any(e["kind"] == "fine_plan_failed" for e in metrics.events)
+        assert (metrics.arrived == ["uav0"]) != failed, seed
 
 
 def test_no_sliding_window_plans_once():
