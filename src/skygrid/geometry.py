@@ -153,20 +153,27 @@ def points_to_cuboids_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarra
     """Batched clamp-to-box distances.
 
     points: (..., 3); lo, hi: (K, 3) stacked cuboid corners.
-    Returns distances of shape (..., K): sqrt((x² + y²) + z²) of the
-    per-axis gaps to the clamped point.
+    Returns distances of shape (..., K); see `box_distances`.
     """
-    total = None
-    for axis in range(3):
-        c = points[..., axis, None]  # (..., 1)
-        gap = np.maximum(c, lo[:, axis])
-        np.minimum(gap, hi[:, axis], out=gap)
-        np.subtract(gap, c, out=gap)
-        np.multiply(gap, gap, out=gap)
-        if total is None:
-            total = gap
-        else:
-            np.add(total, gap, out=total)
+    shape = (3,) + (1,) * (points.ndim - 1) + (len(lo),)
+    return box_distances(np.moveaxis(points, -1, 0), lo.T.reshape(shape), hi.T.reshape(shape))
+
+
+def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Clamp-to-box distances of axis-major points.
+
+    points: (3, ...); lo, hi: (3, 1, ..., 1, K), the box corners per axis
+    with one axis of length 1 for each trailing axis of points. Returns a
+    C-contiguous (..., K) array: sqrt((x² + y²) + z²) of the per-axis gaps
+    to the clamped point, 0 inside a box.
+    """
+    p = points[..., None]
+    gap = np.maximum(p, lo)
+    np.minimum(gap, hi, out=gap)
+    np.subtract(gap, p, out=gap)
+    np.multiply(gap, gap, out=gap)
+    total = gap[0] + gap[1]
+    np.add(total, gap[2], out=total)
     return np.sqrt(total, out=total)
 
 
@@ -201,32 +208,53 @@ def segments_intersect_cuboids(
     """
     if len(lo) == 0:
         return np.zeros(len(starts), dtype=bool)
-    # Axis-major layout (3, 2K, S): the K lower and K upper slab planes of
-    # every axis are divided in one pass over whole rows of segments, and the
-    # per-axis min/max folds are two plain calls.
-    k = len(lo)
-    planes = np.concatenate((lo - margin, hi + margin)).T[:, :, None]  # (3, 2K, 1)
-    a = np.ascontiguousarray(starts.T)[:, None, :]  # (3, 1, S)
-    d = np.ascontiguousarray((ends - starts).T)[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (planes - a) / d  # (3, 2K, S)
-    t0, t1 = t[:, :k], t[:, k:]
-    t_near = np.minimum(t0, t1)
-    t_far = np.maximum(t0, t1)
+        return slab_test(
+            np.ascontiguousarray(starts.T),
+            np.ascontiguousarray((ends - starts).T),
+            slab_planes(lo, hi, margin, 1),
+        )
+
+
+def slab_planes(lo: np.ndarray, hi: np.ndarray, margin: float, ndim: int) -> np.ndarray:
+    """The K lower and K upper planes per axis of the boxes (K, 3) inflated
+    by margin, as (3, 2K, 1, ..., 1) with ndim trailing axes for `slab_test`."""
+    planes = np.concatenate((lo - margin, hi + margin)).T
+    return planes.reshape(planes.shape + (1,) * ndim)
+
+
+def slab_test(starts: np.ndarray, deltas: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Slab test of axis-major segments against K boxes.
+
+    starts, deltas: (3, ...) segment starts and vectors; planes: the
+    (3, 2K, 1, ..., 1) output of `slab_planes`. Returns a boolean array of
+    the segments' shape: does the segment hit any of the boxes? Zero deltas
+    divide by zero; callers silence numpy's floating-point warnings.
+    """
+    # The K lower and K upper planes of every axis are divided in one pass
+    # over whole rows of segments.
+    k = planes.shape[1] // 2
+    a = starts[:, None]  # (3, 1, ...)
+    d = deltas[:, None]
+    t = (planes - a) / d  # (3, 2K, ...)
+    t_near = np.minimum(t[:, :k], t[:, k:])
+    t_far = np.maximum(t[:, :k], t[:, k:])
+    # The segment is the parameter interval [0, 1].
+    enter = np.maximum.reduce(t_near, 0, initial=0.0)  # (K, ...)
+    exit_ = np.minimum.reduce(t_far, 0, initial=1.0)
     # A degenerate axis (d == 0) divides to infinities that already decide
     # the box: -inf/+inf inside the slab, the same infinity twice outside it,
     # which rules the box out. Only a start exactly on one of that axis's
-    # planes gives 0/0 = NaN; then the explicit rule applies: inside iff
-    # lo <= a <= hi.
-    if np.isnan(t).any():
+    # planes gives 0/0 = NaN, which min and max carry into `enter`; then the
+    # explicit rule applies: inside iff lo <= a <= hi.
+    if np.isnan(enter).any():
         zero = d == 0
         inside = (a >= planes[:, :k]) & (a <= planes[:, k:])
         t_near = np.where(zero, np.where(inside, -np.inf, np.inf), t_near)
         t_far = np.where(zero, np.where(inside, np.inf, -np.inf), t_far)
-    enter = np.maximum(np.maximum(t_near[0], t_near[1]), t_near[2])  # (K, S)
-    exit_ = np.minimum(np.minimum(t_far[0], t_far[1]), t_far[2])
-    hit = (enter <= exit_) & (exit_ >= 0.0) & (enter <= 1.0)
-    return hit.any(axis=0)
+        enter = np.maximum.reduce(t_near, 0, initial=0.0)
+        exit_ = np.minimum.reduce(t_far, 0, initial=1.0)
+    return np.logical_or.reduce(enter <= exit_, 0)
 
 
 def path_is_collision_free(waypoints: np.ndarray, obstacles: Iterable[CuboidObstacle]) -> bool:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3, obstacle_arrays, points_to_cuboids_distance, segments_intersect_cuboids
+from .geometry import CuboidObstacle, ObstacleKind, Point3, box_distances, obstacle_arrays, slab_planes, slab_test
 from .sampling import (
     DEFAULT_SMOOTH_WINDOW,
     DEFAULT_WAYPOINT_COUNT,
@@ -93,105 +93,108 @@ class SwarmParams:
             raise ValueError("n_rrt + n_birrt must be >= 1: the swarm needs a sampled seed path")
 
 
-def _segments(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segment vectors (P, J-1, 3), their lengths (P, J-1) and the path
-    lengths (P,) of a (P, J, 3) batch."""
-    diffs = paths[:, 1:] - paths[:, :-1]
-    lengths = np.linalg.norm(diffs, axis=2)
-    return diffs, lengths, lengths.sum(axis=1)
+class _Scorer:
+    """The evaluation kernel of the swarm and of the single-path entry points,
+    with its per-call constants built once.
 
+    `cp` switches the cost on and `constraints` the constraint and collision
+    penalty; either part is left at 0 when its parameters are None.
+    """
 
-def _batch_cost(
-    paths: np.ndarray,
-    total_len: np.ndarray,
-    static_lo: np.ndarray,
-    static_hi: np.ndarray,
-    sudden_lo: np.ndarray,
-    sudden_hi: np.ndarray,
-    cp: CostParams,
-) -> np.ndarray:
-    """Clearance-plus-length cost for a (P, J, 3) batch of paths."""
-    cost = cp.k4 * total_len
-    for lo, hi, k in ((static_lo, static_hi, cp.k5), (sudden_lo, sudden_hi, cp.k6)):
-        if len(lo) == 0 or k == 0:
-            # No obstacles of this kind: the matching weight is forced to 0.
-            continue
-        dist_sum = points_to_cuboids_distance(paths, lo, hi).sum(axis=(1, 2))
-        with np.errstate(divide="ignore"):
-            term = cp.k3 * k / dist_sum
-        term = np.where(dist_sum == 0.0, np.inf, term)
-        cost = cost + term
-    return cost
+    def __init__(
+        self,
+        static: Sequence[CuboidObstacle],
+        sudden: Sequence[CuboidObstacle],
+        cp: Optional[CostParams],
+        constraints: Optional[ConstraintParams],
+    ):
+        self.k4 = cp.k4 if cp is not None else None
+        # (lo, hi, k3·k) of each obstacle kind whose clearance term is on;
+        # with no obstacles of a kind its weight is forced to 0.
+        self.clearance = []
+        if cp is not None:
+            for kind, k in ((static, cp.k5), (sudden, cp.k6)):
+                if kind and k != 0:
+                    lo, hi = obstacle_arrays(kind)
+                    shape = (3, 1, 1, len(kind))
+                    self.clearance.append((lo.T.reshape(shape), hi.T.reshape(shape), cp.k3 * k))
+        self.constraints = constraints
+        if constraints is not None:
+            self.bounds_lo = constraints.bounds_lo.reshape(3, 1, 1)
+            self.bounds_hi = constraints.bounds_hi.reshape(3, 1, 1)
+            lo, hi = obstacle_arrays([*static, *sudden])
+            self.planes = slab_planes(lo, hi, 0.0, 2) if len(lo) else None
 
+    def __call__(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cost and penalty of an axis-major (3, P, J) batch of paths."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._score(paths)
 
-def _batch_penalty(
-    paths: np.ndarray,
-    diffs: np.ndarray,
-    lengths: np.ndarray,
-    total_len: np.ndarray,
-    constraints: ConstraintParams,
-    all_lo: np.ndarray,
-    all_hi: np.ndarray,
-) -> np.ndarray:
-    """Constraint-violation and collision counts scaled by the penalty weight."""
-    n, j, _ = paths.shape
+    def _score(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = paths[:, :, 1:] - paths[:, :, :-1]  # (3, P, J-1) segment vectors
+        sq = d * d
+        h2 = sq[0] + sq[1]
+        # sqrt((dx² + dy²) + dz²): the order np.linalg.norm sums in.
+        lengths = np.sqrt(h2 + sq[2])  # (P, J-1)
+        total_len = np.add.reduce(lengths, 1)
 
-    # C1: per-segment length limit; C2: total length limit. Counts are
-    # integers, so their sum does not depend on the order of the terms.
-    violations = (lengths > constraints.l_max).sum(axis=1)
-    violations += total_len > constraints.L_max
+        cost = 0.0
+        if self.k4 is not None:
+            cost = self.k4 * total_len
+            for lo, hi, weight in self.clearance:
+                # A C-contiguous (P, J, K) sum, reduced in the order numpy
+                # reduces it; a summed clearance of exactly 0 costs +inf.
+                dist_sum = np.add.reduce(box_distances(paths, lo, hi), (1, 2))
+                term = weight / dist_sum
+                term[dist_sum == 0.0] = np.inf
+                cost = cost + term
 
-    # C3: turning angle between consecutive horizontal headings. Zero-norm
-    # horizontal projections (purely vertical segments) count as violations.
-    # A two-term sum rounds once, so these equal numpy's norm and sum.
-    hx = diffs[:, :, 0]
-    hy = diffs[:, :, 1]
-    hn = np.sqrt(hx * hx + hy * hy)
-    dot = hx[:, :-1] * hx[:, 1:] + hy[:, :-1] * hy[:, 1:]
-    denom = hn[:, :-1] * hn[:, 1:]
-    degenerate = denom == 0.0
-    any_degenerate = degenerate.any()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosang = np.minimum(np.maximum(dot / denom, -1.0), 1.0)
-    if any_degenerate:
-        cosang[degenerate] = 0.0
-    ta = np.degrees(np.arccos(cosang))
-    if any_degenerate:
-        ta[degenerate] = np.inf
-    violations += (ta > constraints.ta_max).sum(axis=1)
+        c = self.constraints
+        if c is None:
+            return cost, 0.0
+        # Per-segment violations: C1, the segment length limit; C4, the pitch
+        # angle, where a zero-length segment is a violation; a collision.
+        # Per-turn violations: C3, the angle between consecutive horizontal
+        # headings, where a purely vertical segment is a violation; C5-C7,
+        # an interior waypoint outside the cell box (endpoints are fixed
+        # boundary conditions on the cell faces). Counts are integers, so
+        # their sum does not depend on the order of the terms.
+        zero_len = lengths == 0.0
+        sinp = d[2] / lengths
+        np.maximum(sinp, -1.0, out=sinp)
+        np.minimum(sinp, 1.0, out=sinp)
+        pa = np.abs(np.degrees(np.arcsin(sinp)))
+        per_segment = np.add(lengths > c.l_max, (pa > c.pa_max) | zero_len, dtype=np.intp)
+        if self.planes is not None:
+            per_segment += slab_test(paths[:, :, :-1], d, self.planes)
 
-    # C4: pitch angle of each segment; zero-length segments are degenerate.
-    zero_len = lengths == 0.0
-    any_zero = zero_len.any()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinp = np.minimum(np.maximum(diffs[:, :, 2] / lengths, -1.0), 1.0)
-    if any_zero:
-        sinp[zero_len] = 0.0
-    pa = np.abs(np.degrees(np.arcsin(sinp)))
-    if any_zero:
-        pa[zero_len] = np.inf
-    violations += (pa > constraints.pa_max).sum(axis=1)
+        hx, hy = d[0], d[1]
+        hn = np.sqrt(h2)
+        dot = hx[:, :-1] * hx[:, 1:] + hy[:, :-1] * hy[:, 1:]
+        denom = hn[:, :-1] * hn[:, 1:]
+        cosang = dot / denom
+        np.maximum(cosang, -1.0, out=cosang)
+        np.minimum(cosang, 1.0, out=cosang)
+        ta = np.degrees(np.arccos(cosang))
+        interior = paths[:, :, 1:-1]
+        outside = np.logical_or.reduce((interior < self.bounds_lo) | (interior > self.bounds_hi), 0)
+        per_turn = np.add((ta > c.ta_max) | (denom == 0.0), outside, dtype=np.intp)
 
-    # C5-C7: interior waypoints must stay inside the cell box (endpoints are
-    # fixed boundary conditions on the cell faces).
-    interior = paths[:, 1:-1, :]
-    outside = (interior < constraints.bounds_lo) | (interior > constraints.bounds_hi)
-    violations += (outside[:, :, 0] | outside[:, :, 1] | outside[:, :, 2]).sum(axis=1)
-
-    # Colliding segments.
-    if len(all_lo):
-        flat_a = paths[:, :-1, :].reshape(-1, 3)
-        flat_b = paths[:, 1:, :].reshape(-1, 3)
-        hits = segments_intersect_cuboids(flat_a, flat_b, all_lo, all_hi, 0.0)
-        violations += hits.reshape(n, j - 1).sum(axis=1)
-
-    return VIOLATION_PENALTY * violations
+        # C2: the total length limit.
+        violations = np.add.reduce(per_segment, 1) + np.add.reduce(per_turn, 1)
+        violations += total_len > c.L_max
+        return cost, VIOLATION_PENALTY * violations
 
 
 def _split_obstacles(obstacles: Iterable[CuboidObstacle]):
     static = [o for o in obstacles if o.kind is ObstacleKind.STATIC]
     sudden = [o for o in obstacles if o.kind is ObstacleKind.SUDDEN]
     return static, sudden
+
+
+def _axis_major(path: Waypath) -> np.ndarray:
+    """One path as a (3, 1, J) batch."""
+    return path.waypoints.T[:, None, :]
 
 
 def trajectory_cost(
@@ -206,10 +209,7 @@ def trajectory_cost(
     every obstacle of the kind; a sum of exactly 0 (waypoint touching an
     obstacle) yields +inf.
     """
-    s_lo, s_hi = obstacle_arrays(static)
-    u_lo, u_hi = obstacle_arrays(sudden)
-    paths = path.waypoints[None, :, :]
-    return float(_batch_cost(paths, _segments(paths)[2], s_lo, s_hi, u_lo, u_hi, cp)[0])
+    return float(_Scorer(static, sudden, cp, None)(_axis_major(path))[0][0])
 
 
 def feasibility_penalty(
@@ -219,9 +219,8 @@ def feasibility_penalty(
 ) -> float:
     """0 when all constraints hold and no segment collides; otherwise
     VIOLATION_PENALTY per violated constraint or colliding segment."""
-    lo, hi = obstacle_arrays(obstacles)
-    paths = path.waypoints[None, :, :]
-    return float(_batch_penalty(paths, *_segments(paths), constraints, lo, hi)[0])
+    # Without a cost the obstacle kinds do not matter.
+    return float(_Scorer(obstacles, (), None, constraints)(_axis_major(path))[1][0])
 
 
 def penalized_cost(
@@ -230,10 +229,8 @@ def penalized_cost(
     cp: CostParams,
     constraints: ConstraintParams,
 ) -> float:
-    static, sudden = _split_obstacles(obstacles)
-    return trajectory_cost(path, static, sudden, cp) + feasibility_penalty(
-        path, constraints, obstacles
-    )
+    cost, penalty = _Scorer(*_split_obstacles(obstacles), cp, constraints)(_axis_major(path))
+    return float(cost[0]) + float(penalty[0])
 
 
 def optimize(
@@ -261,29 +258,27 @@ def optimize(
         ):
             raise ValueError("all seeds must share endpoints and waypoint count")
 
-    static, sudden = _split_obstacles(obstacles)
-    s_lo, s_hi = obstacle_arrays(static)
-    u_lo, u_hi = obstacle_arrays(sudden)
-    all_lo, all_hi = obstacle_arrays(obstacles)
+    score = _Scorer(*_split_obstacles(obstacles), cp, constraints)
     sub = seeds[0].sub_airspace
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        n = len(x)
-        paths = np.empty((n, j, 3))
-        paths[:, 0, :] = first
-        paths[:, -1, :] = last
-        paths[:, 1:-1, :] = x
-        diffs, lengths, total_len = _segments(paths)
-        return _batch_cost(paths, total_len, s_lo, s_hi, u_lo, u_hi, cp) + _batch_penalty(
-            paths, diffs, lengths, total_len, constraints, all_lo, all_hi
-        )
-
+    # The kernel's axis-major (3, P, J) paths: the fixed endpoint columns are
+    # written once, the interior columns from x on every evaluation.
     x = np.stack([s.waypoints[1:-1] for s in seeds])  # (P, J-2, 3)
+    paths = np.empty((3, len(seeds), j))
+    paths[:, :, 0] = first[:, None]
+    paths[:, :, -1] = last[:, None]
+    interior = paths[:, :, 1:-1]
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        np.copyto(interior, x.transpose(2, 0, 1))
+        cost, penalty = score(paths)
+        return cost + penalty
+
     v = np.zeros_like(x)
     cost = evaluate(x)
     pbest = x.copy()
     pbest_cost = cost.copy()
-    g_idx = int(np.argmin(pbest_cost))
+    g_idx = int(pbest_cost.argmin())
     gbest = pbest[g_idx].copy()
     gbest_cost = float(pbest_cost[g_idx])
     history = [gbest_cost]
@@ -295,15 +290,15 @@ def optimize(
         v = params.inertia * v + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
         np.maximum(v, -params.v_max, out=v)
         np.minimum(v, params.v_max, out=v)
-        x = x + v
+        x += v
         np.maximum(x, constraints.bounds_lo, out=x)
         np.minimum(x, constraints.bounds_hi, out=x)
         cost = evaluate(x)
 
         improved = cost < pbest_cost
-        pbest[improved] = x[improved]
-        pbest_cost[improved] = cost[improved]
-        g_idx = int(np.argmin(pbest_cost))
+        np.copyto(pbest, x, where=improved[:, None, None])
+        np.copyto(pbest_cost, cost, where=improved)
+        g_idx = int(pbest_cost.argmin())
         if pbest_cost[g_idx] < gbest_cost - params.stall_tolerance:
             stall = 0
         else:

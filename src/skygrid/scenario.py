@@ -415,6 +415,8 @@ def load_scenario(
         _parse_obstacle(ob_cfg, i, ObstacleKind.STATIC, f"obstacles[{i}]")
         for i, ob_cfg in enumerate(_entries(cfg, "obstacles"))
     ]
+    # Random obstacles are added to this grid's list once they are generated.
+    grid = AirspaceGrid(extent=extent, counts=counts, obstacles=obstacles)
 
     # Explicit UAVs.
     uavs: list[UavSpec] = []
@@ -425,6 +427,8 @@ def load_scenario(
         speed = _scalar(u.get("speed", DEFAULT_SPEED), float, f"uavs[{i}].speed")
         if speed <= 0:
             raise ValidationError(f"uavs[{i}].speed must be positive")
+        if start == goal:
+            raise ValidationError(f"uavs[{i}]: start equals goal [{start.x}, {start.y}, {start.z}]")
         uavs.append(UavSpec(id=str(u.get("id", f"uav{i}")), start=start, goal=goal, speed=speed))
 
     # Injections.
@@ -439,6 +443,11 @@ def load_scenario(
         )
         if ob.kind is not ObstacleKind.SUDDEN:
             raise ValidationError(f"injections[{i}].obstacle.kind must be sudden")
+        # The alert is tagged with the cell holding the centre.
+        try:
+            grid.locate(ob.center)
+        except OutOfAirspace as exc:
+            raise ValidationError(f"injections[{i}].obstacle: centre outside the airspace: {exc}") from exc
         injections.append((tick, ob))
 
     want_random_obstacles = "random_obstacles" in cfg or (
@@ -479,9 +488,7 @@ def load_scenario(
     if want_random_obstacles:
         keep_clear = [p for u in uavs for p in (u.start, u.goal)]
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0B5)))
-        obstacles = obstacles + generate_obstacles(extent, n_obstacles, hr, fr, keep_clear, rng)
-
-    grid = AirspaceGrid(extent=extent, counts=counts, obstacles=obstacles)
+        obstacles.extend(generate_obstacles(extent, n_obstacles, hr, fr, keep_clear, rng))
 
     if want_random_uavs:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0A7)))

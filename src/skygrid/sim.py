@@ -32,7 +32,7 @@ from .coarse import (
     sliding_window_replan,
 )
 from .geometry import CuboidObstacle, ObstacleKind, Point3
-from .grid import AirspaceGrid
+from .grid import AirspaceGrid, OutOfAirspace
 from .pso import ConstraintParams, build_seed_population, feasibility_penalty, optimize
 from .replan import RepairFailed, repair, should_replan
 from .sampling import (
@@ -293,9 +293,14 @@ class World:
     def inject_sudden_obstacle(self, ob: CuboidObstacle, tick: int) -> None:
         if ob.kind is not ObstacleKind.SUDDEN:
             raise ValidationError("injected obstacles must be sudden")
+        # The alert is tagged with the cell holding the centre.
+        try:
+            cell = self.grid.locate(ob.center)
+        except OutOfAirspace as exc:
+            raise ValidationError(f"injected obstacle's centre outside the airspace: {exc}") from exc
         broadcast_sudden_obstacle(self.bus, ob, self.grid, tick)
         self.injected.append(ob)
-        self._log("sudden_obstacle", "ground-station", cell=self.grid.locate(ob.center))
+        self._log("sudden_obstacle", "ground-station", cell=cell)
         for uav in self.uavs:
             if uav.phase is not UavPhase.FLYING or uav.active_waypath is None:
                 continue

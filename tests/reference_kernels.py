@@ -4,11 +4,14 @@ The collision kernels in `skygrid.sampling` and `skygrid.geometry`, the tree
 planners `rrt_plan`/`birrt_plan` (per-draw RNG calls, `einsum` nearest-node
 ranking), the clearance kernel `points_to_cuboids_distance`, the coarse
 search `skygrid.coarse.plan_coarse`, `AirspaceGrid.locate`/`neighbors`, the
-resampling `resample_polyline`/`straight_waypath` (small-array numpy) and the
-simulation's `World._advance` were rewritten to give the same results with
+resampling `resample_polyline`/`straight_waypath` (small-array numpy), the
+simulation's `World._advance` and the swarm's scoring `_segments`,
+`_batch_cost`, `_batch_penalty` and `optimize` (per-call numpy over
+particle-major (P, J, 3) paths) were rewritten to give the same results with
 less per-call overhead. `test_kernel_exactness.py`,
-`test_coarse_exactness.py` and `test_bookkeeping_exactness.py` compare them
-with these copies, which must stay as they are.
+`test_coarse_exactness.py`, `test_bookkeeping_exactness.py` and
+`test_swarm_exactness.py` compare them with these copies, which must stay as
+they are.
 """
 
 import heapq
@@ -16,8 +19,10 @@ import math
 
 import numpy as np
 
+from skygrid.geometry import ObstacleKind, obstacle_arrays
 from skygrid.grid import OutOfAirspace
-from skygrid.sampling import PlanningFailed, flatten_obstacles, point_free
+from skygrid.pso import NoFeasibleSeed
+from skygrid.sampling import PlanningFailed, Waypath, flatten_obstacles, point_free
 
 
 def segment_free(a, b, boxes) -> bool:
@@ -322,3 +327,172 @@ def advance(world, uav, distance):
             world._log("plan_exhausted", uav.id, cell=uav.current_cell)
             return
         world._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))
+
+
+# -- the swarm's scoring; geometry goes through the frozen kernels above ------
+
+VIOLATION_PENALTY = 1.0e6
+
+
+def _segments(paths):
+    """Segment vectors (P, J-1, 3), their lengths (P, J-1) and the path
+    lengths (P,) of a (P, J, 3) batch."""
+    diffs = paths[:, 1:] - paths[:, :-1]
+    lengths = np.linalg.norm(diffs, axis=2)
+    return diffs, lengths, lengths.sum(axis=1)
+
+
+def _batch_cost(paths, total_len, static_lo, static_hi, sudden_lo, sudden_hi, cp):
+    """Clearance-plus-length cost for a (P, J, 3) batch of paths."""
+    cost = cp.k4 * total_len
+    for lo, hi, k in ((static_lo, static_hi, cp.k5), (sudden_lo, sudden_hi, cp.k6)):
+        if len(lo) == 0 or k == 0:
+            # No obstacles of this kind: the matching weight is forced to 0.
+            continue
+        dist_sum = points_to_cuboids_distance(paths, lo, hi).sum(axis=(1, 2))
+        with np.errstate(divide="ignore"):
+            term = cp.k3 * k / dist_sum
+        term = np.where(dist_sum == 0.0, np.inf, term)
+        cost = cost + term
+    return cost
+
+
+def _batch_penalty(paths, diffs, lengths, total_len, constraints, all_lo, all_hi):
+    """Constraint-violation and collision counts scaled by the penalty weight."""
+    n, j, _ = paths.shape
+
+    # C1: per-segment length limit; C2: total length limit. Counts are
+    # integers, so their sum does not depend on the order of the terms.
+    violations = (lengths > constraints.l_max).sum(axis=1)
+    violations += total_len > constraints.L_max
+
+    # C3: turning angle between consecutive horizontal headings. Zero-norm
+    # horizontal projections (purely vertical segments) count as violations.
+    # A two-term sum rounds once, so these equal numpy's norm and sum.
+    hx = diffs[:, :, 0]
+    hy = diffs[:, :, 1]
+    hn = np.sqrt(hx * hx + hy * hy)
+    dot = hx[:, :-1] * hx[:, 1:] + hy[:, :-1] * hy[:, 1:]
+    denom = hn[:, :-1] * hn[:, 1:]
+    degenerate = denom == 0.0
+    any_degenerate = degenerate.any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosang = np.minimum(np.maximum(dot / denom, -1.0), 1.0)
+    if any_degenerate:
+        cosang[degenerate] = 0.0
+    ta = np.degrees(np.arccos(cosang))
+    if any_degenerate:
+        ta[degenerate] = np.inf
+    violations += (ta > constraints.ta_max).sum(axis=1)
+
+    # C4: pitch angle of each segment; zero-length segments are degenerate.
+    zero_len = lengths == 0.0
+    any_zero = zero_len.any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinp = np.minimum(np.maximum(diffs[:, :, 2] / lengths, -1.0), 1.0)
+    if any_zero:
+        sinp[zero_len] = 0.0
+    pa = np.abs(np.degrees(np.arcsin(sinp)))
+    if any_zero:
+        pa[zero_len] = np.inf
+    violations += (pa > constraints.pa_max).sum(axis=1)
+
+    # C5-C7: interior waypoints must stay inside the cell box (endpoints are
+    # fixed boundary conditions on the cell faces).
+    interior = paths[:, 1:-1, :]
+    outside = (interior < constraints.bounds_lo) | (interior > constraints.bounds_hi)
+    violations += (outside[:, :, 0] | outside[:, :, 1] | outside[:, :, 2]).sum(axis=1)
+
+    # Colliding segments.
+    if len(all_lo):
+        flat_a = paths[:, :-1, :].reshape(-1, 3)
+        flat_b = paths[:, 1:, :].reshape(-1, 3)
+        hits = segments_intersect_cuboids(flat_a, flat_b, all_lo, all_hi, 0.0)
+        violations += hits.reshape(n, j - 1).sum(axis=1)
+
+    return VIOLATION_PENALTY * violations
+
+
+def _split_obstacles(obstacles):
+    static = [o for o in obstacles if o.kind is ObstacleKind.STATIC]
+    sudden = [o for o in obstacles if o.kind is ObstacleKind.SUDDEN]
+    return static, sudden
+
+
+def optimize(seeds, obstacles, cp, constraints, params, rng):
+    """Returns (best Waypath, history)."""
+    if not seeds:
+        raise ValueError("seed population is empty")
+    j = seeds[0].count
+    first = seeds[0].waypoints[0].copy()
+    last = seeds[0].waypoints[-1].copy()
+    for s in seeds:
+        if s.count != j or not np.array_equal(s.waypoints[0], first) or not np.array_equal(
+            s.waypoints[-1], last
+        ):
+            raise ValueError("all seeds must share endpoints and waypoint count")
+
+    static, sudden = _split_obstacles(obstacles)
+    s_lo, s_hi = obstacle_arrays(static)
+    u_lo, u_hi = obstacle_arrays(sudden)
+    all_lo, all_hi = obstacle_arrays(obstacles)
+    sub = seeds[0].sub_airspace
+
+    def evaluate(x):
+        n = len(x)
+        paths = np.empty((n, j, 3))
+        paths[:, 0, :] = first
+        paths[:, -1, :] = last
+        paths[:, 1:-1, :] = x
+        diffs, lengths, total_len = _segments(paths)
+        return _batch_cost(paths, total_len, s_lo, s_hi, u_lo, u_hi, cp) + _batch_penalty(
+            paths, diffs, lengths, total_len, constraints, all_lo, all_hi
+        )
+
+    x = np.stack([s.waypoints[1:-1] for s in seeds])  # (P, J-2, 3)
+    v = np.zeros_like(x)
+    cost = evaluate(x)
+    pbest = x.copy()
+    pbest_cost = cost.copy()
+    g_idx = int(np.argmin(pbest_cost))
+    gbest = pbest[g_idx].copy()
+    gbest_cost = float(pbest_cost[g_idx])
+    history = [gbest_cost]
+    stall = 0
+
+    for _ in range(params.max_iterations):
+        r1 = rng.random(x.shape)
+        r2 = rng.random(x.shape)
+        v = params.inertia * v + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
+        np.maximum(v, -params.v_max, out=v)
+        np.minimum(v, params.v_max, out=v)
+        x = x + v
+        np.maximum(x, constraints.bounds_lo, out=x)
+        np.minimum(x, constraints.bounds_hi, out=x)
+        cost = evaluate(x)
+
+        improved = cost < pbest_cost
+        pbest[improved] = x[improved]
+        pbest_cost[improved] = cost[improved]
+        g_idx = int(np.argmin(pbest_cost))
+        if pbest_cost[g_idx] < gbest_cost - params.stall_tolerance:
+            stall = 0
+        else:
+            stall += 1
+        if pbest_cost[g_idx] < gbest_cost:
+            gbest = pbest[g_idx].copy()
+            gbest_cost = float(pbest_cost[g_idx])
+        history.append(gbest_cost)
+        if stall >= params.stall_iterations:
+            break
+
+    if not np.isfinite(gbest_cost):
+        raise NoFeasibleSeed("no particle reached a finite penalized cost")
+
+    best_path = np.empty((j, 3))
+    best_path[0] = first
+    best_path[-1] = last
+    best_path[1:-1] = gbest
+    return Waypath(waypoints=best_path, sub_airspace=sub), history
+
+

@@ -140,6 +140,20 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("cost: {k4: -1.0, k5: -100.0}\n", "cost: k4"),
         ("cost: {k3: .nan}\n", "cost.k3"),
         pytest.param("uavs: [" + "x, " * 1001 + "]\n", "uavs: at most 1000", id="uavs-1001"),
+        pytest.param(
+            "airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}\n"
+            "uavs: [{start: [10, 100, 10], goal: [390, 100, 10]}]\n"
+            "injections: [{tick: 3, obstacle: {anchor: [195, 95, 45], lengths: [12, 12, 12]}}]\n",
+            "injections[0].obstacle", id="injection-above-the-top",
+        ),
+        pytest.param(
+            "injections: [{tick: 3, obstacle: {anchor: [1500, 95, 45], lengths: [12, 12, 12]}}]\n",
+            "injections[0].obstacle", id="injection-beyond-x",
+        ),
+        pytest.param(
+            "obstacles: []\nuavs: [{start: [50, 100, 10], goal: [50, 100, 10]}]\n",
+            "uavs[0]", id="start-equals-goal",
+        ),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):

@@ -302,6 +302,39 @@ def test_injections_parsed_as_sudden():
         )
 
 
+ABOVE_THE_TOP = (
+    "airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}\n"
+    "uavs:\n  - {start: [10, 100, 10], goal: [390, 100, 10]}\n"
+    "injections: [{tick: 3, obstacle: {anchor: [%s], lengths: [12, 12, 12]}}]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "anchor,message",
+    [
+        ("195, 95, 45", "coordinate 51.0 outside [0, 50.0] on axis 2"),
+        ("500, 95, 10", "coordinate 506.0 outside [0, 400.0] on axis 0"),
+    ],
+)
+def test_rejects_injection_centred_outside_the_airspace(anchor, message):
+    with pytest.raises(ValidationError, match=re.escape(f"injections[0].obstacle: centre outside the airspace: {message}")):
+        load_scenario(ABOVE_THE_TOP % anchor)
+
+
+def test_injection_centred_on_the_airspace_top_loads():
+    """A box poking out of the airspace is fine while its centre is inside."""
+    sc = load_scenario(ABOVE_THE_TOP % "195, 95, 44")
+    assert sc.injections[0][1].center.z == 50.0
+
+
+def test_rejects_uav_whose_start_equals_its_goal():
+    with pytest.raises(ValidationError, match=re.escape("uavs[1]: start equals goal [50.0, 100.0, 10.0]")):
+        load_scenario(
+            "obstacles: []\nuavs:\n  - {start: [10, 100, 10], goal: [390, 100, 10]}\n"
+            "  - {start: [50, 100, 10], goal: [50, 100, 10.0]}\n"
+        )
+
+
 # -- overrides and roundtrip -------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import dense_sample_penetrates, make_sudden
 from skygrid import sim
 from skygrid.adsb import OccupancyReport, PositionReport
-from skygrid.geometry import Point3, path_is_collision_free
+from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, path_is_collision_free
 from skygrid.pso import NoFeasibleSeed, feasibility_penalty
 from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
 from skygrid.sim import Mode, UavPhase, World, run_scenario
@@ -278,6 +278,23 @@ def test_injection_via_scenario_schedule():
     metrics = run_scenario(sc2, Mode.SSP)
     assert metrics.arrived == ["uav0"]
     assert any(e["kind"] == "sudden_obstacle" for e in metrics.events)
+
+
+@pytest.mark.parametrize("anchor", [(195.0, 95.0, 45.0), (500.0, 95.0, 10.0)])
+def test_injection_centred_outside_the_airspace_is_rejected_before_any_effect(anchor):
+    """The alert is tagged with the cell of the centre: outside the airspace
+    there is none, so nothing is published, logged or recorded."""
+    sc = single_cell_scenario(seed=1)
+    world = World(sc, Mode.SSP)
+    while world.tick < 3:
+        world.step()
+    log, events = len(world.bus.log), len(world.metrics.events)
+    path = world.uavs[0].active_waypath
+    ob = CuboidObstacle(Point3(*anchor), 12.0, 12.0, 12.0, kind=ObstacleKind.SUDDEN)
+    with pytest.raises(ValidationError, match="centre outside the airspace"):
+        world.inject_sudden_obstacle(ob, world.tick)
+    assert (len(world.bus.log), len(world.metrics.events)) == (log, events)
+    assert world.injected == [] and world.uavs[0].active_waypath is path
 
 
 # -- planner failures --------------------------------------------------------
