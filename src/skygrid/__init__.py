@@ -33,7 +33,7 @@ from .pso import (
     optimize,
     trajectory_cost,
 )
-from .replan import RepairFailed, detect_conflicts, repair, should_replan
+from .replan import RepairFailed, detect_conflicts, repair
 from .sampling import PlanningFailed, RrtParams, Waypath, birrt_plan, rrt_plan, smooth_and_resample
 from .scenario import ParseError, Scenario, UavSpec, ValidationError, load_scenario, single_cell_scenario
 from .sim import Mode, SimMetrics, UavPhase, World, run_scenario

@@ -56,11 +56,6 @@ def detect_conflicts(path: Waypath, ob: CuboidObstacle) -> set[int]:
     return conflicts
 
 
-def should_replan(path: Waypath, next_waypoint_index: int, ob: CuboidObstacle) -> bool:
-    """True iff a conflict lies on the not-yet-flown part of the trajectory."""
-    return any(j >= next_waypoint_index for j in detect_conflicts(path, ob))
-
-
 def repair(
     path: Waypath,
     ob: CuboidObstacle,

@@ -34,7 +34,7 @@ from .coarse import (
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, OutOfAirspace
 from .pso import ConstraintParams, build_seed_population, feasibility_penalty, optimize
-from .replan import RepairFailed, repair, should_replan
+from .replan import RepairFailed, detect_conflicts, repair
 from .sampling import (
     PlanningFailed,
     Waypath,
@@ -63,6 +63,7 @@ class UavState:
     id: str
     position: np.ndarray
     goal: Point3
+    goal_cell: int
     speed: float = 5.0
     takeoff_tick: int = 0
     phase: UavPhase = UavPhase.PLANNING
@@ -143,6 +144,7 @@ class World:
                     id=spec.id,
                     position=spec.start.as_array(),
                     goal=spec.goal,
+                    goal_cell=self.grid.locate(spec.goal),
                     speed=spec.speed,
                     takeoff_tick=i * scenario.stagger,
                     rng=np.random.default_rng(streams[i]),
@@ -169,17 +171,16 @@ class World:
     def _coarse_plan(self, uav: UavState, current_cell: int) -> CoarsePlan:
         """A coarse plan through current_cell: the takeoff cell, or the next
         cell of the UAV's own plan."""
-        goal_cell = self.grid.locate(uav.goal)
         if uav.coarse_plan is None:
             return plan_coarse(
-                self.grid, self.scenario.ssp, self.occupancy, current_cell, goal_cell,
+                self.grid, self.scenario.ssp, self.occupancy, current_cell, uav.goal_cell,
                 self.obstacle_counts,
             )
         if self.mode is Mode.NO_SLIDING_WINDOW:
             return uav.coarse_plan
         return sliding_window_replan(
             self.grid, self.scenario.ssp, self.occupancy, uav.coarse_plan,
-            current_cell, goal_cell, self.obstacle_counts,
+            current_cell, uav.goal_cell, self.obstacle_counts,
         )
 
     def _exit_point(self, uav: UavState, plan: CoarsePlan, cell: int, entry: Point3) -> Optional[Point3]:
@@ -199,7 +200,7 @@ class World:
         # when possible: zigzagging cannot make up much horizontal run under
         # the turn-angle limit, so such targets are usually unreachable.
         pa_max = math.radians(self.scenario.constraint_limits["pa_max"])
-        goal_next = uav.goal if nxt == self.grid.locate(uav.goal) else None
+        goal_next = uav.goal if nxt == uav.goal_cell else None
 
         def too_steep(a: Point3, b: Point3) -> bool:
             rise = abs(b.z - a.z)
@@ -231,6 +232,15 @@ class World:
             planner = rrt_plan if self.mode is Mode.RRT_ONLY else birrt_plan
             raw = planner(bounds, obstacles, entry, target, self.scenario.rrt, uav.rng)
             return smooth_and_resample(raw, obstacles, count, smooth_window, cell)
+
+        # No path of `count` waypoints within the length limits spans more
+        # than `reach`; the slack keeps rounding from deciding.
+        reach = min((count - 1) * constraints.l_max, constraints.L_max)
+        distance = math.dist(entry.as_array(), target.as_array())
+        if distance > reach * (1.0 + 1e-9):
+            raise PlanningFailed(
+                f"entry to target is {distance:.3f} m, more than {count} waypoints span ({reach:.3f} m)"
+            )
 
         # Obstacle-free cell: the straight line is the exact optimum of the
         # clearance-free cost, so the seed/PSO machinery is skipped when it
@@ -282,66 +292,59 @@ class World:
             uav.phase = UavPhase.FAILED
             self._log("fine_plan_failed", uav.id, cell=cell, reason=str(exc))
             return
-        uav.active_waypath = waypath
-        uav.next_waypoint_index = 1
         uav.current_cell = cell
-        self.metrics.executed.append(ExecutedPath(uav.id, cell, waypath.waypoints.copy()))
-        self._log("cell_entered", uav.id, cell=cell)
+        self._commit(uav, waypath, 1, "cell_entered")
+
+    def _commit(self, uav: UavState, waypath: Waypath, next_index: int, event: str) -> None:
+        """Install a route in the UAV's current cell, record it and log why."""
+        uav.active_waypath = waypath
+        uav.next_waypoint_index = next_index
+        self.metrics.executed.append(ExecutedPath(uav.id, uav.current_cell, waypath.waypoints.copy()))
+        self._log(event, uav.id, cell=uav.current_cell)
 
     # -- sudden obstacles ---------------------------------------------------
 
     def inject_sudden_obstacle(self, ob: CuboidObstacle, tick: int) -> None:
         if ob.kind is not ObstacleKind.SUDDEN:
             raise ValidationError("injected obstacles must be sudden")
-        # The alert is tagged with the cell holding the centre.
         try:
-            cell = self.grid.locate(ob.center)
+            msg = broadcast_sudden_obstacle(self.bus, ob, self.grid, tick)
         except OutOfAirspace as exc:
             raise ValidationError(f"injected obstacle's centre outside the airspace: {exc}") from exc
-        broadcast_sudden_obstacle(self.bus, ob, self.grid, tick)
         self.injected.append(ob)
-        self._log("sudden_obstacle", "ground-station", cell=cell)
+        self._log("sudden_obstacle", "ground-station", cell=msg.payload.sub_airspace)
         for uav in self.uavs:
-            if uav.phase is not UavPhase.FLYING or uav.active_waypath is None:
+            if uav.phase is not UavPhase.FLYING:
                 continue
-            if not should_replan(uav.active_waypath, uav.next_waypoint_index, ob):
+            # Only the route ahead of the UAV is checked, so an obstacle behind it is ignored.
+            wp, nxt, cell = uav.active_waypath.waypoints, uav.next_waypoint_index, uav.current_cell
+            ahead = Waypath(np.vstack([uav.position, wp[nxt:]]), cell)
+            if not detect_conflicts(ahead, ob):
                 continue
-            constraints = self._cell(uav.current_cell).constraints
-            obstacles = [o for o in self._cell_obstacles(uav.current_cell) if o is not ob]
+            obstacles = [o for o in self._cell_obstacles(cell) if o is not ob]
             try:
-                old = uav.active_waypath.waypoints
-                repaired = repair(
-                    uav.active_waypath, ob, obstacles, constraints, uav.rng,
+                route = repair(
+                    ahead, ob, obstacles, self._cell(cell).constraints, uav.rng,
                     self.scenario.rrt, self.scenario.smooth_window,
-                )
-                # If bracket widening removed the current target waypoint,
-                # retarget the first spliced-in point.
-                k = 0
-                limit = min(len(old), len(repaired.waypoints))
-                while k < limit and np.array_equal(old[k], repaired.waypoints[k]):
-                    k += 1
-                uav.active_waypath = repaired
-                uav.next_waypoint_index = min(uav.next_waypoint_index, max(k, 1))
-                self.metrics.executed.append(
-                    ExecutedPath(uav.id, uav.current_cell, repaired.waypoints.copy())
-                )
-                self._log("repair", uav.id, cell=uav.current_cell)
+                ).waypoints
             except RepairFailed:
                 # Escalate: re-plan the rest of the cell from the current position.
-                self._log("repair_failed", uav.id, cell=uav.current_cell)
+                self._log("repair_failed", uav.id, cell=cell)
                 try:
-                    target = Point3.from_array(uav.active_waypath.waypoints[-1])
-                    uav.active_waypath = self._fine_plan(
-                        uav, uav.current_cell, Point3.from_array(uav.position), target
-                    )
-                    uav.next_waypoint_index = 1
-                    self.metrics.executed.append(
-                        ExecutedPath(uav.id, uav.current_cell, uav.active_waypath.waypoints.copy())
-                    )
-                    self._log("cell_replanned", uav.id, cell=uav.current_cell)
+                    entry, target = Point3.from_array(uav.position), Point3.from_array(wp[-1])
+                    self._commit(uav, self._fine_plan(uav, cell, entry, target), 1, "cell_replanned")
                 except PlanningFailed as exc:
                     uav.phase = UavPhase.FAILED
-                    self._log("replan_failed", uav.id, cell=uav.current_cell, reason=str(exc))
+                    self._log("replan_failed", uav.id, cell=cell, reason=str(exc))
+                continue
+            if np.array_equal(route[1], wp[nxt]):
+                # The detour leaves after the position, a point of the leg being flown.
+                head, route, target = wp[:nxt], route[1:], nxt
+            else:
+                # The detour leaves from the position, which becomes a vertex (held once).
+                keep = nxt - 1 if np.array_equal(uav.position, wp[nxt - 1]) else nxt
+                head, target = wp[:keep], keep + 1
+            self._commit(uav, Waypath(np.vstack([head, route]), cell), target, "repair")
 
     # -- time stepping ------------------------------------------------------
 
@@ -383,8 +386,7 @@ class World:
                 uav.next_waypoint_index += 1
                 continue
             # End of the cell's waypath: either arrived or crossing a face.
-            goal_cell = self.grid.locate(uav.goal)
-            if uav.current_cell == goal_cell and np.allclose(uav.position, uav.goal.as_array()):
+            if uav.current_cell == uav.goal_cell and np.allclose(uav.position, uav.goal.as_array()):
                 uav.phase = UavPhase.ARRIVED
                 self._log("arrived", uav.id, cell=uav.current_cell)
                 return

@@ -4,7 +4,7 @@ import pytest
 from conftest import dense_sample_penetrates, make_sudden
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import ConstraintParams
-from skygrid.replan import RepairFailed, detect_conflicts, repair, should_replan
+from skygrid.replan import RepairFailed, detect_conflicts, repair
 from skygrid.sampling import Waypath, straight_waypath
 from skygrid.scenario import single_cell_scenario
 
@@ -23,7 +23,6 @@ def test_no_conflicts_when_far():
     path = level_path()
     ob = make_sudden((100.0, 150.0, 40.0))
     assert detect_conflicts(path, ob) == set()
-    assert not should_replan(path, 0, ob)
 
 
 def test_contained_waypoint_flags_only_itself():
@@ -45,14 +44,6 @@ def test_detection_requires_sudden_kind():
     static = CuboidObstacle(anchor=Point3(0, 0, 0), len_x=1, len_y=1, len_z=1)
     with pytest.raises(ValueError):
         detect_conflicts(level_path(), static)
-
-
-def test_should_replan_ignores_flown_prefix():
-    path = level_path()
-    ob = make_sudden(path.waypoints[3])
-    assert should_replan(path, 2, ob)
-    assert should_replan(path, 3, ob)
-    assert not should_replan(path, 4, ob)
 
 
 # -- repair ------------------------------------------------------------------

@@ -53,6 +53,27 @@ def test_random_obstacles_avoid_uav_endpoints():
         assert point_free((u.goal.x, u.goal.y, u.goal.z), boxes)
 
 
+def test_unplaceable_random_field_gives_up_within_one_budget(monkeypatch):
+    """Every footprint covers the UAV's endpoints, so no building can be
+    placed: the field's one budget, linear in the count, runs out and the
+    input is rejected after at most 10 * 1000 + 100 placements."""
+    placements = []
+    real = scenario_module.flatten_obstacles
+
+    def flatten(obstacles, margin=0.0):
+        placements.append(1)
+        return real(obstacles, margin)
+
+    monkeypatch.setattr(scenario_module, "flatten_obstacles", flatten)
+    with pytest.raises(ValidationError, match="could not place random obstacles"):
+        load_scenario(
+            "airspace: {extent: [30, 30, 30], cells: [1, 1, 1]}\n"
+            "uavs:\n  - {start: [15, 15, 15], goal: [16, 16, 16]}\n"
+            "random_obstacles: {count: 1000, footprint_range: [25, 30]}\n"
+        )
+    assert len(placements) == 10 * 1000 + 100
+
+
 def test_explicit_obstacles_suppress_random_generation():
     sc = load_scenario(
         "obstacles:\n"

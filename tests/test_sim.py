@@ -1,9 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import dense_sample_penetrates, make_sudden
 from skygrid import sim
 from skygrid.adsb import OccupancyReport, PositionReport
+from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, path_is_collision_free
 from skygrid.pso import NoFeasibleSeed, feasibility_penalty
 from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
@@ -255,6 +259,137 @@ def test_injected_obstacle_triggers_repair_and_arrival():
         assert not dense_sample_penetrates(ex.waypoints, list(sc.obstacles) + [ob])
 
 
+def test_only_the_route_ahead_triggers_a_repair():
+    """A cube on the waypoint just passed is ignored; one on the target or
+    the waypoint after it is repaired around."""
+    sc = empty_single_cell(seed=1)
+    world = World(sc, Mode.SSP)
+    for _ in range(10):
+        world.step()
+    uav = world.uavs[0]
+    nxt = uav.next_waypoint_index
+    assert np.linalg.norm(uav.position - uav.active_waypath.waypoints[nxt - 1]) > 2.0
+    for offset, repaired in ((-1, False), (0, True), (1, True)):
+        trial = copy.deepcopy(world)
+        path = trial.uavs[0].active_waypath
+        trial.inject_sudden_obstacle(make_sudden(path.waypoints[nxt + offset], side=2.0), trial.tick)
+        assert any(e["kind"] == "repair" for e in trial.metrics.events) is repaired, offset
+        assert (trial.uavs[0].active_waypath is path) is not repaired, offset
+
+
+# Reference-cell runs (seed, ticks flown) in which a 4 m cube 3 m behind the
+# UAV, and one 4 m ahead of it, both lie on the segment being flown.
+PROBE_CASES = [(2, 3), (4, 3), (5, 9), (5, 12), (14, 6), (15, 12)]
+
+
+def _flying(seed, ticks):
+    """The reference cell's UAV after `ticks` ticks, with the unit direction
+    of the segment it is flying."""
+    world = World(single_cell_scenario(seed=seed), Mode.SSP)
+    while world.tick < ticks:
+        world.step()
+    uav = world.uavs[0]
+    assert uav.phase is UavPhase.FLYING
+    wp, nxt = uav.active_waypath.waypoints, uav.next_waypoint_index
+    d = wp[nxt] - wp[nxt - 1]
+    return world, uav, d / np.linalg.norm(d)
+
+
+def _route_ahead(uav):
+    return np.vstack([uav.position, uav.active_waypath.waypoints[uav.next_waypoint_index:]])
+
+
+@pytest.mark.parametrize("seed,ticks", PROBE_CASES)
+def test_cube_just_behind_the_uav_is_ignored(seed, ticks):
+    world, uav, u = _flying(seed, ticks)
+    path, nxt = uav.active_waypath, uav.next_waypoint_index
+    world.inject_sudden_obstacle(make_sudden(uav.position - 3.0 * u, side=4.0), world.tick)
+    assert world.metrics.events[-1]["kind"] == "sudden_obstacle"
+    assert uav.active_waypath is path and uav.next_waypoint_index == nxt
+
+
+@pytest.mark.parametrize("seed,ticks", PROBE_CASES)
+def test_repair_around_a_cube_just_ahead_flies_a_clear_leg(seed, ticks):
+    """The leg from the position to the new target and the rest of the route
+    miss the cube and the buildings (dense sampling, not the slab test)."""
+    world, uav, u = _flying(seed, ticks)
+    flown = uav.active_waypath.waypoints[: uav.next_waypoint_index].copy()
+    ob = make_sudden(uav.position + 4.0 * u, side=4.0)
+    world.inject_sudden_obstacle(ob, world.tick)
+    assert world.metrics.events[-1]["kind"] == "repair"
+    assert not dense_sample_penetrates(_route_ahead(uav), list(world.scenario.obstacles) + [ob])
+    # The flown part of the route is kept as it was.
+    assert np.array_equal(uav.active_waypath.waypoints[: len(flown)], flown)
+
+
+def _position_on_route(uav):
+    """The position lies on the leg the recorded route flies next."""
+    wp, nxt = uav.active_waypath.waypoints, uav.next_waypoint_index
+    a, b = wp[nxt - 1], wp[nxt]
+    t = np.clip(np.dot(uav.position - a, b - a) / np.dot(b - a, b - a), 0.0, 1.0)
+    return np.linalg.norm(a + t * (b - a) - uav.position) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def probe_worlds():
+    return {case: _flying(*case)[0] for case in PROBE_CASES}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(PROBE_CASES),
+    where=st.floats(0.0, 1.0),
+    side=st.floats(1.0, 10.0),
+)
+def test_repair_keeps_the_route_ahead_clear_wherever_the_cube_lands(probe_worlds, case, where, side):
+    """A cube anywhere on the cell's route: one clear of the route ahead
+    changes nothing; otherwise the UAV flies on from its position along a
+    recorded route that misses the cube and the buildings."""
+    world = copy.deepcopy(probe_worlds[case])
+    uav = world.uavs[0]
+    path, nxt = uav.active_waypath, uav.next_waypoint_index
+    wp = path.waypoints
+    # The point at arc-length fraction `where` of the cell's route.
+    lengths = np.linalg.norm(np.diff(wp, axis=0), axis=1)
+    s = where * lengths.sum()
+    k = min(int(np.searchsorted(np.cumsum(lengths), s)), len(lengths) - 1)
+    centre = wp[k] + (wp[k + 1] - wp[k]) * ((s - lengths[:k].sum()) / lengths[k])
+    ob = make_sudden(centre, side=side)
+    grown = make_sudden(centre, side=side + 1.0)
+    assume(not dense_sample_penetrates([uav.position, uav.position], [grown]))
+    ahead = _route_ahead(uav)
+    world.inject_sudden_obstacle(ob, world.tick)
+    if not dense_sample_penetrates(ahead, [grown]):
+        assert uav.active_waypath is path and uav.next_waypoint_index == nxt
+    if uav.phase is UavPhase.FLYING:
+        assert _position_on_route(uav)
+        assert not dense_sample_penetrates(_route_ahead(uav), list(world.scenario.obstacles) + [ob])
+        assert np.array_equal(uav.active_waypath.waypoints[: nxt - 1], wp[: nxt - 1])
+
+
+def test_repair_from_a_uav_stopped_on_a_vertex_records_no_zero_length_segment():
+    """A UAV stopped exactly on a waypoint: the detour leaves from that
+    waypoint, which the recorded route then holds once."""
+    sc = empty_single_cell(seed=1)
+    planned = World(sc, Mode.SSP)
+    planned.step()
+    wp = planned.uavs[0].active_waypath.waypoints
+    # One tick whose step just reaches waypoint 1; the float residue is far
+    # below the advance loop's 1e-9 m cut-off.
+    world = World(sc, Mode.SSP)
+    world.step(float(np.linalg.norm(wp[1] - wp[0])) / sc.uavs[0].speed * (1 + 1e-14))
+    uav = world.uavs[0]
+    assert np.array_equal(uav.position, wp[1]) and uav.next_waypoint_index == 2
+    ob = make_sudden((wp[1] + wp[2]) / 2, side=6.0)
+    world.inject_sudden_obstacle(ob, world.tick)
+    assert world.metrics.events[-1]["kind"] == "repair"
+    new = uav.active_waypath.waypoints
+    assert np.array_equal(new[:2], wp[:2]) and uav.next_waypoint_index == 2
+    assert np.all(np.linalg.norm(np.diff(new, axis=0), axis=1) > 0.0)
+    assert np.array_equal(world.metrics.executed[-1].waypoints, new)
+    assert not dense_sample_penetrates(_route_ahead(uav), [ob])
+
+
 def test_obstacle_behind_uav_is_ignored():
     sc = empty_single_cell(seed=1)
     world = World(sc, Mode.SSP)
@@ -328,3 +463,27 @@ def test_fine_plan_retries_after_no_feasible_seed(monkeypatch):
     metrics = run_scenario(single_cell_scenario(seed=0), Mode.SSP)
     assert metrics.arrived == ["uav0"]
     assert len(calls) == 2
+
+
+def test_fine_plan_fails_at_once_when_the_cell_is_too_long_for_its_waypoints(monkeypatch):
+    """Reference cell entry to goal is 184.4 m; 5 waypoints span at most
+    4 x 40 m, so no seed is planned and no RRT call is made."""
+    calls = []
+    monkeypatch.setattr(pso, "rrt_plan", lambda *args: calls.append(1))
+    sc = single_cell_scenario(seed=0)
+    sc.waypoints_per_cell = 5
+    metrics = run_scenario(sc, Mode.SSP)
+    assert metrics.failed == ["uav0"] and calls == []
+    [event] = metrics.events
+    assert event["kind"] == "fine_plan_failed"
+    assert "184.391 m" in event["reason"] and "160.000 m" in event["reason"]
+
+
+def test_fine_plan_length_check_leaves_the_ablations_alone(monkeypatch):
+    calls = []
+    real = sim.rrt_plan
+    monkeypatch.setattr(sim, "rrt_plan", lambda *args: calls.append(1) or real(*args))
+    sc = single_cell_scenario(seed=0)
+    sc.waypoints_per_cell = 5
+    run_scenario(sc, Mode.RRT_ONLY)
+    assert calls
