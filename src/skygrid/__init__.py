@@ -9,19 +9,7 @@ sudden-obstacle alerts driving in-flight repair.
 
 from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert, aggregate_occupancy, broadcast_sudden_obstacle
 from .coarse import CoarsePlan, SspParams, attraction_region, node_cost, plan_coarse, select_exit_point, sliding_window_replan
-from .geometry import (
-    CuboidObstacle,
-    DegenerateSegment,
-    ObstacleKind,
-    Point3,
-    SegmentDelta,
-    pitch_angle,
-    point_to_cuboid_distance,
-    segment_delta,
-    segment_intersects_cuboid,
-    segment_length,
-    turn_angle,
-)
+from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, Face, NotAdjacent, OutOfAirspace
 from .pso import (
     ConstraintParams,

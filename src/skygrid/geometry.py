@@ -1,7 +1,7 @@
-"""Geometric primitives: points, cuboid obstacles, angles, and collision tests.
+"""Geometric primitives: points, cuboid obstacles, and collision tests.
 
-All distances are in meters, angles in degrees. Every function here is a
-pure function of its arguments.
+All distances are in meters. Every function here is a pure function of its
+arguments.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-class DegenerateSegment(Exception):
-    """Raised when an angle is requested for a segment with no usable direction."""
 
 
 class ObstacleKind(Enum):
@@ -41,15 +37,6 @@ class Point3:
     @staticmethod
     def from_array(a) -> "Point3":
         return Point3(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
-class SegmentDelta:
-    """Componentwise difference between two consecutive waypoints."""
-
-    qx: float
-    qy: float
-    qz: float
 
 
 @dataclass(frozen=True)
@@ -83,14 +70,6 @@ class CuboidObstacle:
             (x0, y0, z0, x0 + float(self.len_x), y0 + float(self.len_y), z0 + float(self.len_z)),
         )
 
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array(self.box[:3])
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array(self.box[3:])
-
     def overlaps(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
         """True iff the volume overlaps the box [lo, hi] (open-interval overlap)."""
         x0, y0, z0, x1, y1, z1 = self.box
@@ -100,55 +79,11 @@ class CuboidObstacle:
 
     @property
     def center(self) -> Point3:
-        c = (self.lo + self.hi) / 2.0
-        return Point3.from_array(c)
+        x0, y0, z0, x1, y1, z1 = self.box
+        return Point3((x0 + x1) / 2.0, (y0 + y1) / 2.0, (z0 + z1) / 2.0)
 
 
-def segment_delta(a: Point3, b: Point3) -> SegmentDelta:
-    """Vector from waypoint a to waypoint b."""
-    return SegmentDelta(b.x - a.x, b.y - a.y, b.z - a.z)
-
-
-def segment_length(d: SegmentDelta) -> float:
-    """Euclidean length of a segment delta."""
-    return math.sqrt(d.qx * d.qx + d.qy * d.qy + d.qz * d.qz)
-
-
-def turn_angle(prev: SegmentDelta, nxt: SegmentDelta) -> float:
-    """Angle in [0, 180] degrees between the horizontal projections of two segments.
-
-    Raises DegenerateSegment for purely vertical segments (no horizontal
-    heading to compare); callers treat that as a constraint violation.
-    """
-    na = math.hypot(prev.qx, prev.qy)
-    nb = math.hypot(nxt.qx, nxt.qy)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateSegment("purely vertical segment has no horizontal heading")
-    dot = (prev.qx * nxt.qx + prev.qy * nxt.qy) / (na * nb)
-    dot = max(-1.0, min(1.0, dot))
-    return math.degrees(math.acos(dot))
-
-
-def pitch_angle(d: SegmentDelta) -> float:
-    """Climb angle in [-90, 90] degrees of a single segment."""
-    length = segment_length(d)
-    if length == 0.0:
-        raise DegenerateSegment("zero-length segment has no pitch")
-    s = max(-1.0, min(1.0, d.qz / length))
-    return math.degrees(math.asin(s))
-
-
-def point_to_cuboid_distance(p: Point3, ob: CuboidObstacle) -> float:
-    """Distance from a point to the nearest point of the cuboid (0 if inside).
-
-    Clamping the point to the box collapses the per-region case analysis into
-    one formula.
-    """
-    q = p.as_array()
-    clamped = np.clip(q, ob.lo, ob.hi)
-    return float(np.linalg.norm(q - clamped))
-
-
+# Not called by the planner; perfbench's span table (tracing.SPANS) looks it up by name.
 def points_to_cuboids_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Batched clamp-to-box distances.
 
@@ -177,24 +112,7 @@ def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.sqrt(total, out=total)
 
 
-def segment_intersects_cuboid(a: Point3, b: Point3, ob: CuboidObstacle, margin: float = 0.0) -> bool:
-    """True iff segment a-b comes within `margin` of the cuboid.
-
-    Slab test against the cuboid inflated by `margin` on every face.
-    """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return bool(
-        segments_intersect_cuboids(
-            a.as_array()[None, :],
-            b.as_array()[None, :],
-            ob.lo[None, :],
-            ob.hi[None, :],
-            margin,
-        )[0]
-    )
-
-
+# Not called by the planner; perfbench's span table (tracing.SPANS) looks it up by name.
 def segments_intersect_cuboids(
     starts: np.ndarray,
     ends: np.ndarray,
@@ -212,14 +130,14 @@ def segments_intersect_cuboids(
         return slab_test(
             np.ascontiguousarray(starts.T),
             np.ascontiguousarray((ends - starts).T),
-            slab_planes(lo, hi, margin, 1),
+            slab_planes(lo - margin, hi + margin, 1),
         )
 
 
-def slab_planes(lo: np.ndarray, hi: np.ndarray, margin: float, ndim: int) -> np.ndarray:
-    """The K lower and K upper planes per axis of the boxes (K, 3) inflated
-    by margin, as (3, 2K, 1, ..., 1) with ndim trailing axes for `slab_test`."""
-    planes = np.concatenate((lo - margin, hi + margin)).T
+def slab_planes(lo: np.ndarray, hi: np.ndarray, ndim: int) -> np.ndarray:
+    """The K lower and K upper planes per axis of the boxes (K, 3), as
+    (3, 2K, 1, ..., 1) with ndim trailing axes for `slab_test`."""
+    planes = np.concatenate((lo, hi)).T
     return planes.reshape(planes.shape + (1,) * ndim)
 
 
@@ -255,15 +173,6 @@ def slab_test(starts: np.ndarray, deltas: np.ndarray, planes: np.ndarray) -> np.
         enter = np.maximum.reduce(t_near, 0, initial=0.0)
         exit_ = np.minimum.reduce(t_far, 0, initial=1.0)
     return np.logical_or.reduce(enter <= exit_, 0)
-
-
-def path_is_collision_free(waypoints: np.ndarray, obstacles: Iterable[CuboidObstacle]) -> bool:
-    """Check every consecutive segment of a waypoint array against all obstacles."""
-    lo, hi = obstacle_arrays(obstacles)
-    if not len(lo) or len(waypoints) < 2:
-        return True
-    hits = segments_intersect_cuboids(waypoints[:-1], waypoints[1:], lo, hi)
-    return not bool(hits.any())
 
 
 def obstacle_arrays(obstacles: Iterable[CuboidObstacle]) -> tuple[np.ndarray, np.ndarray]:

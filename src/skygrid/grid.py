@@ -103,11 +103,6 @@ class AirspaceGrid:
                 raise OutOfAirspace(f"coordinate {coord} outside [0, {self.extent[i]}] on axis {i}")
             int(coord // self.cell_size[i])  # ValueError for NaN
 
-    def neighbors(self, cell: int) -> set[int]:
-        """Face-adjacent (6-connected) cells within bounds."""
-        self.cell_coords(cell)  # range check
-        return set(self.adjacency[cell])
-
     def _face_neighbors(self, cell: int) -> tuple[int, ...]:
         ix, iy, iz = self.cell_coords(cell)
         out = []
@@ -132,16 +127,15 @@ class AirspaceGrid:
         v_range = (ca[v_axis] * size[v_axis], (ca[v_axis] + 1) * size[v_axis])
         return Face(axis, plane, u_axis, v_axis, u_range, v_range)
 
-    def static_obstacle_count(self, cell: int) -> int:
-        """Static obstacles whose volume overlaps the cell (open-interval overlap)."""
-        lo, hi = (b.tolist() for b in self.cell_bounds(cell))
-        return sum(
-            1 for ob in self.obstacles if ob.kind is ObstacleKind.STATIC and ob.overlaps(lo, hi)
-        )
-
     def static_obstacle_counts(self) -> np.ndarray:
-        """Per-cell static obstacle counts, index 0 = cell 1."""
-        return np.array([self.static_obstacle_count(c) for c in range(1, self.n_cells + 1)])
+        """Per-cell counts of the static obstacles whose volume overlaps the
+        cell (open-interval overlap), index 0 = cell 1."""
+        static = [ob for ob in self.obstacles if ob.kind is ObstacleKind.STATIC]
+        counts = []
+        for cell in range(1, self.n_cells + 1):
+            lo, hi = (b.tolist() for b in self.cell_bounds(cell))
+            counts.append(sum(1 for ob in static if ob.overlaps(lo, hi)))
+        return np.array(counts)
 
     def obstacles_in_cell(self, cell: int) -> list[CuboidObstacle]:
         """Obstacles (any kind) overlapping the cell box (open-interval overlap)."""

@@ -12,7 +12,7 @@ import json
 import os
 from typing import Iterable
 
-from .adsb import OccupancyReport, PositionReport, SuddenObstacleAlert
+from .adsb import OccupancyReport, PositionReport
 from .sim import SimMetrics
 
 
@@ -71,24 +71,20 @@ def adsb_rows(bus_log) -> list[list]:
         elif isinstance(p, OccupancyReport):
             detail = "counts=" + "|".join(str(c) for c in p.counts)
             kind = "occupancy"
-        elif isinstance(p, SuddenObstacleAlert):
+        else:  # SuddenObstacleAlert, the last of the three Payload types
             ob = p.obstacle
             detail = (
                 f"cell={p.sub_airspace};anchor={ob.anchor.x:.3f},{ob.anchor.y:.3f},"
                 f"{ob.anchor.z:.3f};lengths={ob.len_x:.3f},{ob.len_y:.3f},{ob.len_z:.3f}"
             )
             kind = "sudden_obstacle"
-        else:
-            detail = ""
-            kind = type(p).__name__
         rows.append([msg.tick, msg.sender, kind, detail])
     return rows
 
 
-def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=None) -> list[str]:
-    """Write all result tables into out_dir; returns the written base names."""
+def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=None) -> None:
+    """Write all result tables into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
 
     write_table(
         os.path.join(out_dir, "waypoints"),
@@ -96,7 +92,6 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
         waypoint_rows(metrics),
         fmt,
     )
-    written.append("waypoints")
 
     write_table(
         os.path.join(out_dir, "occupancy"),
@@ -104,7 +99,6 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
         [[i + 1, int(c)] for i, c in enumerate(metrics.max_occupancy)],
         fmt,
     )
-    written.append("occupancy")
 
     conv_rows = []
     for run_id, history in metrics.convergence:
@@ -113,7 +107,6 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
     write_table(
         os.path.join(out_dir, "convergence"), ["run_id", "iteration", "cost"], conv_rows, fmt
     )
-    written.append("convergence")
 
     length_rows = [
         [uav_id, float(length), uav_id in metrics.arrived]
@@ -122,7 +115,6 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
     write_table(
         os.path.join(out_dir, "lengths"), ["uav_id", "length_m", "arrived"], length_rows, fmt
     )
-    written.append("lengths")
 
     if bus_log is not None:
         write_table(
@@ -131,7 +123,6 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
             adsb_rows(bus_log),
             fmt,
         )
-        written.append("adsb_log")
 
     write_table(
         os.path.join(out_dir, "events"),
@@ -147,8 +138,6 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
         ],
         fmt,
     )
-    written.append("events")
-    return written
 
 
 def emit_comparison(rows: list[dict], out_dir: str, fmt: str = "csv") -> None:

@@ -123,7 +123,7 @@ class _Scorer:
             self.bounds_lo = constraints.bounds_lo.reshape(3, 1, 1)
             self.bounds_hi = constraints.bounds_hi.reshape(3, 1, 1)
             lo, hi = obstacle_arrays([*static, *sudden])
-            self.planes = slab_planes(lo, hi, 0.0, 2) if len(lo) else None
+            self.planes = slab_planes(lo, hi, 2) if len(lo) else None
 
     def __call__(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cost and penalty of an axis-major (3, P, J) batch of paths."""

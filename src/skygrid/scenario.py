@@ -307,16 +307,26 @@ def generate_uavs(
     cells apart (L1 distance of cell coordinates)."""
     boxes = flatten_obstacles(grid.obstacles, margin=1.0)
     out: list[UavSpec] = []
+    # One budget of endpoint draws for the whole fleet. The default fleet, the
+    # golden cases and the benchmark's scenarios draw at most 6 * count + 20.
+    budget = 1000 * count + 10000
+    draws = 0
 
     def free_point() -> Point3:
-        for _ in range(10000):
+        nonlocal draws
+        while True:
+            draws += 1
+            if draws > budget:
+                raise ValidationError(
+                    f"random_uavs: could not sample {count} collision-free start/goal pairs"
+                    f" {min_cell_separation} cells apart within {budget} draws"
+                )
             p = tuple(float(rng.uniform(0.0, grid.extent[i])) for i in range(3))
             if point_free(p, boxes):
                 return Point3(*p)
-        raise ValidationError("could not sample a collision-free UAV endpoint")
 
     for i in range(count):
-        for _ in range(10000):
+        while True:
             start = free_point()
             goal = free_point()
             cs = grid.cell_coords(grid.locate(start))
@@ -324,8 +334,6 @@ def generate_uavs(
             if sum(abs(a - b) for a, b in zip(cs, cg)) >= min_cell_separation:
                 out.append(UavSpec(id=f"uav{i}", start=start, goal=goal, speed=speed))
                 break
-        else:
-            raise ValidationError("could not sample start/goal pair with required separation")
     return out
 
 

@@ -1,3 +1,10 @@
+"""Shared fixtures and the independent oracles the tests check the planner
+against: angles and lengths, clamp distance, dense-sampling collision and
+exhaustive coarse search. They share no code with the planner's kernels."""
+
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -15,14 +22,78 @@ def reference_obstacle():
     return CuboidObstacle(anchor=Point3(2.0, 2.0, 0.0), len_x=2.0, len_y=3.0, len_z=4.0)
 
 
+# -- angle and length oracle ---------------------------------------------------
+
+
+class DegenerateSegment(Exception):
+    """Raised when an angle is requested for a segment with no usable direction."""
+
+
+@dataclass(frozen=True)
+class SegmentDelta:
+    """Componentwise difference between two consecutive waypoints."""
+
+    qx: float
+    qy: float
+    qz: float
+
+
+def segment_delta(a: Point3, b: Point3) -> SegmentDelta:
+    """Vector from waypoint a to waypoint b."""
+    return SegmentDelta(b.x - a.x, b.y - a.y, b.z - a.z)
+
+
+def segment_length(d: SegmentDelta) -> float:
+    """Euclidean length of a segment delta."""
+    return math.sqrt(d.qx * d.qx + d.qy * d.qy + d.qz * d.qz)
+
+
+def turn_angle(prev: SegmentDelta, nxt: SegmentDelta) -> float:
+    """Angle in [0, 180] degrees between the horizontal projections of two segments.
+
+    Raises DegenerateSegment for purely vertical segments (no horizontal
+    heading to compare); callers treat that as a constraint violation.
+    """
+    na = math.hypot(prev.qx, prev.qy)
+    nb = math.hypot(nxt.qx, nxt.qy)
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateSegment("purely vertical segment has no horizontal heading")
+    dot = (prev.qx * nxt.qx + prev.qy * nxt.qy) / (na * nb)
+    dot = max(-1.0, min(1.0, dot))
+    return math.degrees(math.acos(dot))
+
+
+def pitch_angle(d: SegmentDelta) -> float:
+    """Climb angle in [-90, 90] degrees of a single segment."""
+    length = segment_length(d)
+    if length == 0.0:
+        raise DegenerateSegment("zero-length segment has no pitch")
+    s = max(-1.0, min(1.0, d.qz / length))
+    return math.degrees(math.asin(s))
+
+
+# -- clearance and collision oracles -------------------------------------------
+
+
+def point_to_cuboid_distance(p: Point3, ob: CuboidObstacle) -> float:
+    """Distance from a point to the nearest point of the cuboid (0 if inside).
+
+    Clamping the point to the box collapses the per-region case analysis into
+    one formula.
+    """
+    q = p.as_array()
+    clamped = np.clip(q, ob.box[:3], ob.box[3:])
+    return float(np.linalg.norm(q - clamped))
+
+
 def dense_sample_penetrates(waypoints, obstacles, step=0.1):
     """Independent collision oracle: walk every segment at `step` resolution
     and report whether any sample lies strictly inside any obstacle."""
     waypoints = np.asarray(waypoints, dtype=float)
     if len(obstacles) == 0 or len(waypoints) < 2:
         return False
-    lo = np.stack([ob.lo for ob in obstacles])
-    hi = np.stack([ob.hi for ob in obstacles])
+    lo = np.array([ob.box[:3] for ob in obstacles])
+    hi = np.array([ob.box[3:] for ob in obstacles])
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         seg_len = float(np.linalg.norm(b - a))
         n = max(2, int(np.ceil(seg_len / step)) + 1)
@@ -32,6 +103,9 @@ def dense_sample_penetrates(waypoints, obstacles, step=0.1):
         if inside.all(axis=2).any():
             return True
     return False
+
+
+# -- coarse planning oracle ----------------------------------------------------
 
 
 def exhaustive_min_cost(grid, cost_of, start, goal):
@@ -46,7 +120,7 @@ def exhaustive_min_cost(grid, cost_of, start, goal):
         if cell == goal:
             best[0] = cost
             return
-        for nb in grid.neighbors(cell):
+        for nb in grid.adjacency[cell]:
             if nb not in visited:
                 dfs(nb, visited | {nb}, cost + cost_of(nb))
 

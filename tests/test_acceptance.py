@@ -15,10 +15,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dense_sample_penetrates, exhaustive_min_cost, make_sudden
+from conftest import (
+    DegenerateSegment,
+    SegmentDelta,
+    dense_sample_penetrates,
+    exhaustive_min_cost,
+    make_sudden,
+    pitch_angle,
+    turn_angle,
+)
 from skygrid.cli import main as cli_main
 from skygrid.coarse import node_cost, plan_coarse, SspParams
-from skygrid.geometry import DegenerateSegment, SegmentDelta, pitch_angle, turn_angle
 from skygrid.grid import AirspaceGrid
 from skygrid.pso import ConstraintParams, CostParams, SwarmParams, build_seed_population, optimize, penalized_cost
 from skygrid.replan import detect_conflicts

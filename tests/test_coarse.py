@@ -63,7 +63,7 @@ def test_plan_uniform_costs_prefers_shortest_then_lexicographic():
     assert len(plan.cells) == 9
     assert plan.cells[0] == 1 and plan.cells[-1] == 49
     for a, b in zip(plan.cells, plan.cells[1:]):
-        assert b in GRID.neighbors(a)
+        assert b in GRID.adjacency[a]
 
 
 def test_plan_detours_around_expensive_cell():

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from skygrid.geometry import (
-    CuboidObstacle,
+from conftest import (
     DegenerateSegment,
-    ObstacleKind,
-    Point3,
     SegmentDelta,
-    path_is_collision_free,
     pitch_angle,
     point_to_cuboid_distance,
-    points_to_cuboids_distance,
     segment_delta,
-    segment_intersects_cuboid,
     segment_length,
     turn_angle,
 )
+from skygrid.geometry import (
+    CuboidObstacle,
+    ObstacleKind,
+    Point3,
+    obstacle_arrays,
+    points_to_cuboids_distance,
+    segments_intersect_cuboids,
+)
+from skygrid.sampling import flatten_obstacles, segment_free
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -108,7 +111,7 @@ def brute_force_cuboid_distance(p, ob, n=12):
     """Oracle: minimum distance over a dense grid of surface points (zero if
     the query point is inside)."""
     q = p.as_array()
-    lo, hi = ob.lo, ob.hi
+    lo, hi = np.array(ob.box[:3]), np.array(ob.box[3:])
     if np.all(q >= lo) and np.all(q <= hi):
         return 0.0
     best = math.inf
@@ -146,8 +149,7 @@ def test_distance_matches_surface_sampling_oracle(px, py, pz):
 
 def test_batched_distance_agrees_with_scalar(rng, reference_obstacle):
     pts = rng.uniform(-5, 10, size=(50, 3))
-    lo = reference_obstacle.lo[None, :]
-    hi = reference_obstacle.hi[None, :]
+    lo, hi = obstacle_arrays([reference_obstacle])
     batched = points_to_cuboids_distance(pts, lo, hi)[:, 0]
     for p, d in zip(pts, batched):
         assert d == pytest.approx(point_to_cuboid_distance(Point3.from_array(p), reference_obstacle))
@@ -162,14 +164,24 @@ def dense_segment_hits(a, b, ob, step=0.01):
     n = max(2, int(np.ceil(np.linalg.norm(bv - av) / step)) + 1)
     t = np.linspace(0, 1, n)[:, None]
     pts = av * (1 - t) + bv * t
-    return bool(((pts >= ob.lo) & (pts <= ob.hi)).all(axis=1).any())
+    return bool(((pts >= ob.box[:3]) & (pts <= ob.box[3:])).all(axis=1).any())
+
+
+def slab_hits(a, b, ob, margin=0.0):
+    """Does segment a-b hit ob inflated by margin? The verdicts of both slab
+    kernels: `sampling.segment_free` and `segments_intersect_cuboids`."""
+    lo, hi = obstacle_arrays([ob])
+    return (
+        not segment_free((a.x, a.y, a.z), (b.x, b.y, b.z), flatten_obstacles([ob], margin)),
+        bool(segments_intersect_cuboids(a.as_array()[None], b.as_array()[None], lo, hi, margin)[0]),
+    )
 
 
 def test_segment_intersection_examples(reference_obstacle):
-    assert not segment_intersects_cuboid(Point3(0, 0, 1), Point3(1, 0, 1), reference_obstacle)
-    assert segment_intersects_cuboid(Point3(1, 3, 1), Point3(5, 3, 1), reference_obstacle)
+    assert slab_hits(Point3(0, 0, 1), Point3(1, 0, 1), reference_obstacle) == (False, False)
+    assert slab_hits(Point3(1, 3, 1), Point3(5, 3, 1), reference_obstacle) == (True, True)
     inside = Point3(3, 3, 1)
-    assert segment_intersects_cuboid(inside, inside, reference_obstacle)
+    assert slab_hits(inside, inside, reference_obstacle) == (True, True)
 
 
 @given(
@@ -178,11 +190,11 @@ def test_segment_intersection_examples(reference_obstacle):
 def test_segment_intersection_matches_dense_sampling(ax, ay, az, bx, by, bz):
     step = 0.01
     a, b = Point3(ax, ay, az), Point3(bx, by, bz)
-    exact = segment_intersects_cuboid(a, b, REF_OB)
     sampled = dense_segment_hits(a, b, REF_OB, step)
     if sampled:
-        assert exact  # sampling found a contained point: slab test must agree
-    elif exact:
+        # Sampling found a contained point: both slab tests must agree.
+        assert slab_hits(a, b, REF_OB) == (True, True)
+    elif any(slab_hits(a, b, REF_OB)):
         # The sampling stepped over the crossing; the clamp distance is
         # 1-Lipschitz along the segment, so the nearest sample must still be
         # within half a step of the box.
@@ -196,16 +208,24 @@ def test_segment_intersection_matches_dense_sampling(ax, ay, az, bx, by, bz):
 
 def test_segment_intersection_respects_margin(reference_obstacle):
     a, b = Point3(0, 0, 1), Point3(1, 0, 1)  # passes ~2.2 m from the box
-    assert not segment_intersects_cuboid(a, b, reference_obstacle, margin=1.0)
-    assert segment_intersects_cuboid(a, b, reference_obstacle, margin=3.0)
+    assert slab_hits(a, b, reference_obstacle, margin=1.0) == (False, False)
+    assert slab_hits(a, b, reference_obstacle, margin=3.0) == (True, True)
 
 
 def test_path_collision_check(reference_obstacle):
+    def verdicts(path, obstacles):
+        boxes = flatten_obstacles(obstacles)
+        lo, hi = obstacle_arrays(obstacles)
+        return (
+            all(segment_free(a, b, boxes) for a, b in zip(path[:-1], path[1:])),
+            not segments_intersect_cuboids(path[:-1], path[1:], lo, hi).any(),
+        )
+
     free = np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=float)
-    assert path_is_collision_free(free, [reference_obstacle])
+    assert verdicts(free, [reference_obstacle]) == (True, True)
     hitting = np.array([[1, 3, 1], [5, 3, 1]], dtype=float)
-    assert not path_is_collision_free(hitting, [reference_obstacle])
-    assert path_is_collision_free(hitting, [])
+    assert verdicts(hitting, [reference_obstacle]) == (False, False)
+    assert verdicts(hitting, []) == (True, True)
 
 
 # -- obstacle invariants -----------------------------------------------------
@@ -226,7 +246,6 @@ def test_obstacle_edge_lengths_positive():
 
 
 def test_obstacle_corner_properties(reference_obstacle):
-    assert np.allclose(reference_obstacle.lo, [2, 2, 0])
-    assert np.allclose(reference_obstacle.hi, [4, 5, 4])
+    assert reference_obstacle.box == (2.0, 2.0, 0.0, 4.0, 5.0, 4.0)
     c = reference_obstacle.center
     assert (c.x, c.y, c.z) == (3.0, 3.5, 2.0)

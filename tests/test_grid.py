@@ -72,17 +72,17 @@ def test_locate_is_consistent_with_cell_bounds(x, y, z):
 
 def test_neighbors_reference_cells():
     g = make_grid()
-    assert g.neighbors(1) == {2, 6, 26}
-    assert len(g.neighbors(63)) == 6  # interior cell
+    assert g.adjacency[1] == (2, 6, 26)
+    assert len(g.adjacency[63]) == 6  # interior cell
     single = AirspaceGrid(extent=(1.0, 1.0, 1.0), counts=(1, 1, 1))
-    assert single.neighbors(1) == set()
+    assert single.adjacency[1] == ()
 
 
 def test_neighbors_symmetric():
     g = make_grid()
     for cell in range(1, g.n_cells + 1):
-        for nb in g.neighbors(cell):
-            assert cell in g.neighbors(nb)
+        for nb in g.adjacency[cell]:
+            assert cell in g.adjacency[nb]
 
 
 def test_shared_face_geometry():

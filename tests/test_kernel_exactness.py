@@ -100,12 +100,10 @@ def test_segment_free_matches_reference(data, obstacles, m, as_array):
     a, b = data.draw(segment_on_faces(obstacles, m))
     boxes = flatten_obstacles(obstacles, m)
     # What flatten_obstacles computed from the lo/hi arrays before the rewrite.
+    lo, hi = obstacle_arrays(obstacles)
     ref_boxes = [
-        (
-            ob.lo[0] - m, ob.lo[1] - m, ob.lo[2] - m,
-            ob.hi[0] + m, ob.hi[1] + m, ob.hi[2] + m,
-        )
-        for ob in obstacles
+        (x0 - m, y0 - m, z0 - m, x1 + m, y1 + m, z1 + m)
+        for (x0, y0, z0), (x1, y1, z1) in zip(lo, hi)
     ]
     assert boxes == ref_boxes
     if as_array:
@@ -157,9 +155,7 @@ def test_degenerate_segment_on_a_face_hits():
     boxes = flatten_obstacles([ob])
     for a, b in (((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)), ((2.0, -1.0, 2.0), (2.0, 3.0, 2.0))):
         assert not segment_free(a, b, boxes)
-        assert segments_intersect_cuboids(
-            np.array([a]), np.array([b]), ob.lo[None], ob.hi[None]
-        )[0]
+        assert segments_intersect_cuboids(np.array([a]), np.array([b]), *obstacle_arrays([ob]))[0]
 
 
 def _specified_nearest(nodes, target) -> int:

@@ -1,0 +1,92 @@
+"""The package keeps only what the program runs.
+
+Every top-level function and class in `src/skygrid`, and every non-dunder
+method, must be referred to somewhere other than its own definition: by code
+in another place of `src/skygrid` (the package's `__init__` re-exports do not
+count) or in `perfbench/`, whose span table looks functions up by name. Code
+that only tests call belongs with the tests (`conftest.py` holds the
+independent oracles).
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "skygrid"
+
+# Defined but referred to only from outside the program, one reason each.
+ALLOWED = {
+    "sim.run_scenario": "the library entry point the README documents",
+    "scenario.Scenario.to_yaml": "the canonical round-trip of a loaded scenario",
+    "pso.trajectory_cost": "the paper's cost J; the planner scores with penalized_cost",
+}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of the top-level functions and classes and the
+    non-dunder methods of those classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    out.append((f"{node.name}.{item.name}", item))
+    return out
+
+
+def references(tree: ast.AST) -> Counter:
+    """Names, attributes, and identifiers inside string literals other than
+    docstrings (perfbench's span table names functions in strings)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def unreferenced() -> list[str]:
+    """Definitions in the package whose name occurs nowhere outside their
+    own body, in the package or in perfbench."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    total = Counter()
+    for path, tree in trees.items():
+        if path != PACKAGE / "__init__.py":
+            total.update(references(tree))
+    found = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualified, node in definitions(tree):
+            name = qualified.rsplit(".", 1)[-1]
+            if total[name] == references(node)[name]:
+                found.append(f"{path.stem}.{qualified}")
+    return found
+
+
+def test_every_definition_in_the_package_is_used_by_the_program():
+    flagged = [name for name in unreferenced() if name not in ALLOWED]
+    assert flagged == [], "only tests refer to these; move them into tests/: " + ", ".join(flagged)
+
+
+def test_every_allowlist_entry_is_still_defined_and_still_unreferenced():
+    assert sorted(unreferenced()) == sorted(ALLOWED)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, point_to_cuboid_distance
+from conftest import point_to_cuboid_distance
+from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import (
     VIOLATION_PENALTY,
     ConstraintParams,

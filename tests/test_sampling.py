@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense_sample_penetrates
-from skygrid.geometry import CuboidObstacle, Point3, path_is_collision_free
+from skygrid.geometry import CuboidObstacle, Point3
 from skygrid.sampling import (
     DEFAULT_SMOOTH_WINDOW,
     PlanningFailed,
@@ -26,6 +26,12 @@ BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
 CELL_OBS = list(single_cell_scenario().obstacles)
 START = Point3(10.0, 90.0, 10.0)
 GOAL = Point3(190.0, 130.0, 10.0)
+
+
+def misses_cell_obstacles(path) -> bool:
+    """Every segment of the path passes `segment_free` against CELL_OBS."""
+    boxes = flatten_obstacles(CELL_OBS)
+    return all(segment_free(a, b, boxes) for a, b in zip(path[:-1], path[1:]))
 
 
 # -- low-level predicates ----------------------------------------------------
@@ -81,7 +87,7 @@ def test_planner_connects_and_avoids_obstacles(planner, rng):
     raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
     assert np.allclose(raw[0], START.as_array())
     assert np.allclose(raw[-1], GOAL.as_array())
-    assert path_is_collision_free(raw, CELL_OBS)
+    assert misses_cell_obstacles(raw)
     assert not dense_sample_penetrates(raw, CELL_OBS)
 
 
@@ -136,7 +142,7 @@ def test_shortcut_preserves_collision_freedom(rng):
     raw = rrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
     cut = shortcut(raw, boxes)
     assert len(cut) <= len(raw)
-    assert path_is_collision_free(cut, CELL_OBS)
+    assert misses_cell_obstacles(cut)
     assert np.allclose(cut[0], raw[0]) and np.allclose(cut[-1], raw[-1])
 
 
@@ -144,7 +150,7 @@ def test_moving_average_keeps_endpoints_and_freedom(rng):
     raw = rrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
     smoothed = moving_average_smooth(raw, flatten_obstacles(CELL_OBS), 5)
     assert np.allclose(smoothed[0], raw[0]) and np.allclose(smoothed[-1], raw[-1])
-    assert path_is_collision_free(smoothed, CELL_OBS)
+    assert misses_cell_obstacles(smoothed)
 
 
 def test_resample_two_point_line_equally_spaced():
@@ -194,7 +200,7 @@ def test_smooth_and_resample_contract(seed, count, planner):
     assert np.allclose(wp.waypoints[-1], GOAL.as_array())
     for v in vertices:
         assert (np.linalg.norm(wp.waypoints - v, axis=1) < 1e-9).any()
-    assert path_is_collision_free(wp.waypoints, CELL_OBS)
+    assert misses_cell_obstacles(wp.waypoints)
     assert not dense_sample_penetrates(wp.waypoints, CELL_OBS)
     assert wp.length() <= np.linalg.norm(np.diff(raw, axis=0), axis=1).sum() + 1e-6
 

@@ -74,6 +74,29 @@ def test_unplaceable_random_field_gives_up_within_one_budget(monkeypatch):
     assert len(placements) == 10 * 1000 + 100
 
 
+def test_unplaceable_random_fleet_gives_up_within_one_budget(monkeypatch):
+    """One cell is filled by a building and the other up to z = 97, so no
+    endpoint with a one-metre margin is free: the fleet's one budget, linear
+    in the count, runs out after 1000 * 1 + 10000 endpoint draws."""
+    draws = []
+    real = scenario_module.point_free
+
+    def counted(p, boxes):
+        draws.append(1)
+        return real(p, boxes)
+
+    monkeypatch.setattr(scenario_module, "point_free", counted)
+    with pytest.raises(ValidationError, match="random_uavs: could not sample 1 collision-free"):
+        load_scenario(
+            "airspace: {extent: [100, 100, 100], cells: [2, 1, 1]}\n"
+            "obstacles:\n"
+            "  - {anchor: [50, 0, 0], lengths: [50, 100, 100]}\n"
+            "  - {anchor: [0, 0, 0], lengths: [50, 100, 97]}\n"
+            "random_uavs: {count: 1, min_cell_separation: 1}\n"
+        )
+    assert len(draws) == 1000 * 1 + 10000
+
+
 def test_explicit_obstacles_suppress_random_generation():
     sc = load_scenario(
         "obstacles:\n"
@@ -408,8 +431,7 @@ def test_single_cell_scenario_layout():
     assert [(ob.anchor.x, ob.anchor.y) for ob in sc.obstacles] == [(40, 50), (20, 120), (150, 125)]
     assert sc.seed == 1
     # The default start/goal line is blocked by the first building.
-    from skygrid.geometry import path_is_collision_free
+    from skygrid.sampling import flatten_obstacles, segment_free
 
     u = sc.uavs[0]
-    line = np.stack([u.start.as_array(), u.goal.as_array()])
-    assert not path_is_collision_free(line, sc.obstacles)
+    assert not segment_free(u.start.as_array(), u.goal.as_array(), flatten_obstacles(sc.obstacles))

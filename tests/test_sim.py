@@ -8,8 +8,9 @@ from conftest import dense_sample_penetrates, make_sudden
 from skygrid import sim
 from skygrid.adsb import OccupancyReport, PositionReport
 from skygrid import pso
-from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, path_is_collision_free
+from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import NoFeasibleSeed, feasibility_penalty
+from skygrid.sampling import flatten_obstacles, segment_free
 from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
 from skygrid.sim import Mode, UavPhase, World, run_scenario
 
@@ -92,7 +93,8 @@ def test_executed_paths_feasible_and_collision_free():
     assert metrics.arrived == ["uav0"]
     for ex in metrics.executed:
         obstacles = world._cell_obstacles(ex.cell)
-        assert path_is_collision_free(ex.waypoints, obstacles)
+        boxes = flatten_obstacles(obstacles)
+        assert all(segment_free(a, b, boxes) for a, b in zip(ex.waypoints[:-1], ex.waypoints[1:]))
         constraints = world._cell(ex.cell).constraints
         from skygrid.sampling import Waypath
 
@@ -105,7 +107,7 @@ def test_full_airspace_cell_sequence_is_face_adjacent():
     metrics = world.run()
     cells = [ex.cell for ex in metrics.executed]
     for a, b in zip(cells, cells[1:]):
-        assert b == a or b in world.grid.neighbors(a)
+        assert b == a or b in world.grid.adjacency[a]
     assert world.grid.locate(sc.uavs[0].goal) == cells[-1]
 
 
