@@ -7,7 +7,7 @@ particle-swarm optimization; a simulated ADS-B bus carries positions and
 sudden-obstacle alerts driving in-flight repair.
 """
 
-from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert, aggregate_occupancy, broadcast_sudden_obstacle
+from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert
 from .coarse import CoarsePlan, SspParams, attraction_region, node_cost, plan_coarse, select_exit_point, sliding_window_replan
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, Face, NotAdjacent, OutOfAirspace

@@ -1,9 +1,10 @@
 """Simulated ADS-B broadcast plane.
 
-UAVs publish position reports each tick; the ground station aggregates them
-into a per-cell occupancy table and broadcasts sudden-obstacle alerts. The
-bus delivers every message to every subscriber (lossless by default, with an
-optional Bernoulli loss knob), establishing a single total order per tick.
+UAVs publish position reports each tick; the ground station (the simulation's
+World) counts them per cell as they arrive, then broadcasts that occupancy
+and any sudden-obstacle alerts. The bus delivers every message to every
+subscriber (lossless by default, with an optional Bernoulli loss knob),
+establishing a single total order per tick.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3
-from .grid import AirspaceGrid
+from .geometry import CuboidObstacle, Point3
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,3 @@ class AdsbBus:
             if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
                 continue
             sub(msg)
-
-
-def aggregate_occupancy(
-    reports: dict[str, PositionReport], grid: AirspaceGrid
-) -> np.ndarray:
-    """Per-cell UAV counts from the latest position report of each UAV.
-
-    Returns an int array of length grid.n_cells (index 0 = cell 1).
-    """
-    counts = [0] * grid.n_cells
-    for report in reports.values():
-        counts[grid.locate(report.position) - 1] += 1
-    return np.array(counts, dtype=int)
-
-
-def broadcast_sudden_obstacle(
-    bus: AdsbBus, ob: CuboidObstacle, grid: AirspaceGrid, tick: int
-) -> AdsbMessage:
-    """Publish the ground station's alert of a sudden obstacle, tagged with the
-    cell holding its center."""
-    if ob.kind is not ObstacleKind.SUDDEN:
-        raise ValueError("only sudden obstacles are broadcast as alerts")
-    alert = SuddenObstacleAlert(obstacle=ob, sub_airspace=grid.locate(ob.center))
-    msg = AdsbMessage(sender="ground-station", tick=tick, payload=alert)
-    bus.publish(msg)
-    return msg

@@ -31,12 +31,14 @@ from .scenario import (
 from .sim import ExecutedPath, Mode, SimMetrics, World
 
 DEFAULT_MULTI_UAV_CONFIG = "random_uavs: {count: 50, min_cell_separation: 5}\n"
+# As many as an explicit list of a scenario file may hold.
+MAX_SEEDS = 1000
 
 
 def _load(args, default_text: str = "") -> Scenario:
     if args.scenario:
-        return load_scenario_file(args.scenario, args.seed, getattr(args, "mode", None))
-    return load_scenario(default_text, args.seed, getattr(args, "mode", None))
+        return load_scenario_file(args.scenario, args.seed, args.mode)
+    return load_scenario(default_text, args.seed, args.mode)
 
 
 def _run_and_emit(scenario: Scenario, args) -> int:
@@ -71,14 +73,18 @@ def cmd_simulate(args) -> int:
 def _parse_seed_range(text: str) -> list[int]:
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(s) for s in text.split("..", 1))
+            if hi - lo + 1 > MAX_SEEDS:
+                raise ValidationError(f"--seeds: at most {MAX_SEEDS} seeds, got {hi - lo + 1}")
+            seeds = list(range(lo, hi + 1))
         else:
             seeds = [int(s) for s in text.split(",") if s]
     except ValueError:
         seeds = []
     if not seeds:
         raise ValidationError(f"--seeds: expected 'a..b' with a <= b or a comma list of integers, got {text!r}")
+    if len(seeds) > MAX_SEEDS:
+        raise ValidationError(f"--seeds: at most {MAX_SEEDS} seeds, got {len(seeds)}")
     return seeds
 
 
@@ -171,15 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
-        p.add_argument("--scenario", help="scenario YAML file")
-        p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
-        if with_mode:
+    def common(p, with_scenario=True):
+        if with_scenario:
+            p.add_argument("--scenario", help="scenario YAML file")
             p.add_argument(
                 "--mode",
                 default=None,
                 help="SSP | NoSlidingWindow | NoAttraction | RrtOnly | BirrtOnly",
             )
+        p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", default="csv", choices=("csv", "jsonl"))
 
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("replan-demo", help="sudden-obstacle repair demonstration")
-    common(p, with_mode=False)
+    common(p, with_scenario=False)
     p.set_defaults(func=cmd_replan_demo)
 
     return parser

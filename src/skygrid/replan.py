@@ -64,8 +64,9 @@ def repair(
     rng: np.random.Generator,
     rrt_params: Optional[RrtParams] = None,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-) -> Waypath:
-    """Replace the conflicting stretch with a smoothed Bi-RRT detour.
+) -> Optional[np.ndarray]:
+    """The path's waypoints with the conflicting stretch replaced by a
+    smoothed Bi-RRT detour, or None when nothing conflicts.
 
     The resulting waypoint count may differ from the original. Raises
     RepairFailed when no collision-free bracket exists or Bi-RRT cannot
@@ -73,7 +74,7 @@ def repair(
     """
     conflicts = detect_conflicts(path, ob)
     if not conflicts:
-        raise ValueError("repair called with no conflicts to fix")
+        return None
     rrt_params = rrt_params or RrtParams()
 
     full = list(obstacles) + [ob]
@@ -105,5 +106,4 @@ def repair(
         raise RepairFailed(str(exc)) from exc
 
     detour = _smooth(raw, boxes, smooth_window)
-    repaired = np.vstack([pts[: lo + 1], detour[1:-1], pts[hi:]])
-    return Waypath(waypoints=repaired, sub_airspace=path.sub_airspace)
+    return np.vstack([pts[: lo + 1], detour[1:-1], pts[hi:]])

@@ -60,9 +60,6 @@ class Waypath:
     def count(self) -> int:
         return len(self.waypoints)
 
-    def length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.waypoints, axis=0), axis=1).sum())
-
 
 # Obstacles are pre-flattened to float tuples: the per-cell obstacle count is
 # tiny, so scalar slab tests beat numpy's per-call overhead in the planner's

@@ -1,10 +1,10 @@
 """Discrete-time multi-UAV simulation of the divided airspace.
 
-Each tick: airborne UAVs broadcast positions, the ground station aggregates
-per-cell occupancy, pending sudden obstacles are injected, and UAVs advance
-at constant speed along their planned waypoints. Entering a new cell triggers
-a coarse re-plan (sliding window), exit-point selection (attraction), and a
-fine plan for the entered cell.
+Each tick: pending sudden obstacles are injected, UAVs advance at constant
+speed along their planned waypoints, then airborne UAVs broadcast positions
+and the World, as ground station, counts them per cell. Entering a new cell
+triggers a coarse re-plan (sliding window), exit-point selection
+(attraction), and a fine plan for the entered cell.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .adsb import (
-    AdsbBus,
-    AdsbMessage,
-    OccupancyReport,
-    PositionReport,
-    aggregate_occupancy,
-    broadcast_sudden_obstacle,
-)
+from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert
 from .coarse import (
     CoarsePlan,
     attraction_region,
@@ -34,7 +27,7 @@ from .coarse import (
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, OutOfAirspace
 from .pso import ConstraintParams, build_seed_population, feasibility_penalty, optimize
-from .replan import RepairFailed, detect_conflicts, repair
+from .replan import RepairFailed, repair
 from .sampling import (
     PlanningFailed,
     Waypath,
@@ -85,7 +78,7 @@ class ExecutedPath:
 @dataclass
 class SimMetrics:
     n_cells: int
-    max_occupancy: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    max_occupancy: np.ndarray = field(init=False)
     per_uav_length: dict[str, float] = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
     executed: list[ExecutedPath] = field(default_factory=list)
@@ -95,8 +88,7 @@ class SimMetrics:
     ticks: int = 0
 
     def __post_init__(self):
-        if len(self.max_occupancy) == 0:
-            self.max_occupancy = np.zeros(self.n_cells, dtype=int)
+        self.max_occupancy = np.zeros(self.n_cells, dtype=int)
 
 
 class CellContext(NamedTuple):
@@ -127,8 +119,8 @@ class World:
         self._cells: dict[int, CellContext] = {}
         self.tick = 0
         self.metrics = SimMetrics(n_cells=self.grid.n_cells)
-        self.occupancy = np.zeros(self.grid.n_cells, dtype=int)
-        self._delivered: dict[str, PositionReport] = {}
+        self.occupancy = (0,) * self.grid.n_cells  # index 0 = cell 1
+        self._counts = list(self.occupancy)  # position reports received this tick, per cell
         self._plan_counter = 0
 
         root = np.random.SeedSequence(scenario.seed)
@@ -308,25 +300,23 @@ class World:
         if ob.kind is not ObstacleKind.SUDDEN:
             raise ValidationError("injected obstacles must be sudden")
         try:
-            msg = broadcast_sudden_obstacle(self.bus, ob, self.grid, tick)
+            alert = SuddenObstacleAlert(obstacle=ob, sub_airspace=self.grid.locate(ob.center))
         except OutOfAirspace as exc:
             raise ValidationError(f"injected obstacle's centre outside the airspace: {exc}") from exc
+        self.bus.publish(AdsbMessage(sender="ground-station", tick=tick, payload=alert))
         self.injected.append(ob)
-        self._log("sudden_obstacle", "ground-station", cell=msg.payload.sub_airspace)
+        self._log("sudden_obstacle", "ground-station", cell=alert.sub_airspace)
         for uav in self.uavs:
             if uav.phase is not UavPhase.FLYING:
                 continue
             # Only the route ahead of the UAV is checked, so an obstacle behind it is ignored.
             wp, nxt, cell = uav.active_waypath.waypoints, uav.next_waypoint_index, uav.current_cell
-            ahead = Waypath(np.vstack([uav.position, wp[nxt:]]), cell)
-            if not detect_conflicts(ahead, ob):
-                continue
             obstacles = [o for o in self._cell_obstacles(cell) if o is not ob]
             try:
                 route = repair(
-                    ahead, ob, obstacles, self._cell(cell).constraints, uav.rng,
-                    self.scenario.rrt, self.scenario.smooth_window,
-                ).waypoints
+                    Waypath(np.vstack([uav.position, wp[nxt:]]), cell), ob, obstacles,
+                    self._cell(cell).constraints, uav.rng, self.scenario.rrt, self.scenario.smooth_window,
+                )
             except RepairFailed:
                 # Escalate: re-plan the rest of the cell from the current position.
                 self._log("repair_failed", uav.id, cell=cell)
@@ -337,6 +327,8 @@ class World:
                     uav.phase = UavPhase.FAILED
                     self._log("replan_failed", uav.id, cell=cell, reason=str(exc))
                 continue
+            if route is None:
+                continue  # the route ahead is clear of the obstacle
             if np.array_equal(route[1], wp[nxt]):
                 # The detour leaves after the position, a point of the leg being flown.
                 head, route, target = wp[:nxt], route[1:], nxt
@@ -399,22 +391,19 @@ class World:
             self._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))
 
     def _ground_station(self, msg: AdsbMessage) -> None:
-        """Bus subscriber: keeps the position reports delivered this tick."""
+        """Bus subscriber: counts each position report it receives in its cell."""
         if isinstance(msg.payload, PositionReport):
-            self._delivered[msg.payload.uav_id] = msg.payload
+            self._counts[self.grid.locate(msg.payload.position) - 1] += 1
 
     def _record_tick(self) -> None:
-        airborne = [u for u in self.uavs if u.phase is UavPhase.FLYING]
-        self._delivered = {}
-        for uav in airborne:
-            report = PositionReport(uav_id=uav.id, position=Point3(*uav.position.tolist()))
-            self.bus.publish(AdsbMessage(sender=uav.id, tick=self.tick, payload=report))
-        self.occupancy = aggregate_occupancy(self._delivered, self.grid)
+        self._counts = [0] * self.grid.n_cells
+        for uav in self.uavs:
+            if uav.phase is UavPhase.FLYING:
+                report = PositionReport(uav_id=uav.id, position=Point3(*uav.position.tolist()))
+                self.bus.publish(AdsbMessage(sender=uav.id, tick=self.tick, payload=report))
+        self.occupancy = tuple(self._counts)
         self.bus.publish(
-            AdsbMessage(
-                sender="ground-station", tick=self.tick,
-                payload=OccupancyReport(counts=tuple(self.occupancy.tolist())),
-            )
+            AdsbMessage(sender="ground-station", tick=self.tick, payload=OccupancyReport(self.occupancy))
         )
         np.maximum(self.metrics.max_occupancy, self.occupancy, out=self.metrics.max_occupancy)
 

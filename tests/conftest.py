@@ -48,6 +48,11 @@ def segment_length(d: SegmentDelta) -> float:
     return math.sqrt(d.qx * d.qx + d.qy * d.qy + d.qz * d.qz)
 
 
+def path_length(waypoints: np.ndarray) -> float:
+    """Summed segment lengths of a (J, 3) waypoint array."""
+    return float(np.linalg.norm(np.diff(waypoints, axis=0), axis=1).sum())
+
+
 def turn_angle(prev: SegmentDelta, nxt: SegmentDelta) -> float:
     """Angle in [0, 180] degrees between the horizontal projections of two segments.
 

@@ -1,20 +1,7 @@
 import numpy as np
-import pytest
-from hypothesis import given, strategies as st
 
-from skygrid.adsb import (
-    AdsbBus,
-    AdsbMessage,
-    OccupancyReport,
-    PositionReport,
-    SuddenObstacleAlert,
-    aggregate_occupancy,
-    broadcast_sudden_obstacle,
-)
-from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
-from skygrid.grid import AirspaceGrid
-
-GRID = AirspaceGrid(extent=(1000.0, 1000.0, 250.0), counts=(5, 5, 5))
+from skygrid.adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport
+from skygrid.geometry import Point3
 
 
 def msg(tick=0, sender="uav0", payload=None):
@@ -60,64 +47,6 @@ def test_lossy_bus_is_reproducible_per_seed():
         return [m.tick for m in got]
 
     assert run() == run()
-
-
-# -- occupancy aggregation ---------------------------------------------------
-
-
-def test_aggregate_occupancy_counts_each_uav_once():
-    reports = {
-        "a": PositionReport("a", Point3(10, 10, 10)),     # cell 1
-        "b": PositionReport("b", Point3(210, 10, 10)),    # cell 2
-        "c": PositionReport("c", Point3(220, 20, 20)),    # cell 2
-    }
-    counts = aggregate_occupancy(reports, GRID)
-    assert counts[0] == 1 and counts[1] == 2
-    assert counts.sum() == len(reports)
-    assert len(counts) == GRID.n_cells
-
-
-def test_aggregate_occupancy_empty():
-    assert aggregate_occupancy({}, GRID).sum() == 0
-
-
-@given(
-    positions=st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=1000, allow_nan=False),
-            st.floats(min_value=0, max_value=1000, allow_nan=False),
-            st.floats(min_value=0, max_value=250, allow_nan=False),
-        ),
-        max_size=20,
-    )
-)
-def test_occupancy_conservation(positions):
-    reports = {
-        f"u{i}": PositionReport(f"u{i}", Point3(*p)) for i, p in enumerate(positions)
-    }
-    counts = aggregate_occupancy(reports, GRID)
-    assert counts.sum() == len(reports)
-    assert (counts >= 0).all()
-
-
-# -- sudden-obstacle alerts --------------------------------------------------
-
-
-def test_broadcast_sudden_obstacle_tags_center_cell():
-    ob = CuboidObstacle(
-        anchor=Point3(205, 5, 5), len_x=10, len_y=10, len_z=10, kind=ObstacleKind.SUDDEN
-    )
-    bus = AdsbBus()
-    m = broadcast_sudden_obstacle(bus, ob, GRID, tick=3)
-    assert isinstance(m.payload, SuddenObstacleAlert)
-    assert m.payload.sub_airspace == GRID.locate(ob.center) == 2
-    assert bus.log == [m]
-
-
-def test_broadcast_rejects_static_obstacle():
-    ob = CuboidObstacle(anchor=Point3(0, 0, 0), len_x=1, len_y=1, len_z=1)
-    with pytest.raises(ValueError):
-        broadcast_sudden_obstacle(AdsbBus(), ob, GRID, tick=0)
 
 
 def test_occupancy_report_payload_roundtrip():

@@ -177,7 +177,7 @@ def test_exit_2_on_unknown_plan_sub_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: --mode")
 
 
-@pytest.mark.parametrize("seeds", ["1..x", "a,b", "1.5", "5..1", ","])
+@pytest.mark.parametrize("seeds", ["1..x", "a,b", "1.5", "5..1", ",", "0..1000000000000"])
 def test_exit_2_on_bad_seeds(small_scenario, tmp_path, capsys, seeds):
     code = main(
         ["compare", "--scenario", small_scenario, "--seeds", seeds, "--out", str(tmp_path / "o")]
@@ -189,6 +189,10 @@ def test_exit_2_on_bad_seeds(small_scenario, tmp_path, capsys, seeds):
 
 def test_exit_2_on_bad_arguments():
     assert main(["no-such-command"]) == 2
+
+
+def test_replan_demo_takes_no_scenario(tmp_path):
+    assert main(["replan-demo", "--scenario", str(tmp_path / "none.yaml"), "--seed", "4"]) == 2
 
 
 @pytest.mark.parametrize("command", ["plan-sub", "replan-demo", "plan"])

@@ -3,7 +3,9 @@
 Every top-level function and class in `src/skygrid`, and every non-dunder
 method, must be referred to somewhere other than its own definition: by code
 in another place of `src/skygrid` (the package's `__init__` re-exports do not
-count) or in `perfbench/`, whose span table looks functions up by name. Code
+count) or in `perfbench/`, whose span table looks functions up by name. A
+method is reached only as an attribute (`.name`) or by name in a string, so
+a local variable of the same name does not count for it. Code
 that only tests call belongs with the tests (`conftest.py` holds the
 independent oracles).
 """
@@ -40,9 +42,9 @@ def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def references(tree: ast.AST) -> Counter:
-    """Names, attributes, and identifiers inside string literals other than
-    docstrings (perfbench's span table names functions in strings)."""
+def references(tree: ast.AST) -> tuple[Counter, Counter]:
+    """Bare names; and attributes with the identifiers inside string literals
+    other than docstrings (perfbench's span table names functions in strings)."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -51,16 +53,16 @@ def references(tree: ast.AST) -> Counter:
         and isinstance(node.body[0], ast.Expr)
         and isinstance(node.body[0].value, ast.Constant)
     }
-    out = Counter()
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
-                out.update(re.findall(r"[A-Za-z_]\w*", node.value))
-    return out
+                attributes.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names, attributes
 
 
 def unreferenced() -> list[str]:
@@ -68,17 +70,23 @@ def unreferenced() -> list[str]:
     own body, in the package or in perfbench."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
-    total = Counter()
+    names, attributes = Counter(), Counter()
     for path, tree in trees.items():
         if path != PACKAGE / "__init__.py":
-            total.update(references(tree))
+            tree_names, tree_attributes = references(tree)
+            names.update(tree_names)
+            attributes.update(tree_attributes)
     found = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         for qualified, node in definitions(tree):
             name = qualified.rsplit(".", 1)[-1]
-            if total[name] == references(node)[name]:
+            own_names, own_attributes = references(node)
+            used = attributes[name] - own_attributes[name]
+            if "." not in qualified:  # a top-level definition is also used by bare name
+                used += names[name] - own_names[name]
+            if not used:
                 found.append(f"{path.stem}.{qualified}")
     return found
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import point_to_cuboid_distance
+from conftest import path_length, point_to_cuboid_distance
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import (
     VIOLATION_PENALTY,
@@ -52,7 +52,7 @@ def test_cost_adds_clearance_terms_per_obstacle_kind():
     d_sudden = sum(
         point_to_cuboid_distance(Point3.from_array(p), sudden[0]) for p in wp.waypoints
     )
-    expected = cp.k3 * (cp.k5 / d_static + cp.k6 / d_sudden) + cp.k4 * wp.length()
+    expected = cp.k3 * (cp.k5 / d_static + cp.k6 / d_sudden) + cp.k4 * path_length(wp.waypoints)
     assert trajectory_cost(wp, static, sudden, cp) == pytest.approx(expected)
 
 

@@ -50,28 +50,30 @@ def test_detection_requires_sudden_kind():
 
 
 def test_repair_requires_conflicts(rng):
+    """A route clear of the obstacle has nothing to repair."""
     path = level_path()
     ob = make_sudden((100.0, 150.0, 40.0))
-    with pytest.raises(ValueError):
-        repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
+    assert repair(path, ob, CELL_OBS, CONSTRAINTS, rng) is None
 
 
 def test_repair_preserves_outside_bracket_bitwise(rng):
     path = level_path()
     ob = make_sudden(path.waypoints[5])
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired.waypoints[:5], path.waypoints[:5])
+    assert isinstance(repaired, np.ndarray) and repaired.shape[1] == 3
+    assert np.array_equal(repaired[:5], path.waypoints[:5])
     tail = path.waypoints[6:]
-    assert np.array_equal(repaired.waypoints[-len(tail):], tail)
+    assert np.array_equal(repaired[-len(tail):], tail)
 
 
 def test_repair_result_collision_free(rng):
     path = level_path()
     ob = make_sudden(path.waypoints[5])
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert not dense_sample_penetrates(repaired.waypoints, CELL_OBS + [ob])
+    assert not dense_sample_penetrates(repaired, CELL_OBS + [ob])
     # Idempotence: the repaired path no longer conflicts.
-    assert detect_conflicts(repaired, ob) == set()
+    assert detect_conflicts(Waypath(repaired), ob) == set()
+    assert repair(Waypath(repaired), ob, CELL_OBS, CONSTRAINTS, rng) is None
 
 
 def test_repair_crossing_segment_brackets_with_flagged_endpoints(rng):
@@ -79,10 +81,10 @@ def test_repair_crossing_segment_brackets_with_flagged_endpoints(rng):
     mid = (path.waypoints[3] + path.waypoints[4]) / 2
     ob = make_sudden(mid)
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired.waypoints[:4], path.waypoints[:4])
+    assert np.array_equal(repaired[:4], path.waypoints[:4])
     tail = path.waypoints[4:]
-    assert np.array_equal(repaired.waypoints[-len(tail):], tail)
-    assert detect_conflicts(repaired, ob) == set()
+    assert np.array_equal(repaired[-len(tail):], tail)
+    assert detect_conflicts(Waypath(repaired), ob) == set()
 
 
 def test_repair_widens_bracket_past_contained_neighbors(rng):
@@ -92,10 +94,10 @@ def test_repair_widens_bracket_past_contained_neighbors(rng):
     conflicts = detect_conflicts(path, ob)
     assert {4, 5, 6} <= conflicts
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired.waypoints[:4], path.waypoints[:4])
+    assert np.array_equal(repaired[:4], path.waypoints[:4])
     tail = path.waypoints[7:]
-    assert np.array_equal(repaired.waypoints[-len(tail):], tail)
-    assert detect_conflicts(repaired, ob) == set()
+    assert np.array_equal(repaired[-len(tail):], tail)
+    assert detect_conflicts(Waypath(repaired), ob) == set()
 
 
 def test_repair_fails_when_endpoint_engulfed(rng):
@@ -126,6 +128,6 @@ def test_repair_deterministic_per_seed():
     ob = make_sudden(path.waypoints[5])
 
     def run():
-        return repair(path, ob, CELL_OBS, CONSTRAINTS, np.random.default_rng(9)).waypoints
+        return repair(path, ob, CELL_OBS, CONSTRAINTS, np.random.default_rng(9))
 
     assert np.array_equal(run(), run())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_sample_penetrates
+from conftest import dense_sample_penetrates, path_length
 from skygrid.geometry import CuboidObstacle, Point3
 from skygrid.sampling import (
     DEFAULT_SMOOTH_WINDOW,
@@ -69,7 +69,7 @@ def test_waypath_shape_validation():
         Waypath(waypoints=np.zeros((3, 2)))
     wp = Waypath(waypoints=np.array([[0, 0, 0], [3, 4, 0]]))
     assert wp.count == 2
-    assert wp.length() == pytest.approx(5.0)
+    assert path_length(wp.waypoints) == pytest.approx(5.0)
 
 
 def test_straight_waypath_equally_spaced():
@@ -202,7 +202,7 @@ def test_smooth_and_resample_contract(seed, count, planner):
         assert (np.linalg.norm(wp.waypoints - v, axis=1) < 1e-9).any()
     assert misses_cell_obstacles(wp.waypoints)
     assert not dense_sample_penetrates(wp.waypoints, CELL_OBS)
-    assert wp.length() <= np.linalg.norm(np.diff(raw, axis=0), axis=1).sum() + 1e-6
+    assert path_length(wp.waypoints) <= np.linalg.norm(np.diff(raw, axis=0), axis=1).sum() + 1e-6
 
 
 cell_point = st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0), st.floats(0.0, 50.0))

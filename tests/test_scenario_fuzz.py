@@ -118,12 +118,28 @@ SCENARIO_KEYS = {
     "dt": mostly(floats(0.5, 2)),
 }
 
+
+def fleet(cells):
+    """No buildings and a well-formed random fleet on the given grid: every
+    such tree reaches fleet sampling, up to the grid's largest separation."""
+    return st.fixed_dictionaries({
+        "airspace": st.just({"cells": list(cells)}),
+        "obstacles": st.just([]),
+        "random_uavs": st.fixed_dictionaries({
+            "count": st.integers(1, 5),
+            "min_cell_separation": st.integers(0, sum(c - 1 for c in cells)),
+        }),
+        "seed": st.integers(0, 100),
+    })
+
+
 scenarios = mostly(st.one_of(
     st.fixed_dictionaries({}, optional=SCENARIO_KEYS),
     # No buildings: random UAVs and their planning stay cheap.
     st.fixed_dictionaries(
         {"obstacles": st.just([])}, optional={k: v for k, v in SCENARIO_KEYS.items() if k != "obstacles"}
     ),
+    st.tuples(*[st.integers(1, 5)] * 3).flatmap(fleet),
 ))
 
 

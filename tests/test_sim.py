@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import dense_sample_penetrates, make_sudden
 from skygrid import sim
-from skygrid.adsb import OccupancyReport, PositionReport
+from skygrid.adsb import OccupancyReport, PositionReport, SuddenObstacleAlert
 from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import NoFeasibleSeed, feasibility_penalty
@@ -170,6 +170,7 @@ def test_lossless_ground_station_sees_every_report():
     peak = np.max([seen for _, seen in ticks], axis=0)
     assert np.array_equal(metrics.max_occupancy, peak)
     assert peak.max() >= 1
+    assert world.occupancy == world.bus.log[-1].payload.counts
 
 
 def test_lost_reports_leave_the_occupancy_view():
@@ -432,6 +433,32 @@ def test_injection_centred_outside_the_airspace_is_rejected_before_any_effect(an
         world.inject_sudden_obstacle(ob, world.tick)
     assert (len(world.bus.log), len(world.metrics.events)) == (log, events)
     assert world.injected == [] and world.uavs[0].active_waypath is path
+
+
+def test_a_static_obstacle_is_rejected_before_anything_is_published():
+    world = World(single_cell_scenario(seed=1), Mode.SSP)
+    while world.tick < 3:
+        world.step()
+    log, events = len(world.bus.log), len(world.metrics.events)
+    static = CuboidObstacle(Point3(90.0, 90.0, 0.0), 6.0, 6.0, 6.0)
+    with pytest.raises(ValidationError, match="must be sudden"):
+        world.inject_sudden_obstacle(static, world.tick)
+    assert (len(world.bus.log), len(world.metrics.events)) == (log, events)
+    assert world.injected == []
+
+
+def test_the_world_broadcasts_the_alert_tagged_with_the_centre_cell():
+    world = World(load_scenario(OPEN_SKY_FLEET), Mode.SSP)
+    for _ in range(3):
+        world.step()
+    ob = make_sudden((610.0, 430.0, 120.0), side=4.0)
+    world.inject_sudden_obstacle(ob, world.tick)
+    msg = world.bus.log[-1]
+    assert isinstance(msg.payload, SuddenObstacleAlert) and msg.payload.obstacle is ob
+    assert (msg.sender, msg.tick) == ("ground-station", world.tick)
+    [event] = [e for e in world.metrics.events if e["kind"] == "sudden_obstacle"]
+    assert msg.payload.sub_airspace == world.grid.locate(ob.center) == event["cell"] != 1
+    assert world.injected == [ob]
 
 
 # -- planner failures --------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
+from conftest import path_length
 from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, obstacle_arrays
 from skygrid.pso import ConstraintParams, CostParams, NoFeasibleSeed, SwarmParams, build_seed_population
@@ -135,7 +136,7 @@ def test_trajectory_cost_keeps_the_callers_kinds():
         *obstacle_arrays([]), cp,
     )
     assert _same_bits(pso.trajectory_cost(path, [ob], [], cp), float(want[0]))
-    assert pso.trajectory_cost(path, [], [ob], cp) == path.length() * cp.k4
+    assert pso.trajectory_cost(path, [], [ob], cp) == path_length(path.waypoints) * cp.k4
 
 
 # -- optimize against the frozen swarm ----------------------------------------
