@@ -10,26 +10,31 @@ establishing a single total order per tick.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .geometry import CuboidObstacle, Point3
+from .geometry import CuboidObstacle
+
+# Messages are light immutable records: every airborne UAV sends a position
+# report on every tick, so the report is the sim's most frequent object.
 
 
-@dataclass(frozen=True)
-class PositionReport:
+class PositionReport(NamedTuple):
+    """A UAV's position as finite airspace-local coordinates; it has the
+    .x/.y/.z that AirspaceGrid.locate reads."""
+
     uav_id: str
-    position: Point3
+    x: float
+    y: float
+    z: float
 
 
-@dataclass(frozen=True)
-class OccupancyReport:
+class OccupancyReport(NamedTuple):
     counts: tuple[int, ...]  # index 0 = cell 1
 
 
-@dataclass(frozen=True)
-class SuddenObstacleAlert:
+class SuddenObstacleAlert(NamedTuple):
     obstacle: CuboidObstacle
     sub_airspace: int
 
@@ -37,8 +42,7 @@ class SuddenObstacleAlert:
 Payload = Union[PositionReport, OccupancyReport, SuddenObstacleAlert]
 
 
-@dataclass(frozen=True)
-class AdsbMessage:
+class AdsbMessage(NamedTuple):
     sender: str
     tick: int
     payload: Payload

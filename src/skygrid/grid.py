@@ -84,7 +84,8 @@ class AirspaceGrid:
         return lo, hi
 
     def locate(self, p: Point3) -> int:
-        """Cell containing p. Cells are half-open [lo, hi) except at the
+        """Cell containing p, which may be anything with float .x/.y/.z (an
+        ADS-B PositionReport too). Cells are half-open [lo, hi) except at the
         global maximum face, which belongs to the last cell."""
         x, y, z = p.x, p.y, p.z
         ex, ey, ez = self.extent

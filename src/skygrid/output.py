@@ -10,25 +10,36 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .adsb import OccupancyReport, PositionReport
 from .sim import SimMetrics
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
+def write_table(path: str, header: list[str], rows: Iterable[Sequence], fmt: str) -> None:
+    """Write one table, streaming its rows to the file.
 
-
-def write_table(path: str, header: list[str], rows: Iterable[list], fmt: str) -> None:
+    CSV values are written as csv.writer writes them after formatting each
+    float with six decimals. A row is joined with commas directly unless its
+    text holds a quote, CR or LF, or a comma inside a value; only such a row
+    needs quoting, so it goes through csv.writer.
+    """
     if fmt == "csv":
         with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
+            write, eol = fh.write, writer.dialect.lineterminator
             for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+                fields = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
+                line = ",".join(fields)
+                # csv quotes a lone empty value, the one row that joins to "" besides [].
+                if (
+                    not line or line.count(",") != len(fields) - 1
+                    or '"' in line or "\r" in line or "\n" in line
+                ):
+                    writer.writerow(fields)
+                else:
+                    write(line + eol)
     elif fmt == "jsonl":
         with open(path + ".jsonl", "w", encoding="utf-8") as fh:
             for row in rows:
@@ -61,25 +72,21 @@ def waypoint_rows(metrics: SimMetrics) -> list[list]:
     return rows
 
 
-def adsb_rows(bus_log) -> list[list]:
-    rows = []
+def adsb_rows(bus_log) -> Iterator[tuple]:
+    """One row per bus message, in log order, made as the writer asks for it."""
     for msg in bus_log:
         p = msg.payload
-        if isinstance(p, PositionReport):
-            detail = f"uav={p.uav_id};x={p.position.x:.6f};y={p.position.y:.6f};z={p.position.z:.6f}"
-            kind = "position"
-        elif isinstance(p, OccupancyReport):
-            detail = "counts=" + "|".join(str(c) for c in p.counts)
-            kind = "occupancy"
+        if type(p) is PositionReport:
+            yield msg.tick, msg.sender, "position", "uav=%s;x=%.6f;y=%.6f;z=%.6f" % p  # (uav_id, x, y, z)
+        elif type(p) is OccupancyReport:
+            yield msg.tick, msg.sender, "occupancy", "counts=" + "|".join(map(str, p.counts))
         else:  # SuddenObstacleAlert, the last of the three Payload types
             ob = p.obstacle
             detail = (
                 f"cell={p.sub_airspace};anchor={ob.anchor.x:.3f},{ob.anchor.y:.3f},"
                 f"{ob.anchor.z:.3f};lengths={ob.len_x:.3f},{ob.len_y:.3f},{ob.len_z:.3f}"
             )
-            kind = "sudden_obstacle"
-        rows.append([msg.tick, msg.sender, kind, detail])
-    return rows
+            yield msg.tick, msg.sender, "sudden_obstacle", detail
 
 
 def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=None) -> None:

@@ -9,6 +9,7 @@ in [25, 240] m, one UAV from (0, 0, 0) to (750, 900, 80) at 5 m/s).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
@@ -302,9 +303,12 @@ def generate_uavs(
     min_cell_separation: int,
     speed: float,
     rng: np.random.Generator,
+    taken_ids: set[str],
 ) -> list[UavSpec]:
     """Random collision-free start/goal pairs at least the given number of
-    cells apart (L1 distance of cell coordinates)."""
+    cells apart (L1 distance of cell coordinates), with the ids uav0, uav1,
+    ... that are not in taken_ids."""
+    ids = (f"uav{k}" for k in itertools.count() if f"uav{k}" not in taken_ids)
     boxes = flatten_obstacles(grid.obstacles, margin=1.0)
     out: list[UavSpec] = []
     # One budget of endpoint draws for the whole fleet. The default fleet, the
@@ -325,14 +329,14 @@ def generate_uavs(
             if point_free(p, boxes):
                 return Point3(*p)
 
-    for i in range(count):
+    for _ in range(count):
         while True:
             start = free_point()
             goal = free_point()
             cs = grid.cell_coords(grid.locate(start))
             cg = grid.cell_coords(grid.locate(goal))
             if sum(abs(a - b) for a, b in zip(cs, cg)) >= min_cell_separation:
-                out.append(UavSpec(id=f"uav{i}", start=start, goal=goal, speed=speed))
+                out.append(UavSpec(id=next(ids), start=start, goal=goal, speed=speed))
                 break
     return out
 
@@ -430,6 +434,7 @@ def load_scenario(
 
     # Explicit UAVs.
     uavs: list[UavSpec] = []
+    ids: set[str] = set()
     for i, u in enumerate(_entries(cfg, "uavs")):
         _reject_unknown(u, {"id", "start", "goal", "speed"}, f"uavs[{i}]")
         start = Point3(*_floats(u.get("start"), 3, f"uavs[{i}].start"))
@@ -439,7 +444,11 @@ def load_scenario(
             raise ValidationError(f"uavs[{i}].speed must be positive")
         if start == goal:
             raise ValidationError(f"uavs[{i}]: start equals goal [{start.x}, {start.y}, {start.z}]")
-        uavs.append(UavSpec(id=str(u.get("id", f"uav{i}")), start=start, goal=goal, speed=speed))
+        uav_id = str(u.get("id", f"uav{i}"))
+        if uav_id in ids:
+            raise ValidationError(f"uavs[{i}].id: {uav_id!r} is the id of an earlier UAV")
+        ids.add(uav_id)
+        uavs.append(UavSpec(id=uav_id, start=start, goal=goal, speed=speed))
 
     # Injections.
     injections: list[tuple[int, CuboidObstacle]] = []
@@ -502,7 +511,7 @@ def load_scenario(
 
     if want_random_uavs:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x0A7)))
-        uavs = uavs + generate_uavs(grid, n_uavs, sep, speed, rng)
+        uavs = uavs + generate_uavs(grid, n_uavs, sep, speed, rng, ids)
 
     # Endpoint validation: inside the extent and collision-free.
     boxes = flatten_obstacles(obstacles)

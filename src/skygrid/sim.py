@@ -392,15 +392,20 @@ class World:
 
     def _ground_station(self, msg: AdsbMessage) -> None:
         """Bus subscriber: counts each position report it receives in its cell."""
-        if isinstance(msg.payload, PositionReport):
-            self._counts[self.grid.locate(msg.payload.position) - 1] += 1
+        if type(msg.payload) is PositionReport:
+            self._counts[self.grid.locate(msg.payload) - 1] += 1
 
     def _record_tick(self) -> None:
+        """Every flying UAV, in order, broadcasts its position; then the
+        ground station broadcasts the counts it received."""
         self._counts = [0] * self.grid.n_cells
+        tick, publish = self.tick, self.bus.publish
         for uav in self.uavs:
             if uav.phase is UavPhase.FLYING:
-                report = PositionReport(uav_id=uav.id, position=Point3(*uav.position.tolist()))
-                self.bus.publish(AdsbMessage(sender=uav.id, tick=self.tick, payload=report))
+                x, y, z = uav.position.tolist()
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                    raise ValueError(f"{uav.id}: non-finite position {(x, y, z)}")
+                publish(AdsbMessage(uav.id, tick, PositionReport(uav.id, x, y, z)))
         self.occupancy = tuple(self._counts)
         self.bus.publish(
             AdsbMessage(sender="ground-station", tick=self.tick, payload=OccupancyReport(self.occupancy))

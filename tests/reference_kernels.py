@@ -5,16 +5,19 @@ planners `rrt_plan`/`birrt_plan` (per-draw RNG calls, `einsum` nearest-node
 ranking), the clearance kernel `points_to_cuboids_distance`, the coarse
 search `skygrid.coarse.plan_coarse`, `AirspaceGrid.locate`/`neighbors`, the
 resampling `resample_polyline`/`straight_waypath` (small-array numpy), the
-simulation's `World._advance` and the swarm's scoring `_segments`,
+simulation's `World._advance`, the swarm's scoring `_segments`,
 `_batch_cost`, `_batch_penalty` and `optimize` (per-call numpy over
-particle-major (P, J, 3) paths) were rewritten to give the same results with
-less per-call overhead. `test_kernel_exactness.py`,
-`test_coarse_exactness.py`, `test_bookkeeping_exactness.py` and
-`test_swarm_exactness.py` compare them with these copies, which must stay as
-they are.
+particle-major (P, J, 3) paths) and the result writer `write_table` (every
+row through `csv.writer`) were rewritten to give the same results with less
+per-call overhead. `test_kernel_exactness.py`, `test_coarse_exactness.py`,
+`test_bookkeeping_exactness.py`, `test_swarm_exactness.py` and
+`test_writer_exactness.py` compare them with these copies, which must stay
+as they are.
 """
 
+import csv
 import heapq
+import json
 import math
 
 import numpy as np
@@ -496,3 +499,25 @@ def optimize(seeds, obstacles, cp, constraints, params, rng):
     return Waypath(waypoints=best_path, sub_airspace=sub), history
 
 
+# -- the result writer: every CSV row through csv.writer ----------------------
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.6f}"
+    return str(v)
+
+
+def write_table(path, header, rows, fmt):
+    if fmt == "csv":
+        with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    elif fmt == "jsonl":
+        with open(path + ".jsonl", "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")

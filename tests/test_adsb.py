@@ -1,11 +1,10 @@
 import numpy as np
 
 from skygrid.adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport
-from skygrid.geometry import Point3
 
 
 def msg(tick=0, sender="uav0", payload=None):
-    payload = payload or PositionReport(uav_id="uav0", position=Point3(1, 2, 3))
+    payload = payload or PositionReport(uav_id="uav0", x=1.0, y=2.0, z=3.0)
     return AdsbMessage(sender=sender, tick=tick, payload=payload)
 
 

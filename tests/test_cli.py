@@ -92,6 +92,19 @@ def test_replan_demo_outputs_before_and_after(tmp_path):
 # -- output formats ----------------------------------------------------------
 
 
+def test_listed_and_random_uavs_each_get_their_own_rows(tmp_path):
+    scenario = tmp_path / "mixed.yaml"
+    scenario.write_text(
+        "airspace: {extent: [400, 400, 50], cells: [2, 2, 1]}\nobstacles: []\n"
+        "uavs: [{start: [10, 10, 10], goal: [390, 390, 40]}]\n"
+        "random_uavs: {count: 2, min_cell_separation: 1}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "1", "--out", str(out)]) == 0
+    rows = (out / "lengths.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["uav0", "uav1", "uav2"]
+
+
 def test_jsonl_format(small_scenario, tmp_path):
     out = str(tmp_path / "out")
     assert main(
@@ -153,6 +166,11 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         pytest.param(
             "obstacles: []\nuavs: [{start: [50, 100, 10], goal: [50, 100, 10]}]\n",
             "uavs[0]", id="start-equals-goal",
+        ),
+        pytest.param(
+            "obstacles: []\nuavs: [{id: a, start: [10, 100, 10], goal: [390, 100, 10]},"
+            " {id: a, start: [10, 60, 20], goal: [390, 150, 30]}]\n",
+            "uavs[1].id: 'a'", id="repeated-uav-id",
         ),
     ],
 )

@@ -60,6 +60,18 @@ GOLDEN = {
             "waypoints": "38461711174bbd4326eb6fe69d6c8c1dd8c97568b6ebed569418cb621eecbf7e",
         },
     ),
+    "plan --seed 2 --format jsonl": (
+        ["plan", "--seed", "2", "--format", "jsonl"],
+        None,
+        {
+            "adsb_log": "a7a659aca9482cec515d8fbde133b8ab5a363dadb2d2c7b27a31d7b99d4300a2",
+            "convergence": "725ede9d604117e898b85b1d2ffa5e9c619e1ba795c60b5f7b0854ac29d75fe2",
+            "events": "f321331874f2fa0c09a0e3fa2ee2b68871699180092f38a34781f12d2390ccbc",
+            "lengths": "e6063b9d88ae0860938a984870a1f43068c361458f13e107cd69e466271d90f5",
+            "occupancy": "cc37112b522991e1c720bfe04232096b1afcd28e5d7cf6af28db46b0f2493e8d",
+            "waypoints": "42b12f9c33e90739b80cb0a98bb202ccc856c4162fa7468fd2b451e96b874b03",
+        },
+    ),
     "simulate --seed 1 (10 UAVs)": (
         ["simulate", "--seed", "1"],
         TEN_UAVS,
@@ -103,7 +115,7 @@ def _table_hashes(out: str) -> dict[str, str]:
     hashes = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
-            hashes[name.removesuffix(".csv")] = hashlib.sha256(fh.read()).hexdigest()
+            hashes[os.path.splitext(name)[0]] = hashlib.sha256(fh.read()).hexdigest()
     return hashes
 
 

@@ -379,6 +379,31 @@ def test_rejects_uav_whose_start_equals_its_goal():
         )
 
 
+TWO_UAVS = """\
+obstacles: []
+uavs:
+  - {%s start: [10, 100, 10], goal: [390, 100, 10]}
+  - {%s start: [10, 60, 20], goal: [390, 150, 30]}
+"""
+
+
+@pytest.mark.parametrize(
+    "first,second,uav_id",
+    [("id: a,", "id: a,", "a"), ("id: uav1,", "", "uav1"), ("", "id: uav0,", "uav0")],
+)
+def test_rejects_a_repeated_uav_id(first, second, uav_id):
+    with pytest.raises(ValidationError, match=re.escape(f"uavs[1].id: {uav_id!r} is the id of an earlier UAV")):
+        load_scenario(TWO_UAVS % (first, second))
+
+
+def test_random_uavs_take_ids_no_listed_uav_holds():
+    sc = load_scenario(
+        TWO_UAVS % ("", "id: uav2,")
+        + "airspace: {cells: [2, 2, 1]}\nrandom_uavs: {count: 3, min_cell_separation: 1}\n"
+    )
+    assert [u.id for u in sc.uavs] == ["uav0", "uav2", "uav1", "uav3", "uav4"]
+
+
 # -- overrides and roundtrip -------------------------------------------------
 
 

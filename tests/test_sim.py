@@ -131,18 +131,39 @@ def test_occupancy_metrics_single_uav():
     assert metrics.max_occupancy.sum() == 1  # only one cell exists
 
 
-def test_position_reports_every_tick():
-    sc = single_cell_scenario(seed=0)
-    world = World(sc, Mode.SSP)
-    metrics = world.run()
-    positions = [m for m in world.bus.log if isinstance(m.payload, PositionReport)]
-    occupancies = [m for m in world.bus.log if isinstance(m.payload, OccupancyReport)]
-    # One position report per airborne tick, one occupancy report per tick.
-    assert len(occupancies) == metrics.ticks
-    assert len(positions) >= metrics.ticks - 1
-
-
 OPEN_SKY_FLEET = "obstacles: []\nrandom_uavs: {count: 6, min_cell_separation: 3}\nseed: 5\n"
+
+
+def test_position_reports_every_tick():
+    """Each tick logs one report per flying UAV, in UAV order and at its
+    position, then one occupancy report from the ground station."""
+    world = World(load_scenario(OPEN_SKY_FLEET), Mode.SSP)
+    logged, most_flying = 0, 0
+    while not world.done():
+        world.step()
+        *reports, occupancy = world.bus.log[logged:]
+        logged = len(world.bus.log)
+        flying = [u for u in world.uavs if u.phase is UavPhase.FLYING]
+        most_flying = max(most_flying, len(flying))
+        assert [type(m.payload) for m in reports] == [PositionReport] * len(flying)
+        assert [(m.sender, m.tick, m.payload.uav_id, m.payload.x, m.payload.y, m.payload.z) for m in reports] == [
+            (u.id, world.tick, u.id, *u.position.tolist()) for u in flying
+        ]
+        assert type(occupancy.payload) is OccupancyReport
+        assert (occupancy.sender, occupancy.tick) == ("ground-station", world.tick)
+    assert most_flying > 1 and all(u.phase is UavPhase.ARRIVED for u in world.uavs)
+
+
+def test_a_non_finite_position_raises_before_it_is_published():
+    world = World(single_cell_scenario(seed=0), Mode.SSP)
+    world.step()
+    uav = world.uavs[0]
+    assert uav.phase is UavPhase.FLYING
+    uav.position = np.array([1.0, np.nan, 1.0])
+    logged = len(world.bus.log)
+    with pytest.raises(ValueError, match="non-finite position"):
+        world._record_tick()
+    assert len(world.bus.log) == logged
 
 
 def _fleet_run(loss_rate):
@@ -156,7 +177,7 @@ def _counts_by_tick(world):
     for m in world.bus.log:
         if isinstance(m.payload, PositionReport):
             counts = broadcast.setdefault(m.tick, np.zeros(world.grid.n_cells, dtype=int))
-            counts[world.grid.locate(m.payload.position) - 1] += 1
+            counts[world.grid.locate(Point3(m.payload.x, m.payload.y, m.payload.z)) - 1] += 1
         elif isinstance(m.payload, OccupancyReport):
             station[m.tick] = np.array(m.payload.counts)
     zero = np.zeros(world.grid.n_cells, dtype=int)
