@@ -8,9 +8,9 @@ sudden-obstacle alerts driving in-flight repair.
 """
 
 from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert
-from .coarse import CoarsePlan, SspParams, attraction_region, node_cost, plan_coarse, select_exit_point, sliding_window_replan
+from .coarse import CoarsePlan, SspParams, attraction_region, plan_coarse, select_exit_point, sliding_window_replan
 from .geometry import CuboidObstacle, ObstacleKind, Point3
-from .grid import AirspaceGrid, Face, NotAdjacent, OutOfAirspace
+from .grid import AirspaceGrid, NotAdjacent, OutOfAirspace
 from .pso import (
     ConstraintParams,
     CostParams,

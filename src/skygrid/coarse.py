@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Point3
-from .grid import AirspaceGrid, Face
+from .grid import AirspaceGrid
 
 EXIT_INSET = 1.0  # m between a sampled exit point and the edges of its face region
 
@@ -50,13 +50,8 @@ class CoarsePlan:
         return len(self.cells) - self.cells.index(current)
 
 
-def node_cost(params: SspParams, o_n: int, aec_n: int) -> float:
-    """Traversal cost of one cell: k1 * static obstacles + k2 * UAV occupancy."""
-    return _node_costs(params, [o_n], [aec_n])[0]
-
-
 def _node_costs(params: SspParams, obstacle_counts: list[int], occupancy: list[int]) -> list[float]:
-    """node_cost of each (obstacle count, occupancy) pair."""
+    """Traversal cost of each cell: k1 * static obstacles + k2 * UAV occupancy."""
     if min(obstacle_counts) < 0 or min(occupancy) < 0:
         raise ValueError("counts must be non-negative")
     k1, k2 = params.k1, params.k2
@@ -69,16 +64,14 @@ def plan_coarse(
     occupancy: np.ndarray,
     start: int,
     goal: int,
-    obstacle_counts: Optional[np.ndarray] = None,
+    obstacle_counts: np.ndarray,
 ) -> CoarsePlan:
     """Minimum-cost face-adjacent cell path from start to goal, both included.
 
     Ties are broken by fewer cells, then by the lexicographically smallest
     cell-id sequence, so the result is fully deterministic. Exit points are
-    left unset; they are chosen during execution.
-
-    occupancy may be shorter than grid.n_cells only if all-zero; index 0 is
-    cell 1. obstacle_counts defaults to a fresh count from the grid.
+    left unset; they are chosen during execution. occupancy and
+    obstacle_counts hold one count per cell, index 0 = cell 1.
 
     Dijkstra over labels (cost, length, path). Cell costs are non-negative,
     so extending a label makes it strictly larger: a cell's first popped
@@ -89,15 +82,9 @@ def plan_coarse(
     smaller one: float sums over paths of different lengths can round to the
     same cost.)
     """
-    if obstacle_counts is None:
-        obstacle_counts = grid.static_obstacle_counts()
-    if start == goal:
-        aec = int(occupancy[start - 1]) if len(occupancy) else 0
-        return CoarsePlan([start], node_cost(params, int(obstacle_counts[start - 1]), aec))
-
     n = grid.n_cells
     obs = np.asarray(obstacle_counts, dtype=int).tolist()
-    occ = np.asarray(occupancy, dtype=int).tolist() if len(occupancy) else [0] * n
+    occ = np.asarray(occupancy, dtype=int).tolist()
     cost = [0.0] + _node_costs(params, obs, occ)  # index 0 is unused
 
     adjacency = grid.adjacency
@@ -130,7 +117,7 @@ def sliding_window_replan(
     existing_plan: CoarsePlan,
     current: int,
     goal: int,
-    obstacle_counts: Optional[np.ndarray] = None,
+    obstacle_counts: np.ndarray,
 ) -> CoarsePlan:
     """Re-plan from the just-entered cell with fresh occupancy.
 
@@ -142,63 +129,43 @@ def sliding_window_replan(
     return plan_coarse(grid, params, occupancy, current, goal, obstacle_counts)
 
 
-def attraction_region(grid: AirspaceGrid, window: list[int], face: Face) -> Face:
-    """Sub-rectangle of the exit face the upcoming window of cells points toward.
+def attraction_region(
+    grid: AirspaceGrid, window: list[int], face: tuple[tuple[float, ...], tuple[float, ...]]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Part of the exit face (lo, hi) the upcoming window of cells points toward.
 
-    The face is split by its two in-plane midlines. For each in-plane axis,
-    the first direction change along that axis within the window picks the
-    half toward the change; two changed axes pick a quadrant, none keeps the
-    whole face.
+    On each in-plane axis (lo != hi), the first move along that axis within
+    the window picks the half toward it: moves on both axes pick a quadrant,
+    none keeps the whole face. A window of one cell has no moves.
     """
-    if len(window) < 2:
-        raise ValueError("window must contain at least the current and next cell")
     coords = [grid.cell_coords(c) for c in window]
     moves = [tuple(b[i] - a[i] for i in range(3)) for a, b in zip(coords, coords[1:])]
-
-    def first_change(axis: int) -> int:
-        for move in moves:
-            if move[axis] != 0:
-                return 1 if move[axis] > 0 else -1
-        return 0
-
-    def split(rng: tuple[float, float], sign: int) -> tuple[float, float]:
-        mid = (rng[0] + rng[1]) / 2.0
+    lo, hi = list(face[0]), list(face[1])
+    for axis in range(3):
+        if lo[axis] == hi[axis]:
+            continue  # the plane the first move crosses
+        sign = next((move[axis] for move in moves if move[axis] != 0), 0)
+        mid = (lo[axis] + hi[axis]) / 2.0
         if sign > 0:
-            return (mid, rng[1])
-        if sign < 0:
-            return (rng[0], mid)
-        return rng
-
-    # The first move crosses the face along face.axis; changes on the two
-    # in-plane axes attract the exit point.
-    u_sign = first_change(face.u_axis)
-    v_sign = first_change(face.v_axis)
-    return Face(
-        axis=face.axis,
-        plane=face.plane,
-        u_axis=face.u_axis,
-        v_axis=face.v_axis,
-        u_range=split(face.u_range, u_sign),
-        v_range=split(face.v_range, v_sign),
-    )
+            lo[axis] = mid
+        elif sign < 0:
+            hi[axis] = mid
+    return tuple(lo), tuple(hi)
 
 
-def select_exit_point(region: Face, rng: np.random.Generator) -> Point3:
-    """Uniform sample inside the face region, inset EXIT_INSET from its edges.
+def select_exit_point(
+    region: tuple[tuple[float, ...], tuple[float, ...]], rng: np.random.Generator
+) -> Point3:
+    """Uniform sample inside the face region, inset EXIT_INSET from its edges,
+    one draw per in-plane axis in ascending axis order.
 
-    The inset never exceeds half the region width, so zero-area regions
-    collapse to their single point.
+    The inset never exceeds half the region width, so an axis of zero width
+    (the face's plane, or a degenerate region) takes its single point without
+    a draw.
     """
-
-    def sample(lo: float, hi: float) -> float:
+    coords = []
+    for lo, hi in zip(*region):
         inset = min(EXIT_INSET, (hi - lo) / 2.0)
         a, b = lo + inset, hi - inset
-        if a >= b:
-            return (lo + hi) / 2.0
-        return float(rng.uniform(a, b))
-
-    coords = [0.0, 0.0, 0.0]
-    coords[region.axis] = region.plane
-    coords[region.u_axis] = sample(*region.u_range)
-    coords[region.v_axis] = sample(*region.v_range)
+        coords.append((lo + hi) / 2.0 if a >= b else float(rng.uniform(a, b)))
     return Point3(*coords)

@@ -21,22 +21,6 @@ class NotAdjacent(Exception):
     """The two cells do not share a face."""
 
 
-@dataclass(frozen=True)
-class Face:
-    """Axis-aligned rectangle shared by two face-adjacent cells.
-
-    axis is the index (0=x, 1=y, 2=z) perpendicular to the plane; u/v are the
-    remaining axes in ascending index order.
-    """
-
-    axis: int
-    plane: float
-    u_axis: int
-    v_axis: int
-    u_range: tuple[float, float]
-    v_range: tuple[float, float]
-
-
 @dataclass
 class AirspaceGrid:
     """Airspace extent divided into counts[0] x counts[1] x counts[2] equal cells."""
@@ -114,19 +98,20 @@ class AirspaceGrid:
                 out.append(self.cell_id(*c))
         return tuple(sorted(out))
 
-    def shared_face(self, a: int, b: int) -> Face:
+    def shared_face(self, a: int, b: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(lo, hi) corners of the face cells a and b share: cell a's box with
+        lo == hi on the axis across the face."""
         ca = self.cell_coords(a)
         cb = self.cell_coords(b)
         diff = [cb[i] - ca[i] for i in range(3)]
         if sorted(abs(d) for d in diff) != [0, 0, 1]:
             raise NotAdjacent(f"cells {a} and {b} do not share a face")
-        axis = next(i for i in range(3) if diff[i] != 0)
         size = self.cell_size
-        plane = (max(ca[axis], cb[axis])) * size[axis]
-        u_axis, v_axis = [i for i in range(3) if i != axis]
-        u_range = (ca[u_axis] * size[u_axis], (ca[u_axis] + 1) * size[u_axis])
-        v_range = (ca[v_axis] * size[v_axis], (ca[v_axis] + 1) * size[v_axis])
-        return Face(axis, plane, u_axis, v_axis, u_range, v_range)
+        lo = [ca[i] * size[i] for i in range(3)]
+        hi = [(ca[i] + 1) * size[i] for i in range(3)]
+        axis = next(i for i in range(3) if diff[i] != 0)
+        lo[axis] = hi[axis] = max(ca[axis], cb[axis]) * size[axis]
+        return tuple(lo), tuple(hi)
 
     def static_obstacle_counts(self) -> np.ndarray:
         """Per-cell counts of the static obstacles whose volume overlaps the

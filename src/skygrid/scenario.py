@@ -444,7 +444,10 @@ def load_scenario(
             raise ValidationError(f"uavs[{i}].speed must be positive")
         if start == goal:
             raise ValidationError(f"uavs[{i}]: start equals goal [{start.x}, {start.y}, {start.z}]")
-        uav_id = str(u.get("id", f"uav{i}"))
+        uav_id = u.get("id", f"uav{i}")
+        if isinstance(uav_id, bool) or not isinstance(uav_id, (str, int)) or uav_id == "":
+            raise ValidationError(f"uavs[{i}].id: expected a non-empty string or an int, got {uav_id!r}")
+        uav_id = str(uav_id)
         if uav_id in ids:
             raise ValidationError(f"uavs[{i}].id: {uav_id!r} is the id of an earlier UAV")
         ids.add(uav_id)

@@ -183,8 +183,7 @@ class World:
         face = self.grid.shared_face(cell, nxt)
         if self.mode is not Mode.NO_ATTRACTION:
             window = plan.cells[idx : idx + self.scenario.ssp.window_length]
-            if len(window) >= 2:
-                face = attraction_region(self.grid, window, face)
+            face = attraction_region(self.grid, window, face)
         obstacles = self._cell_obstacles(cell) + self._cell_obstacles(nxt)
         # Face points inside an obstacle are unusable as entry/exit; resample,
         # preferring a little clearance. A point whose straight line from the
@@ -317,18 +316,21 @@ class World:
                     Waypath(np.vstack([uav.position, wp[nxt:]]), cell), ob, obstacles,
                     self._cell(cell).constraints, uav.rng, self.scenario.rrt, self.scenario.smooth_window,
                 )
+                event = "repair"
             except RepairFailed:
                 # Escalate: re-plan the rest of the cell from the current position.
                 self._log("repair_failed", uav.id, cell=cell)
                 try:
                     entry, target = Point3.from_array(uav.position), Point3.from_array(wp[-1])
-                    self._commit(uav, self._fine_plan(uav, cell, entry, target), 1, "cell_replanned")
+                    route = self._fine_plan(uav, cell, entry, target).waypoints
                 except PlanningFailed as exc:
                     uav.phase = UavPhase.FAILED
                     self._log("replan_failed", uav.id, cell=cell, reason=str(exc))
-                continue
+                    continue
+                event = "cell_replanned"
             if route is None:
                 continue  # the route ahead is clear of the obstacle
+            # A repair and a re-plan both start at the position; the flown part is kept.
             if np.array_equal(route[1], wp[nxt]):
                 # The detour leaves after the position, a point of the leg being flown.
                 head, route, target = wp[:nxt], route[1:], nxt
@@ -336,7 +338,7 @@ class World:
                 # The detour leaves from the position, which becomes a vertex (held once).
                 keep = nxt - 1 if np.array_equal(uav.position, wp[nxt - 1]) else nxt
                 head, target = wp[:keep], keep + 1
-            self._commit(uav, Waypath(np.vstack([head, route]), cell), target, "repair")
+            self._commit(uav, Waypath(np.vstack([head, route]), cell), target, event)
 
     # -- time stepping ------------------------------------------------------
 

@@ -4,6 +4,7 @@ The collision kernels in `skygrid.sampling` and `skygrid.geometry`, the tree
 planners `rrt_plan`/`birrt_plan` (per-draw RNG calls, `einsum` nearest-node
 ranking), the clearance kernel `points_to_cuboids_distance`, the coarse
 search `skygrid.coarse.plan_coarse`, `AirspaceGrid.locate`/`neighbors`, the
+exit faces `Face`/`shared_face`/`attraction_region`/`select_exit_point`, the
 resampling `resample_polyline`/`straight_waypath` (small-array numpy), the
 simulation's `World._advance`, the swarm's scoring `_segments`,
 `_batch_cost`, `_batch_penalty` and `optimize` (per-call numpy over
@@ -19,11 +20,12 @@ import csv
 import heapq
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from skygrid.geometry import ObstacleKind, obstacle_arrays
-from skygrid.grid import OutOfAirspace
+from skygrid.grid import NotAdjacent, OutOfAirspace
 from skygrid.pso import NoFeasibleSeed
 from skygrid.sampling import PlanningFailed, Waypath, flatten_obstacles, point_free
 
@@ -135,6 +137,86 @@ def plan_coarse(grid, params, occupancy, start, goal, obstacle_counts=None):
                 continue
             heapq.heappush(heap, (cost + cost_of(nb), length + 1, path + (nb,)))
     raise RuntimeError("goal unreachable; 6-connected grid should be connected")
+
+
+@dataclass(frozen=True)
+class Face:
+    """Axis-aligned rectangle shared by two face-adjacent cells.
+
+    axis is the index (0=x, 1=y, 2=z) perpendicular to the plane; u/v are the
+    remaining axes in ascending index order.
+    """
+
+    axis: int
+    plane: float
+    u_axis: int
+    v_axis: int
+    u_range: tuple
+    v_range: tuple
+
+
+def shared_face(grid, a: int, b: int) -> Face:
+    ca = grid.cell_coords(a)
+    cb = grid.cell_coords(b)
+    diff = [cb[i] - ca[i] for i in range(3)]
+    if sorted(abs(d) for d in diff) != [0, 0, 1]:
+        raise NotAdjacent(f"cells {a} and {b} do not share a face")
+    axis = next(i for i in range(3) if diff[i] != 0)
+    size = grid.cell_size
+    plane = (max(ca[axis], cb[axis])) * size[axis]
+    u_axis, v_axis = [i for i in range(3) if i != axis]
+    u_range = (ca[u_axis] * size[u_axis], (ca[u_axis] + 1) * size[u_axis])
+    v_range = (ca[v_axis] * size[v_axis], (ca[v_axis] + 1) * size[v_axis])
+    return Face(axis, plane, u_axis, v_axis, u_range, v_range)
+
+
+def attraction_region(grid, window, face: Face) -> Face:
+    if len(window) < 2:
+        raise ValueError("window must contain at least the current and next cell")
+    coords = [grid.cell_coords(c) for c in window]
+    moves = [tuple(b[i] - a[i] for i in range(3)) for a, b in zip(coords, coords[1:])]
+
+    def first_change(axis: int) -> int:
+        for move in moves:
+            if move[axis] != 0:
+                return 1 if move[axis] > 0 else -1
+        return 0
+
+    def split(rng, sign: int):
+        mid = (rng[0] + rng[1]) / 2.0
+        if sign > 0:
+            return (mid, rng[1])
+        if sign < 0:
+            return (rng[0], mid)
+        return rng
+
+    u_sign = first_change(face.u_axis)
+    v_sign = first_change(face.v_axis)
+    return Face(
+        axis=face.axis,
+        plane=face.plane,
+        u_axis=face.u_axis,
+        v_axis=face.v_axis,
+        u_range=split(face.u_range, u_sign),
+        v_range=split(face.v_range, v_sign),
+    )
+
+
+def select_exit_point(region: Face, rng):
+    """Returns (x, y, z)."""
+
+    def sample(lo: float, hi: float) -> float:
+        inset = min(1.0, (hi - lo) / 2.0)  # EXIT_INSET
+        a, b = lo + inset, hi - inset
+        if a >= b:
+            return (lo + hi) / 2.0
+        return float(rng.uniform(a, b))
+
+    coords = [0.0, 0.0, 0.0]
+    coords[region.axis] = region.plane
+    coords[region.u_axis] = sample(*region.u_range)
+    coords[region.v_axis] = sample(*region.v_range)
+    return tuple(coords)
 
 
 def points_to_cuboids_distance(points, lo, hi):

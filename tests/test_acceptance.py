@@ -25,7 +25,7 @@ from conftest import (
     turn_angle,
 )
 from skygrid.cli import main as cli_main
-from skygrid.coarse import node_cost, plan_coarse, SspParams
+from skygrid.coarse import plan_coarse, SspParams
 from skygrid.grid import AirspaceGrid
 from skygrid.pso import ConstraintParams, CostParams, SwarmParams, build_seed_population, optimize, penalized_cost
 from skygrid.replan import detect_conflicts
@@ -351,7 +351,7 @@ def test_criterion_8_coarse_planner_matches_exhaustive_search():
         plan = plan_coarse(grid, params, occupancy, start, goal, counts)
 
         def cost_of(c):
-            return node_cost(params, int(counts[c - 1]), int(occupancy[c - 1]))
+            return params.k1 * int(counts[c - 1]) + params.k2 * int(occupancy[c - 1])
 
         oracle = exhaustive_min_cost(grid, cost_of, start, goal)
         matches += math.isclose(plan.total_cost, oracle, rel_tol=0, abs_tol=1e-9)

@@ -172,6 +172,10 @@ def test_exit_2_on_invalid_scenario(tmp_path):
             " {id: a, start: [10, 60, 20], goal: [390, 150, 30]}]\n",
             "uavs[1].id: 'a'", id="repeated-uav-id",
         ),
+        pytest.param(
+            "obstacles: []\nuavs: [{id: [1, 2], start: [10, 100, 10], goal: [390, 100, 10]}]\n",
+            "uavs[0].id", id="list-uav-id",
+        ),
     ],
 )
 def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_path):

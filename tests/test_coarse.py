@@ -7,7 +7,6 @@ from skygrid.coarse import (
     CoarsePlan,
     SspParams,
     attraction_region,
-    node_cost,
     plan_coarse,
     select_exit_point,
     sliding_window_replan,
@@ -30,20 +29,27 @@ def test_ssp_params_validation():
         SspParams(window_length=0)
 
 
+def cell_cost(params, o_n, aec_n):
+    """The cost of a one-cell plan whose cell holds o_n obstacles and aec_n UAVs."""
+    counts, occupancy = EMPTY.copy(), EMPTY.copy()
+    counts[6], occupancy[6] = o_n, aec_n
+    return plan_coarse(GRID, params, occupancy, 7, 7, counts).total_cost
+
+
 def test_node_cost_blends_obstacles_and_occupancy():
     p = SspParams()
-    assert node_cost(p, 0, 0) == 0.0
-    assert node_cost(p, 3, 0) == pytest.approx(0.03)
-    assert node_cost(p, 0, 2) == pytest.approx(1.98)
-    assert node_cost(p, 3, 2) == pytest.approx(0.01 * 3 + 0.99 * 2)
+    assert cell_cost(p, 0, 0) == 0.0
+    assert cell_cost(p, 3, 0) == pytest.approx(0.03)
+    assert cell_cost(p, 0, 2) == pytest.approx(1.98)
+    assert cell_cost(p, 3, 2) == pytest.approx(0.01 * 3 + 0.99 * 2)
     with pytest.raises(ValueError):
-        node_cost(p, -1, 0)
+        cell_cost(p, -1, 0)
 
 
 def test_occupancy_dominates_obstacles_with_default_weights():
     # One extra UAV outweighs 98 extra obstacles under k1=0.01, k2=0.99.
     p = SspParams()
-    assert node_cost(p, 98, 0) < node_cost(p, 0, 1)
+    assert cell_cost(p, 98, 0) < cell_cost(p, 0, 1)
 
 
 # -- coarse planning ---------------------------------------------------------
@@ -77,8 +83,8 @@ def test_plan_detours_around_expensive_cell():
 
 def test_plan_deterministic():
     occupancy = np.zeros(125, dtype=int)
-    a = plan_coarse(GRID, SspParams(), occupancy, 1, 125)
-    b = plan_coarse(GRID, SspParams(), occupancy, 1, 125)
+    a = plan_coarse(GRID, SspParams(), occupancy, 1, 125, EMPTY)
+    b = plan_coarse(GRID, SspParams(), occupancy, 1, 125, EMPTY)
     assert a.cells == b.cells and a.total_cost == b.total_cost
 
 
@@ -94,7 +100,7 @@ def test_plan_cost_matches_exhaustive_oracle(seed):
     plan = plan_coarse(grid, params, occupancy, start, goal, counts)
 
     def cost_of(c):
-        return node_cost(params, int(counts[c - 1]), int(occupancy[c - 1]))
+        return params.k1 * int(counts[c - 1]) + params.k2 * int(occupancy[c - 1])
 
     assert plan.total_cost == pytest.approx(exhaustive_min_cost(grid, cost_of, start, goal))
     assert plan.total_cost == pytest.approx(sum(cost_of(c) for c in plan.cells))
@@ -105,17 +111,17 @@ def test_plan_cost_matches_exhaustive_oracle(seed):
 
 def test_sliding_window_replans_when_room_remains():
     occupancy = np.zeros(125, dtype=int)
-    plan = plan_coarse(GRID, SspParams(), occupancy, 1, 49)
+    plan = plan_coarse(GRID, SspParams(), occupancy, 1, 49, EMPTY)
     occupancy[plan.cells[1] - 1] = 10  # next planned cell becomes crowded
-    new = sliding_window_replan(GRID, SspParams(), occupancy, plan, plan.cells[0], 49)
+    new = sliding_window_replan(GRID, SspParams(), occupancy, plan, plan.cells[0], 49, EMPTY)
     assert plan.cells[1] not in new.cells
 
 
 def test_sliding_window_keeps_plan_near_goal():
     plan = CoarsePlan(cells=[1, 2, 3, 4])
-    kept = sliding_window_replan(GRID, SspParams(window_length=4), EMPTY, plan, 1, 4)
+    kept = sliding_window_replan(GRID, SspParams(window_length=4), EMPTY, plan, 1, 4, EMPTY)
     assert kept is plan  # exactly window_length cells remain: no re-plan
-    kept = sliding_window_replan(GRID, SspParams(window_length=4), EMPTY, plan, 3, 4)
+    kept = sliding_window_replan(GRID, SspParams(window_length=4), EMPTY, plan, 3, 4, EMPTY)
     assert kept is plan
 
 
@@ -139,29 +145,30 @@ def test_attraction_full_face_when_no_direction_change():
 def test_attraction_half_face_on_single_turn():
     # 1 -> 2 crosses x; the later +y step attracts toward the upper y half.
     face = GRID.shared_face(1, 2)
+    assert face == ((200.0, 0.0, 0.0), (200.0, 200.0, 50.0))
     region = attraction_region(GRID, [1, 2, 7, 8], face)
-    assert region.u_range == (100.0, 200.0)  # y in-plane axis split upward
-    assert region.v_range == face.v_range  # z untouched
+    # The y in-plane axis is split upward; z is untouched.
+    assert region == ((200.0, 100.0, 0.0), (200.0, 200.0, 50.0))
 
 
 def test_attraction_quadrant_on_two_turns():
     # After crossing x=200, the window turns +y then +z: quadrant selection.
     face = GRID.shared_face(1, 2)
     region = attraction_region(GRID, [1, 2, 7, 32], face)
-    assert region.u_range == (100.0, 200.0)
-    assert region.v_range == (25.0, 50.0)
+    assert region == ((200.0, 100.0, 25.0), (200.0, 200.0, 50.0))
 
 
 def test_attraction_negative_turn_picks_lower_half():
     face = GRID.shared_face(7, 8)
+    assert face == ((400.0, 200.0, 0.0), (400.0, 400.0, 50.0))
     region = attraction_region(GRID, [7, 8, 3], face)  # -y after crossing x
-    assert region.u_range == (200.0, 300.0)
-    assert region.v_range == face.v_range
+    assert region == ((400.0, 200.0, 0.0), (400.0, 300.0, 50.0))
 
 
-def test_attraction_requires_window_of_two():
-    with pytest.raises(ValueError):
-        attraction_region(GRID, [1], GRID.shared_face(1, 2))
+def test_attraction_one_cell_window_keeps_whole_face():
+    # A window of one cell holds no move to attract toward.
+    face = GRID.shared_face(1, 2)
+    assert attraction_region(GRID, [1], face) == face
 
 
 # -- exit-point sampling -----------------------------------------------------
@@ -177,12 +184,10 @@ def test_exit_point_inside_region_with_clearance(rng):
 
 
 def test_exit_point_zero_width_region_collapses_to_midpoint(rng):
-    from skygrid.grid import Face
-
-    face = Face(axis=0, plane=200.0, u_axis=1, v_axis=2, u_range=(50.0, 50.0), v_range=(0.0, 1.0))
-    p = select_exit_point(face, rng)
-    assert p.y == 50.0
-    assert p.z == 0.5
+    state = rng.bit_generator.state
+    p = select_exit_point(((200.0, 50.0, 0.0), (200.0, 50.0, 1.0)), rng)
+    assert (p.x, p.y, p.z) == (200.0, 50.0, 0.5)
+    assert rng.bit_generator.state == state  # no axis wide enough to draw on
 
 
 def test_exit_point_deterministic_per_seed():

@@ -1,9 +1,11 @@
-"""Exactness of the table-driven coarse search and cell lookup.
+"""Exactness of the table-driven coarse search, cell lookup and exit faces.
 
-`plan_coarse`, `sliding_window_replan`, `AirspaceGrid.locate` and
-`AirspaceGrid.adjacency` are compared with frozen copies of their earlier code
-(`reference_kernels.py`): the same cells, the same total cost to the last bit,
-and the same exception for points outside the airspace.
+`plan_coarse`, `sliding_window_replan`, `AirspaceGrid.locate`,
+`AirspaceGrid.adjacency` and the (lo, hi) exit faces of
+`AirspaceGrid.shared_face`, `attraction_region` and `select_exit_point` are
+compared with frozen copies of their earlier code (`reference_kernels.py`):
+the same cells, the same total cost to the last bit, the same exception for
+points outside the airspace, and the same exit points and generator states.
 """
 
 import numpy as np
@@ -11,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
-from skygrid.coarse import CoarsePlan, SspParams, plan_coarse, sliding_window_replan
+from skygrid.coarse import (
+    CoarsePlan,
+    SspParams,
+    attraction_region,
+    plan_coarse,
+    select_exit_point,
+    sliding_window_replan,
+)
 from skygrid.geometry import Point3
 from skygrid.grid import AirspaceGrid
 
@@ -20,11 +29,9 @@ weights = st.sampled_from([(0.01, 0.99), (0.5, 0.5), (0.3, 0.7), (0.9, 0.1)])
 
 
 @st.composite
-def counts_for(draw, n: int, empty_ok: bool):
-    """Per-cell counts: all zero (every cell ties), sparse, dense, or empty."""
-    kind = draw(st.sampled_from(["zero", "sparse", "dense"] + (["empty"] if empty_ok else [])))
-    if kind == "empty":
-        return np.zeros(0, dtype=int)
+def counts_for(draw, n: int):
+    """Per-cell counts: all zero (every cell ties), sparse or dense."""
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
     if kind == "zero":
         return np.zeros(n, dtype=int)
     values = [0, 0, 0, 0, 1] if kind == "sparse" else [0, 1, 2, 3, 7]
@@ -36,8 +43,8 @@ def coarse_cases(draw):
     counts = draw(shapes)
     grid = AirspaceGrid(extent=(100.0, 80.0, 30.0), counts=counts)
     n = grid.n_cells
-    occupancy = draw(counts_for(n, empty_ok=True))
-    obstacle_counts = draw(st.one_of(st.none(), counts_for(n, empty_ok=False)))
+    occupancy = draw(counts_for(n))
+    obstacle_counts = draw(counts_for(n))
     k1, k2 = draw(weights)
     start = draw(st.integers(1, n))
     goal = start if draw(st.booleans()) else draw(st.integers(1, n))
@@ -64,7 +71,8 @@ def test_plan_coarse_matches_reference_on_line_and_single_cell_grids():
         n = grid.n_cells
         for start in range(1, n + 1):
             for goal in range(1, n + 1):
-                _check((grid, SspParams(), np.zeros(n, dtype=int), start, goal, None))
+                zeros = np.zeros(n, dtype=int)
+                _check((grid, SspParams(), zeros, start, goal, zeros))
 
 
 def test_plan_coarse_matches_reference_on_every_pair_with_ties():
@@ -106,13 +114,71 @@ def test_sliding_window_replan_matches_reference(case, data):
     cells, cost = ref.plan_coarse(grid, params, occupancy, start, goal, obstacle_counts)
     existing = CoarsePlan(cells=cells, total_cost=cost)
     current = data.draw(st.sampled_from(cells))
-    fresh = data.draw(counts_for(grid.n_cells, empty_ok=True))
+    fresh = data.draw(counts_for(grid.n_cells))
     got = sliding_window_replan(grid, params, fresh, existing, current, goal, obstacle_counts)
     if existing.remaining_cells(current) <= params.window_length:
         assert got is existing
     else:
         want_cells, want_cost = ref.plan_coarse(grid, params, fresh, current, goal, obstacle_counts)
         assert got.cells == want_cells and got.total_cost == want_cost
+
+
+# -- exit faces ----------------------------------------------------------------
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _box(face: ref.Face) -> tuple[list[float], list[float]]:
+    """The frozen Face as (lo, hi) corners."""
+    lo, hi = [face.plane] * 3, [face.plane] * 3
+    lo[face.u_axis], hi[face.u_axis] = face.u_range
+    lo[face.v_axis], hi[face.v_axis] = face.v_range
+    return lo, hi
+
+
+@st.composite
+def face_walks(draw):
+    """A grid, a face-adjacent walk of 2-7 cells and the window of 1-6 cells
+    that starts it; the exit face lies between the walk's first two cells."""
+    extent = draw(st.tuples(*[st.sampled_from([1.0, 2.5, 3.3, 7.0, 250.0, 1000.0])] * 3))
+    grid = AirspaceGrid(extent=extent, counts=draw(shapes.filter(lambda c: c != (1, 1, 1))))
+    walk = [draw(st.integers(1, grid.n_cells))]
+    for _ in range(draw(st.integers(1, 6))):
+        walk.append(draw(st.sampled_from(grid.adjacency[walk[-1]])))
+    return grid, walk, walk[: draw(st.integers(1, 6))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=face_walks(), seed=st.integers(0, 2**32 - 1))
+def test_exit_faces_match_reference(case, seed):
+    """The same region corners and exit points to the bit, and the generator
+    left in the same state. A one-cell window kept the whole face, which the
+    simulation did by not calling the frozen attraction_region."""
+    grid, walk, window = case
+    face = grid.shared_face(walk[0], walk[1])
+    want_face = ref.shared_face(grid, walk[0], walk[1])
+    assert [_bits(c) for c in face] == [_bits(c) for c in _box(want_face)]
+    region = attraction_region(grid, window, face)
+    want = ref.attraction_region(grid, window, want_face) if len(window) >= 2 else want_face
+    assert [_bits(c) for c in region] == [_bits(c) for c in _box(want)]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        p = select_exit_point(region, got_rng)
+        assert _bits((p.x, p.y, p.z)) == _bits(ref.select_exit_point(want, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_shared_face_rejects_what_the_reference_rejects():
+    grid = AirspaceGrid(extent=(3.0, 3.0, 3.0), counts=(3, 3, 3))
+    for a in range(1, 28):
+        for b in range(1, 28):
+            got = _outcome(lambda pair: grid.shared_face(*pair), (a, b))
+            want = _outcome(lambda pair: ref.shared_face(grid, *pair), (a, b))
+            if isinstance(want, ref.Face):
+                want = tuple(tuple(c) for c in _box(want))
+            assert got == want
 
 
 # -- grid tables --------------------------------------------------------------
@@ -128,7 +194,7 @@ def test_neighbors_are_the_face_adjacent_cells():
             assert grid.adjacency[a] == tuple(sorted(brute))
 
 
-def _locate_outcome(locate, p):
+def _outcome(locate, p):
     try:
         return locate(p)
     except Exception as exc:  # the exception itself is what is compared
@@ -166,8 +232,8 @@ def lattice_points(draw):
 @example(case=(AirspaceGrid(extent=(3.3, 1.0, 1.0), counts=(3, 1, 1)), Point3(2.2, -1.0, 5.0)))
 def test_locate_matches_reference(case):
     grid, p = case
-    want = _locate_outcome(lambda q: ref.locate(grid, q), p)
-    assert _locate_outcome(grid.locate, p) == want
+    want = _outcome(lambda q: ref.locate(grid, q), p)
+    assert _outcome(grid.locate, p) == want
 
 
 def test_locate_matches_reference_on_a_face_lattice():
@@ -180,6 +246,6 @@ def test_locate_matches_reference_on_a_face_lattice():
         for y in axes[1]:
             for z in axes[2]:
                 p = Point3(x, y, z)
-                assert _locate_outcome(grid.locate, p) == _locate_outcome(
+                assert _outcome(grid.locate, p) == _outcome(
                     lambda q: ref.locate(grid, q), p
                 )

@@ -87,12 +87,9 @@ def test_neighbors_symmetric():
 
 def test_shared_face_geometry():
     g = make_grid()
-    f = g.shared_face(1, 2)
-    assert (f.axis, f.plane) == (0, 200.0)
-    assert f.u_range == (0.0, 200.0) and f.v_range == (0.0, 50.0)
-    f = g.shared_face(1, 26)
-    assert (f.axis, f.plane) == (2, 50.0)
-    assert f.u_range == (0.0, 200.0) and f.v_range == (0.0, 200.0)
+    # Cell a's box, flat on the axis across the face.
+    assert g.shared_face(1, 2) == ((200.0, 0.0, 0.0), (200.0, 200.0, 50.0))
+    assert g.shared_face(1, 26) == ((0.0, 0.0, 50.0), (200.0, 200.0, 50.0))
     with pytest.raises(NotAdjacent):
         g.shared_face(1, 3)
 

@@ -396,6 +396,17 @@ def test_rejects_a_repeated_uav_id(first, second, uav_id):
         load_scenario(TWO_UAVS % (first, second))
 
 
+@pytest.mark.parametrize("uav_id", ["[1, 2]", "{a: 1}", "null", '""', "true", "1.5"])
+def test_rejects_a_uav_id_that_is_not_a_string_or_an_int(uav_id):
+    with pytest.raises(ValidationError, match=re.escape("uavs[1].id: expected a non-empty string or an int")):
+        load_scenario(TWO_UAVS % ("", f"id: {uav_id},"))
+
+
+def test_an_int_uav_id_is_taken_as_its_text():
+    sc = load_scenario(TWO_UAVS % ("id: 7,", "id: ab,"))
+    assert [u.id for u in sc.uavs] == ["7", "ab"]
+
+
 def test_random_uavs_take_ids_no_listed_uav_holds():
     sc = load_scenario(
         TWO_UAVS % ("", "id: uav2,")

@@ -10,6 +10,7 @@ from skygrid.adsb import OccupancyReport, PositionReport, SuddenObstacleAlert
 from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import NoFeasibleSeed, feasibility_penalty
+from skygrid.replan import RepairFailed
 from skygrid.sampling import flatten_obstacles, segment_free
 from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
 from skygrid.sim import Mode, UavPhase, World, run_scenario
@@ -412,6 +413,31 @@ def test_repair_from_a_uav_stopped_on_a_vertex_records_no_zero_length_segment():
     assert np.all(np.linalg.norm(np.diff(new, axis=0), axis=1) > 0.0)
     assert np.array_equal(world.metrics.executed[-1].waypoints, new)
     assert not dense_sample_penetrates(_route_ahead(uav), [ob])
+
+
+def test_an_escalated_replan_keeps_the_flown_part_of_the_cell(monkeypatch):
+    """When the repair fails, the cell is re-planned from the position and the
+    recorded route still starts with the waypoints already flown."""
+
+    def fail(*args, **kwargs):
+        raise RepairFailed("no bracket")
+
+    monkeypatch.setattr(sim, "repair", fail)
+    world = World(empty_single_cell(seed=1), Mode.SSP)
+    for _ in range(10):
+        world.step()
+    uav = world.uavs[0]
+    wp, nxt = uav.active_waypath.waypoints, uav.next_waypoint_index
+    assert not np.array_equal(uav.position, wp[nxt - 1])
+    world.inject_sudden_obstacle(make_sudden(wp[nxt + 1], side=2.0), world.tick)
+    assert [e["kind"] for e in world.metrics.events[-2:]] == ["repair_failed", "cell_replanned"]
+    new = uav.active_waypath.waypoints
+    assert np.array_equal(new[:nxt], wp[:nxt])
+    assert np.array_equal(new[nxt], uav.position) and uav.next_waypoint_index == nxt + 1
+    metrics = world.run()
+    assert metrics.arrived == ["uav0"]
+    recorded = np.linalg.norm(np.diff(metrics.executed[-1].waypoints, axis=0), axis=1).sum()
+    assert recorded == pytest.approx(metrics.per_uav_length["uav0"], abs=1e-6)
 
 
 def test_obstacle_behind_uav_is_ignored():
