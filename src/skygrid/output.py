@@ -63,12 +63,13 @@ def waypoint_rows(metrics: SimMetrics) -> list[list]:
         seq = 0
         prev_last = None
         for ex in by_uav[uav_id]:
-            for i, (x, y, z) in enumerate(ex.waypoints):
-                if i == 0 and prev_last is not None and tuple(prev_last) == (x, y, z):
+            points = ex.waypoints.tolist()
+            for i, (x, y, z) in enumerate(points):
+                if i == 0 and points[0] == prev_last:
                     continue
-                rows.append([uav_id, seq, float(x), float(y), float(z), ex.cell])
+                rows.append([uav_id, seq, x, y, z, ex.cell])
                 seq += 1
-            prev_last = ex.waypoints[-1]
+            prev_last = points[-1]
     return rows
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -43,6 +44,23 @@ from .scenario import Mode, Scenario, ValidationError, parse_mode
 FINE_PLAN_ATTEMPTS = 5
 EXIT_DRAWS = 3
 
+Xyz = tuple[float, float, float]
+
+
+def squared_lengths(legs: list[Xyz]) -> list[float]:
+    """`v.dot(v)` of every leg v, bit for bit.
+
+    `ndarray.dot` of a 3-vector is BLAS's dot kernel, whose fused
+    multiply-adds no Python formula reproduces. numpy sends each (1, 3) @ (3, 1)
+    product of a stack through the same kernel, so many legs cost one matmul;
+    one leg goes to `dot` itself, which costs half a one-product matmul.
+    """
+    if len(legs) == 1:
+        v = np.array(legs[0])
+        return [float(v.dot(v))]
+    a = np.fromiter(chain.from_iterable(legs), float, 3 * len(legs))
+    return np.matmul(a.reshape(-1, 1, 3), a.reshape(-1, 3, 1)).ravel().tolist()
+
 
 class UavPhase(Enum):
     PLANNING = "Planning"
@@ -54,7 +72,7 @@ class UavPhase(Enum):
 @dataclass
 class UavState:
     id: str
-    position: np.ndarray
+    xyz: Xyz  # the position
     goal: Point3
     goal_cell: int
     speed: float = 5.0
@@ -62,10 +80,27 @@ class UavState:
     phase: UavPhase = UavPhase.PLANNING
     coarse_plan: Optional[CoarsePlan] = None
     active_waypath: Optional[Waypath] = None
+    route: tuple[Xyz, ...] = ()  # active_waypath's waypoints, as floats
     next_waypoint_index: int = 0
     current_cell: int = 0
     flown_length: float = 0.0
     rng: Optional[np.random.Generator] = None
+
+    @property
+    def position(self) -> np.ndarray:
+        """A fresh (3,) float64 copy of `xyz`: an edit in place is lost, so
+        assign a new position instead."""
+        return np.array(self.xyz)
+
+    @position.setter
+    def position(self, p) -> None:
+        x, y, z = np.asarray(p, dtype=float).tolist()
+        self.xyz = (x, y, z)
+
+    def leg(self) -> Xyz:
+        """From the position to the next waypoint."""
+        (tx, ty, tz), (x, y, z) = self.route[self.next_waypoint_index], self.xyz
+        return tx - x, ty - y, tz - z
 
 
 @dataclass
@@ -134,7 +169,7 @@ class World:
             self.uavs.append(
                 UavState(
                     id=spec.id,
-                    position=spec.start.as_array(),
+                    xyz=tuple(spec.start.as_array().tolist()),
                     goal=spec.goal,
                     goal_cell=self.grid.locate(spec.goal),
                     speed=spec.speed,
@@ -289,6 +324,7 @@ class World:
     def _commit(self, uav: UavState, waypath: Waypath, next_index: int, event: str) -> None:
         """Install a route in the UAV's current cell, record it and log why."""
         uav.active_waypath = waypath
+        uav.route = tuple(map(tuple, waypath.waypoints.tolist()))
         uav.next_waypoint_index = next_index
         self.metrics.executed.append(ExecutedPath(uav.id, uav.current_cell, waypath.waypoints.copy()))
         self._log(event, uav.id, cell=uav.current_cell)
@@ -349,38 +385,54 @@ class World:
             _, ob = self.pending_injections.pop(0)
             self.inject_sudden_obstacle(ob, self.tick)
 
+        # The UAVs flying now take their first legs' squared lengths from one
+        # call. A UAV's phase changes only on its own turn, so those are the
+        # UAVs found flying below, in the same order.
+        legs = [uav.leg() for uav in self.uavs if uav.phase is UavPhase.FLYING]
+        firsts = zip(legs, squared_lengths(legs))
         for uav in self.uavs:
-            if uav.phase is UavPhase.PLANNING and self.tick >= uav.takeoff_tick:
-                cell = self.grid.locate(Point3.from_array(uav.position))
-                self._enter_cell(uav, cell, Point3.from_array(uav.position))
+            if uav.phase is UavPhase.FLYING:
+                self._advance(uav, uav.speed * dt, *next(firsts))
+            elif uav.phase is UavPhase.PLANNING and self.tick >= uav.takeoff_tick:
+                entry = Point3(*uav.xyz)
+                self._enter_cell(uav, self.grid.locate(entry), entry)
                 if uav.phase is not UavPhase.FAILED:
                     uav.phase = UavPhase.FLYING
-            if uav.phase is UavPhase.FLYING:
-                self._advance(uav, uav.speed * dt)
+                    self._advance(uav, uav.speed * dt)
 
         self.tick += 1
         self._record_tick()
 
-    def _advance(self, uav: UavState, distance: float) -> None:
+    def _advance(
+        self, uav: UavState, distance: float, leg: Optional[Xyz] = None, gap2: float = 0.0
+    ) -> None:
+        """Fly `distance` along the route. `leg` (with `gap2`, its squared
+        length) is the first leg when the caller has it."""
         remaining = distance
         while remaining > 1e-9 and uav.phase is UavPhase.FLYING:
-            wp = uav.active_waypath.waypoints
-            target = wp[uav.next_waypoint_index]
-            d = target - uav.position
+            if leg is None:
+                leg = uav.leg()
+                (gap2,) = squared_lengths([leg])
             # np.linalg.norm of a 1-D array is exactly this.
-            gap = math.sqrt(d.dot(d))
+            gap = math.sqrt(gap2)
             if gap > remaining:
-                uav.position = uav.position + d * (remaining / gap)
+                s = remaining / gap
+                (x, y, z), (dx, dy, dz) = uav.xyz, leg
+                uav.xyz = (x + dx * s, y + dy * s, z + dz * s)
                 uav.flown_length += remaining
                 return
-            uav.position = target.copy()
+            leg = None
+            uav.xyz = uav.route[uav.next_waypoint_index]
             uav.flown_length += gap
             remaining -= gap
-            if uav.next_waypoint_index < len(wp) - 1:
+            if uav.next_waypoint_index < len(uav.route) - 1:
                 uav.next_waypoint_index += 1
                 continue
-            # End of the cell's waypath: either arrived or crossing a face.
-            if uav.current_cell == uav.goal_cell and np.allclose(uav.position, uav.goal.as_array()):
+            # End of the cell's route: either arrived or crossing a face.
+            goal = uav.goal
+            if uav.current_cell == uav.goal_cell and all(  # np.allclose, on floats
+                abs(p - g) <= 1e-8 + 1e-5 * abs(g) for p, g in zip(uav.xyz, (goal.x, goal.y, goal.z))
+            ):
                 uav.phase = UavPhase.ARRIVED
                 self._log("arrived", uav.id, cell=uav.current_cell)
                 return
@@ -390,7 +442,7 @@ class World:
                 uav.phase = UavPhase.FAILED
                 self._log("plan_exhausted", uav.id, cell=uav.current_cell)
                 return
-            self._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))
+            self._enter_cell(uav, plan.cells[idx + 1], Point3(*uav.xyz))
 
     def _ground_station(self, msg: AdsbMessage) -> None:
         """Bus subscriber: counts each position report it receives in its cell."""
@@ -404,7 +456,7 @@ class World:
         tick, publish = self.tick, self.bus.publish
         for uav in self.uavs:
             if uav.phase is UavPhase.FLYING:
-                x, y, z = uav.position.tolist()
+                x, y, z = uav.xyz
                 if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                     raise ValueError(f"{uav.id}: non-finite position {(x, y, z)}")
                 publish(AdsbMessage(uav.id, tick, PositionReport(uav.id, x, y, z)))

@@ -6,7 +6,8 @@ ranking), the clearance kernel `points_to_cuboids_distance`, the coarse
 search `skygrid.coarse.plan_coarse`, `AirspaceGrid.locate`/`neighbors`, the
 exit faces `Face`/`shared_face`/`attraction_region`/`select_exit_point`, the
 resampling `resample_polyline`/`straight_waypath` (small-array numpy), the
-simulation's `World._advance`, the swarm's scoring `_segments`,
+simulation's tick `World.step`/`_advance`/`_record_tick` (each UAV's position
+a (3,) array, each gap its own `dot`), the swarm's scoring `_segments`,
 `_batch_cost`, `_batch_penalty` and `optimize` (per-call numpy over
 particle-major (P, J, 3) paths) and the result writer `write_table` (every
 row through `csv.writer`) were rewritten to give the same results with less
@@ -380,8 +381,33 @@ def straight_waypath(start, goal, count, sub_airspace=0):
     return resample_polyline(np.array([start.as_array(), goal.as_array()]), count)
 
 
+def step(world, dt=1.0):
+    """`World.step`, to be bound to a World with types.MethodType (with
+    `advance` and `record_tick` bound as `_advance` and `_record_tick`)."""
+    from skygrid.geometry import Point3
+    from skygrid.sim import UavPhase
+
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    while world.pending_injections and world.pending_injections[0][0] <= world.tick:
+        _, ob = world.pending_injections.pop(0)
+        world.inject_sudden_obstacle(ob, world.tick)
+
+    for uav in world.uavs:
+        if uav.phase is UavPhase.PLANNING and world.tick >= uav.takeoff_tick:
+            cell = world.grid.locate(Point3.from_array(uav.position))
+            world._enter_cell(uav, cell, Point3.from_array(uav.position))
+            if uav.phase is not UavPhase.FAILED:
+                uav.phase = UavPhase.FLYING
+        if uav.phase is UavPhase.FLYING:
+            world._advance(uav, uav.speed * dt)
+
+    world.tick += 1
+    world._record_tick()
+
+
 def advance(world, uav, distance):
-    """`World._advance`, to be bound to a World with types.MethodType."""
+    """`World._advance` on (3,) arrays: `uav.position` is read and assigned."""
     from skygrid.geometry import Point3
     from skygrid.sim import UavPhase
 
@@ -389,9 +415,11 @@ def advance(world, uav, distance):
     while remaining > 1e-9 and uav.phase is UavPhase.FLYING:
         wp = uav.active_waypath.waypoints
         target = wp[uav.next_waypoint_index]
-        gap = float(np.linalg.norm(target - uav.position))
+        d = target - uav.position
+        # np.linalg.norm of a 1-D array is exactly this.
+        gap = math.sqrt(d.dot(d))
         if gap > remaining:
-            uav.position = uav.position + (target - uav.position) * (remaining / gap)
+            uav.position = uav.position + d * (remaining / gap)
             uav.flown_length += remaining
             return
         uav.position = target.copy()
@@ -400,8 +428,8 @@ def advance(world, uav, distance):
         if uav.next_waypoint_index < len(wp) - 1:
             uav.next_waypoint_index += 1
             continue
-        goal_cell = world.grid.locate(uav.goal)
-        if uav.current_cell == goal_cell and np.allclose(uav.position, uav.goal.as_array()):
+        # End of the cell's waypath: either arrived or crossing a face.
+        if uav.current_cell == uav.goal_cell and np.allclose(uav.position, uav.goal.as_array()):
             uav.phase = UavPhase.ARRIVED
             world._log("arrived", uav.id, cell=uav.current_cell)
             return
@@ -412,6 +440,26 @@ def advance(world, uav, distance):
             world._log("plan_exhausted", uav.id, cell=uav.current_cell)
             return
         world._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))
+
+
+def record_tick(world):
+    """`World._record_tick`."""
+    from skygrid.adsb import AdsbMessage, OccupancyReport, PositionReport
+    from skygrid.sim import UavPhase
+
+    world._counts = [0] * world.grid.n_cells
+    tick, publish = world.tick, world.bus.publish
+    for uav in world.uavs:
+        if uav.phase is UavPhase.FLYING:
+            x, y, z = uav.position.tolist()
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError(f"{uav.id}: non-finite position {(x, y, z)}")
+            publish(AdsbMessage(uav.id, tick, PositionReport(uav.id, x, y, z)))
+    world.occupancy = tuple(world._counts)
+    world.bus.publish(
+        AdsbMessage(sender="ground-station", tick=world.tick, payload=OccupancyReport(world.occupancy))
+    )
+    np.maximum(world.metrics.max_occupancy, world.occupancy, out=world.metrics.max_occupancy)
 
 
 # -- the swarm's scoring; geometry goes through the frozen kernels above ------

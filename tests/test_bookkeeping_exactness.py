@@ -1,15 +1,20 @@
 """Exactness of the simulation's per-UAV bookkeeping.
 
-`resample_polyline`, `straight_waypath` and `World._advance` do their scalar
-work in Python floats instead of small numpy arrays. They are compared bit
-for bit with frozen copies of the numpy code (`reference_kernels.py`): paths
-of two points, of eight or more segments (where numpy's sum of the segment
-lengths turns pairwise), with zero-length segments, with no length at all,
-with tied fractional shares and with no interval to spare; and every UAV's
-position and flown length after every tick of an obstacle-free fleet.
+`resample_polyline`, `straight_waypath` and the tick (`World.step`,
+`_advance`, `_record_tick`) do their scalar work in Python floats instead of
+small numpy arrays. They are compared bit for bit with frozen copies of the
+numpy code (`reference_kernels.py`): paths of two points, of eight or more
+segments (where numpy's sum of the segment lengths turns pairwise), with
+zero-length segments, with no length at all, with tied fractional shares and
+with no interval to spare; and, after every tick, every UAV's position,
+flown length, next waypoint and phase, the bus log and the events, on an
+obstacle-free fleet, a staggered fleet on a lossy bus, a repair mid-leg and
+UAVs fast enough to cross several waypoints and a face in one tick. The
+tick's squared gaps, `squared_lengths`, are checked against `ndarray.dot`.
 """
 
 import types
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ import reference_kernels as ref
 from skygrid.geometry import Point3
 from skygrid.sampling import resample_polyline, straight_waypath
 from skygrid.scenario import load_scenario
-from skygrid.sim import Mode, World
+from skygrid.sim import Mode, UavPhase, World, squared_lengths
 
 
 def same_bits(a, b) -> bool:
@@ -135,20 +140,112 @@ def test_resample_polyline_rejects_what_the_reference_rejects():
         assert str(fast.value) == str(frozen.value)
 
 
-FLEET = "random_uavs: {count: 20, min_cell_separation: 5}\nobstacles: []\nseed: 4\n"
+def frozen_world(text: str) -> World:
+    """A World that ticks with the frozen `step`, `_advance` and `_record_tick`."""
+    world = World(load_scenario(text), Mode.SSP)
+    for name, kernel in (("step", ref.step), ("_advance", ref.advance), ("_record_tick", ref.record_tick)):
+        setattr(world, name, types.MethodType(kernel, world))
+    return world
 
 
-def test_every_tick_matches_the_frozen_advance():
-    scenario = load_scenario(FLEET)
-    fast = World(scenario, Mode.SSP)
-    frozen = World(load_scenario(FLEET), Mode.SSP)
-    frozen._advance = types.MethodType(ref.advance, frozen)
+def snapshot(uav):
+    return uav.phase, uav.current_cell, uav.next_waypoint_index, uav.xyz, uav.route
+
+
+def fly_both(text: str):
+    """Tick a World and its frozen twin in lockstep. After every tick, every
+    UAV's position bits, flown length, next waypoint and phase, and the new bus
+    messages and events, must be the same. Returns the World and, per tick,
+    each UAV's (before, after) snapshot."""
+    scenario = load_scenario(text)
+    fast, frozen = World(scenario, Mode.SSP), frozen_world(text)
+    ticks = []
     while not fast.done() and fast.tick < scenario.max_ticks:
+        before = [snapshot(u) for u in fast.uavs]
+        k, e = len(fast.bus.log), len(fast.metrics.events)
         fast.step(scenario.dt)
         frozen.step(scenario.dt)
         for a, b in zip(fast.uavs, frozen.uavs):
             assert same_bits(a.position, b.position), (fast.tick, a.id)
             assert a.flown_length.hex() == b.flown_length.hex(), (fast.tick, a.id)
-            assert a.phase is b.phase
-    assert frozen.done() and fast.tick > 100
-    assert fast.metrics.events == frozen.metrics.events
+            assert a.next_waypoint_index == b.next_waypoint_index, (fast.tick, a.id)
+            assert a.phase is b.phase, (fast.tick, a.id)
+        assert len(fast.bus.log) == len(frozen.bus.log) and fast.bus.log[k:] == frozen.bus.log[k:]
+        assert fast.metrics.events[e:] == frozen.metrics.events[e:]
+        ticks.append(list(zip(before, map(snapshot, fast.uavs))))
+    assert frozen.done() and frozen.tick == fast.tick
+    return fast, ticks
+
+
+FLEET = "random_uavs: {count: 20, min_cell_separation: 5}\nobstacles: []\nseed: 4\n"
+
+
+def test_every_tick_matches_the_frozen_advance():
+    _, ticks = fly_both(FLEET)
+    assert len(ticks) > 100
+
+
+def test_staggered_lossy_fleet_ticks_match_the_frozen_tick():
+    text = "random_uavs: {count: 12, min_cell_separation: 5}\nobstacles: []\nstagger: 3\nloss_rate: 0.3\nseed: 5\n"
+    world, _ = fly_both(text)
+    assert world.uavs[-1].takeoff_tick == 33
+    assert all(u.phase is UavPhase.ARRIVED for u in world.uavs)
+
+
+# Two UAVs across two cells; at seed 3 one of them repairs around the cube
+# injected at tick 6.
+REPAIR = """\
+airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}
+obstacles:
+  - {anchor: [60, 20, 0], lengths: [30, 30, 50]}
+uavs:
+  - {start: [10, 100, 10], goal: [390, 100, 10]}
+  - {start: [10, 60, 20], goal: [390, 150, 30]}
+injections:
+  - {tick: 6, obstacle: {anchor: [95, 95, 5], lengths: [12, 12, 12]}}
+seed: 3
+"""
+
+
+def test_a_mid_leg_repair_matches_the_frozen_tick():
+    world, ticks = fly_both(REPAIR)
+    (repaired,) = [e["who"] for e in world.metrics.events if e["kind"] == "repair"]
+    i = [u.id for u in world.uavs].index(repaired)
+    (_, _, nxt, xyz, route), _ = ticks[6][i]
+    assert xyz != route[nxt - 1] and xyz != route[nxt]  # between two waypoints
+
+
+def test_fast_uavs_cross_waypoints_and_faces_as_the_frozen_tick():
+    world, ticks = fly_both("random_uavs: {count: 8, min_cell_separation: 5, speed: 60}\nobstacles: []\nseed: 6\n")
+    crossed = spare = 0
+    for (phase, cell, nxt, _, _), (phase_after, cell_after, nxt_after, xyz, route) in chain(*ticks):
+        if phase is not UavPhase.FLYING or phase_after is not UavPhase.FLYING:
+            continue
+        if cell_after == cell:
+            crossed = max(crossed, nxt_after - nxt)
+        elif xyz != route[0]:
+            spare += 1  # entered a cell and flew on in the same tick
+    assert crossed >= 3 and spare > 0
+
+
+# Components from +-1e-300 (squares below the smallest subnormal) to +-1e150
+# (squares near the largest float), and signed zeros.
+component = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, v: sign * v,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1e-300, 1e150, allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(legs=st.lists(st.tuples(component, component, component), min_size=1, max_size=200))
+def test_squared_lengths_are_ndarray_dot_to_the_bit(legs):
+    # Fails first on a numpy or BLAS build whose stacked matmul and dot round
+    # differently, before any golden output moves.
+    got = squared_lengths(legs)
+    assert all(type(g) is float for g in got)
+    want = [float(v.dot(v)) for v in map(np.array, legs)]
+    assert [g.hex() for g in got] == [w.hex() for w in want]

@@ -1,4 +1,6 @@
 import copy
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +167,41 @@ def test_a_non_finite_position_raises_before_it_is_published():
     with pytest.raises(ValueError, match="non-finite position"):
         world._record_tick()
     assert len(world.bus.log) == logged
+
+
+def test_position_is_a_fresh_array_of_the_stored_floats():
+    world = World(single_cell_scenario(seed=0), Mode.SSP)
+    world.step()
+    uav = world.uavs[0]
+    assert all(type(v) is float for v in uav.xyz)
+    p = uav.position
+    assert p.shape == (3,) and p.dtype == np.float64 and p.tolist() == list(uav.xyz)
+    assert uav.position is not p
+    p[0] += 1.0  # an edit in place is lost
+    assert uav.position[0] == uav.xyz[0] != p[0]
+    assert "lost" in sim.UavState.position.__doc__
+    # Assigning sets the floats, to the bit.
+    uav.position = np.array([1.0, -0.0, 2.5])
+    assert uav.xyz == (1.0, -0.0, 2.5) and str(uav.xyz[1]) == "-0.0"
+    assert all(type(v) is float for v in uav.xyz)
+    # What perfbench's oracle reads.
+    goal = np.array([uav.goal.x, uav.goal.y, uav.goal.z])
+    uav.position = goal
+    assert np.array_equal(uav.position, goal) and uav.position.tolist() == goal.tolist()
+
+
+def test_nothing_edits_a_position_in_place():
+    # `position` is a fresh copy, so an in-place edit would be silently lost.
+    in_place = re.compile(r"\.position\s*\[[^\]]*\]\s*[-+*/]?=(?!=)|out=[^,)]*\.position\b|\.position\.(fill|put|sort|resize)\(")
+    root = Path(__file__).resolve().parents[1]
+    hits = [
+        f"{path.relative_to(root)}:{n}"
+        for folder in ("src", "perfbench", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if in_place.search(line) and not line.lstrip().startswith("in_place = ")
+    ]
+    assert hits == []
 
 
 def _fleet_run(loss_rate):
