@@ -41,12 +41,22 @@ def _load(args, default_text: str = "") -> Scenario:
     return load_scenario(default_text, args.seed, args.mode)
 
 
+def _unfinished(metrics: SimMetrics) -> list[str]:
+    """The UAVs that neither arrived nor failed: still flying at `max_ticks`."""
+    done = {*metrics.arrived, *metrics.failed}
+    return [uav for uav in metrics.per_uav_length if uav not in done]
+
+
 def _run_and_emit(scenario: Scenario, args) -> int:
     world = World(scenario, Mode(scenario.mode))
     metrics = world.run()
     emit_results(metrics, args.out, args.format, bus_log=world.bus.log)
+    unfinished = _unfinished(metrics)
     if metrics.failed:
         print(f"planning failed for: {', '.join(metrics.failed)}", file=sys.stderr)
+    if unfinished:
+        print(f"still flying after {metrics.ticks} ticks: {', '.join(unfinished)}", file=sys.stderr)
+    if metrics.failed or unfinished:
         return 1
     print(f"done: {len(metrics.arrived)}/{len(scenario.uavs)} arrived in {metrics.ticks} ticks")
     return 0
@@ -102,7 +112,11 @@ def cmd_compare(args) -> int:
             else:
                 scenario = load_scenario(DEFAULT_MULTI_UAV_CONFIG, seed, mode.value)
             metrics = World(scenario, mode).run()
-            any_failed = any_failed or bool(metrics.failed)
+            unfinished = _unfinished(metrics)
+            if unfinished:
+                print(f"seed {seed} {mode.value}: still flying after {metrics.ticks} ticks: "
+                      f"{', '.join(unfinished)}", file=sys.stderr)
+            any_failed = any_failed or bool(metrics.failed) or bool(unfinished)
             rows.append(
                 {
                     "seed": seed,

@@ -51,6 +51,9 @@ UPPER_BOUNDS = {
     "obstacles": 1000,
     "injections": 1000,
     "max_ticks": 20_000,
+    # Each axis, in metres. 100 km holds any city's low-altitude airspace, and
+    # the planners square coordinate differences, which overflow near 1e154.
+    "airspace.extent": 100_000.0,
 }
 
 # Reference single-cell environment: 200x200x50 m box with three buildings.
@@ -380,6 +383,8 @@ def load_scenario(
         raise ValidationError(f"airspace.cells: at most {MAX_CELLS} cells, got {math.prod(counts)}")
     if any(e <= 0 for e in extent):
         raise ValidationError("airspace.extent entries must be positive")
+    for e in extent:
+        _bounded(e, "airspace.extent")
 
     overrides = {"seed": seed_override, "mode": mode_override}
     scalars = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,21 +44,6 @@ FINE_PLAN_ATTEMPTS = 5
 EXIT_DRAWS = 3
 
 Xyz = tuple[float, float, float]
-
-
-def squared_lengths(legs: list[Xyz]) -> list[float]:
-    """`v.dot(v)` of every leg v, bit for bit.
-
-    `ndarray.dot` of a 3-vector is BLAS's dot kernel, whose fused
-    multiply-adds no Python formula reproduces. numpy sends each (1, 3) @ (3, 1)
-    product of a stack through the same kernel, so many legs cost one matmul;
-    one leg goes to `dot` itself, which costs half a one-product matmul.
-    """
-    if len(legs) == 1:
-        v = np.array(legs[0])
-        return [float(v.dot(v))]
-    a = np.fromiter(chain.from_iterable(legs), float, 3 * len(legs))
-    return np.matmul(a.reshape(-1, 1, 3), a.reshape(-1, 3, 1)).ravel().tolist()
 
 
 class UavPhase(Enum):
@@ -385,14 +369,9 @@ class World:
             _, ob = self.pending_injections.pop(0)
             self.inject_sudden_obstacle(ob, self.tick)
 
-        # The UAVs flying now take their first legs' squared lengths from one
-        # call. A UAV's phase changes only on its own turn, so those are the
-        # UAVs found flying below, in the same order.
-        legs = [uav.leg() for uav in self.uavs if uav.phase is UavPhase.FLYING]
-        firsts = zip(legs, squared_lengths(legs))
         for uav in self.uavs:
             if uav.phase is UavPhase.FLYING:
-                self._advance(uav, uav.speed * dt, *next(firsts))
+                self._advance(uav, uav.speed * dt)
             elif uav.phase is UavPhase.PLANNING and self.tick >= uav.takeoff_tick:
                 entry = Point3(*uav.xyz)
                 self._enter_cell(uav, self.grid.locate(entry), entry)
@@ -403,25 +382,18 @@ class World:
         self.tick += 1
         self._record_tick()
 
-    def _advance(
-        self, uav: UavState, distance: float, leg: Optional[Xyz] = None, gap2: float = 0.0
-    ) -> None:
-        """Fly `distance` along the route. `leg` (with `gap2`, its squared
-        length) is the first leg when the caller has it."""
+    def _advance(self, uav: UavState, distance: float) -> None:
+        """Fly `distance` along the route."""
         remaining = distance
         while remaining > 1e-9 and uav.phase is UavPhase.FLYING:
-            if leg is None:
-                leg = uav.leg()
-                (gap2,) = squared_lengths([leg])
-            # np.linalg.norm of a 1-D array is exactly this.
-            gap = math.sqrt(gap2)
+            dx, dy, dz = uav.leg()
+            gap = math.sqrt((dx * dx + dy * dy) + dz * dz)
             if gap > remaining:
                 s = remaining / gap
-                (x, y, z), (dx, dy, dz) = uav.xyz, leg
+                x, y, z = uav.xyz
                 uav.xyz = (x + dx * s, y + dy * s, z + dz * s)
                 uav.flown_length += remaining
                 return
-            leg = None
             uav.xyz = uav.route[uav.next_waypoint_index]
             uav.flown_length += gap
             remaining -= gap

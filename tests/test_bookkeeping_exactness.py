@@ -9,12 +9,33 @@ zero-length segments, with no length at all, with tied fractional shares and
 with no interval to spare; and, after every tick, every UAV's position,
 flown length, next waypoint and phase, the bus log and the events, on an
 obstacle-free fleet, a staggered fleet on a lossy bus, a repair mid-leg and
-UAVs fast enough to cross several waypoints and a face in one tick. The
-tick's squared gaps, `squared_lengths`, are checked against `ndarray.dot`.
+UAVs fast enough to cross several waypoints and a face in one tick.
+
+The tick takes each gap as `sqrt((x*x + y*y) + z*z)`, which IEEE 754 rounds
+the same on every host. The frozen tick takes it as `sqrt(d.dot(d))`, BLAS's
+dot kernel, which is that formula only where the kernel fuses no
+multiply-add. So the lockstep tests run in a child process under
+`OPENBLAS_CORETYPE=Nehalem`, an OpenBLAS kernel without FMA, once the child
+has checked that its `ndarray.dot` is the formula; where it is not (a host
+that is not x86, or a BLAS that ignores the variable), they skip.
+
+Last, the tick must give the same bits whatever BLAS kernel or SIMD dispatch
+the host picks: two scenarios run in child processes under the default
+environment, `OPENBLAS_CORETYPE=Nehalem` and numpy without its AVX-512 loops,
+and after every tick every UAV's position and flown length and every executed
+waypoint must be the same bits in all three.
 """
 
+import functools
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 import types
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +45,40 @@ import reference_kernels as ref
 from skygrid.geometry import Point3
 from skygrid.sampling import resample_polyline, straight_waypath
 from skygrid.scenario import load_scenario
-from skygrid.sim import Mode, UavPhase, World, squared_lengths
+from skygrid.sim import Mode, UavPhase, World
+
+TESTS = Path(__file__).resolve().parent
+SKIP = 77  # a child's exit status when the host cannot run what it was asked to
+
+# Imports numpy first, so that numpy's warning about an environment variable
+# naming CPU features it cannot disable says why the child cannot run.
+CHILD = """\
+import sys, warnings
+sys.path[:0] = {paths!r}
+with warnings.catch_warnings():
+    warnings.simplefilter("error", ImportWarning)
+    try:
+        import numpy
+    except ImportWarning as w:
+        print(w)
+        sys.exit({skip})
+import test_bookkeeping_exactness as t
+{call}
+"""
+
+
+def in_child(call: str, env: dict[str, str]) -> str:
+    """Run `call`, a statement on this module as `t`, in a new Python process
+    whose environment is this one's plus `env`, and return what it printed.
+    The test skips, with the child's reason, if the child exits with SKIP."""
+    code = CHILD.format(paths=[str(TESTS.parent / "src"), str(TESTS)], skip=SKIP, call=call)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, **env}, capture_output=True, text=True, timeout=600
+    )
+    if proc.returncode == SKIP:
+        pytest.skip(f"{env}: {' '.join(proc.stdout.split())}")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
 
 
 def same_bits(a, b) -> bool:
@@ -152,6 +206,29 @@ def snapshot(uav):
     return uav.phase, uav.current_cell, uav.next_waypoint_index, uav.xyz, uav.route
 
 
+def dot_is_the_formula() -> None:
+    """Exit with SKIP unless `ndarray.dot` of a 3-vector is `(x*x + y*y) + z*z`
+    in this process, on random legs of which about a fifth differ under
+    OpenBLAS's SkylakeX kernel."""
+    legs = np.random.default_rng(0).uniform(-100.0, 100.0, size=(20000, 3))
+    differ = sum(float(v.dot(v)) != (x * x + y * y) + z * z for v, (x, y, z) in zip(legs, legs.tolist()))
+    if differ:
+        print(f"ndarray.dot is not (x*x + y*y) + z*z on {differ} of {len(legs)} legs here, "
+              "so the frozen tick's gaps are not the tick's: not an x86 OpenBLAS, or one "
+              "that ignores OPENBLAS_CORETYPE")
+        sys.exit(SKIP)
+
+
+def under_nehalem(check):
+    """The test `check`, run in a child process under OPENBLAS_CORETYPE=Nehalem."""
+
+    @functools.wraps(check)
+    def test():
+        in_child(f"t.dot_is_the_formula(); t.{check.__name__}.__wrapped__()", {"OPENBLAS_CORETYPE": "Nehalem"})
+
+    return test
+
+
 def fly_both(text: str):
     """Tick a World and its frozen twin in lockstep. After every tick, every
     UAV's position bits, flown length, next waypoint and phase, and the new bus
@@ -180,11 +257,13 @@ def fly_both(text: str):
 FLEET = "random_uavs: {count: 20, min_cell_separation: 5}\nobstacles: []\nseed: 4\n"
 
 
+@under_nehalem
 def test_every_tick_matches_the_frozen_advance():
     _, ticks = fly_both(FLEET)
     assert len(ticks) > 100
 
 
+@under_nehalem
 def test_staggered_lossy_fleet_ticks_match_the_frozen_tick():
     text = "random_uavs: {count: 12, min_cell_separation: 5}\nobstacles: []\nstagger: 3\nloss_rate: 0.3\nseed: 5\n"
     world, _ = fly_both(text)
@@ -207,6 +286,7 @@ seed: 3
 """
 
 
+@under_nehalem
 def test_a_mid_leg_repair_matches_the_frozen_tick():
     world, ticks = fly_both(REPAIR)
     (repaired,) = [e["who"] for e in world.metrics.events if e["kind"] == "repair"]
@@ -215,6 +295,7 @@ def test_a_mid_leg_repair_matches_the_frozen_tick():
     assert xyz != route[nxt - 1] and xyz != route[nxt]  # between two waypoints
 
 
+@under_nehalem
 def test_fast_uavs_cross_waypoints_and_faces_as_the_frozen_tick():
     world, ticks = fly_both("random_uavs: {count: 8, min_cell_separation: 5, speed: 60}\nobstacles: []\nseed: 6\n")
     crossed = spare = 0
@@ -228,24 +309,40 @@ def test_fast_uavs_cross_waypoints_and_faces_as_the_frozen_tick():
     assert crossed >= 3 and spare > 0
 
 
-# Components from +-1e-300 (squares below the smallest subnormal) to +-1e150
-# (squares near the largest float), and signed zeros.
-component = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(
-        lambda sign, v: sign * v,
-        st.sampled_from([1.0, -1.0]),
-        st.floats(1e-300, 1e150, allow_nan=False, allow_infinity=False),
-    ),
+def tick_bits(text: str) -> list[str]:
+    """Per tick, a digest of the bits of every UAV's position and flown length
+    and of every waypoint committed in that tick."""
+    scenario = load_scenario(text)
+    world = World(scenario, Mode.SSP)
+    digests = []
+    while not world.done() and world.tick < scenario.max_ticks:
+        committed = len(world.metrics.executed)
+        world.step(scenario.dt)
+        floats = [v for u in world.uavs for v in (*u.xyz, u.flown_length)]
+        floats += [v for path in world.metrics.executed[committed:] for v in path.waypoints.ravel().tolist()]
+        digests.append(hashlib.sha256(" ".join(map(float.hex, floats)).encode()).hexdigest())
+    return digests
+
+
+def print_tick_bits() -> None:
+    print(json.dumps({"fleet": tick_bits(FLEET), "repair": tick_bits(REPAIR)}))
+
+
+@pytest.fixture(scope="module")
+def default_tick_bits():
+    return json.loads(in_child("t.print_tick_bits()", {}))
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"OPENBLAS_CORETYPE": "Nehalem"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
+    ids=["openblas-nehalem", "numpy-without-avx512"],
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(legs=st.lists(st.tuples(component, component, component), min_size=1, max_size=200))
-def test_squared_lengths_are_ndarray_dot_to_the_bit(legs):
-    # Fails first on a numpy or BLAS build whose stacked matmul and dot round
-    # differently, before any golden output moves.
-    got = squared_lengths(legs)
-    assert all(type(g) is float for g in got)
-    want = [float(v.dot(v)) for v in map(np.array, legs)]
-    assert [g.hex() for g in got] == [w.hex() for w in want]
+def test_tick_bits_do_not_depend_on_the_host(env, default_tick_bits):
+    if "OPENBLAS_CORETYPE" in env and platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OPENBLAS_CORETYPE names x86 kernels; this host is {platform.machine()}")
+    got = json.loads(in_child("t.print_tick_bits()", env))
+    for name, want in default_tick_bits.items():
+        assert len(got[name]) == len(want), name
+        differ = [tick for tick, (a, b) in enumerate(zip(got[name], want)) if a != b]
+        assert not differ, f"{name}: bits differ from the default environment's from tick {differ[0]}"

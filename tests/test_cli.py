@@ -164,6 +164,13 @@ def test_exit_2_on_invalid_scenario(tmp_path):
             "injections[0].obstacle", id="injection-beyond-x",
         ),
         pytest.param(
+            # Beyond the bound, the planners' squares of coordinate differences overflow.
+            "airspace: {extent: [1.0e200, 1.0e200, 1.0e200], cells: [1, 1, 1]}\n"
+            "obstacles: [{anchor: [50, 0, 0], lengths: [10, 1.0e200, 1.0e200]}]\n"
+            "uavs: [{start: [10, 50, 10], goal: [100, 50, 10]}]\n",
+            "airspace.extent", id="oversized-extent",
+        ),
+        pytest.param(
             "obstacles: []\nuavs: [{start: [50, 100, 10], goal: [50, 100, 10]}]\n",
             "uavs[0]", id="start-equals-goal",
         ),
@@ -229,6 +236,17 @@ def test_exit_1_on_planning_failure(tmp_path):
     assert main(["plan", "--scenario", str(sealed), "--seed", "1", "--out", out]) == 1
     # Partial results are still written for post-mortem inspection.
     assert os.path.exists(os.path.join(out, "events.csv"))
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_exit_1_when_uavs_are_still_flying_at_max_ticks(tmp_path, capsys, command):
+    short = tmp_path / "short.yaml"
+    short.write_text(SMALL_SCENARIO + "max_ticks: 3\n")
+    out = str(tmp_path / "out")
+    assert main([command, "--scenario", str(short), "--seed", "1", "--out", out]) == 1
+    assert "still flying after 3 ticks: uav0" in capsys.readouterr().err
+    # The tables are still written.
+    assert os.listdir(out)
 
 
 def test_exit_1_when_a_smoothed_path_needs_more_waypoints(tmp_path):

@@ -2,11 +2,15 @@
 
 A refactor or a speedup must leave these hashes unchanged. A change that
 alters results on purpose regenerates them and says why. The tree planners'
-nearest-node ranking is a specified formula and does not depend on the numpy
-build, but the hashes still depend on numpy reductions (`np.linalg.norm`,
-`sum`, `mean`) and on libm functions (`arccos`, `arcsin`, `**`) whose
-rounding numpy does not promise, so a different numpy build may legitimately
-produce other values.
+nearest-node ranking is a specified formula, and the tick's gaps are
+`sqrt((x*x + y*y) + z*z)`, which IEEE 754 rounds the same on every host;
+`test_bookkeeping_exactness` checks the tick's bits under other BLAS kernels
+and SIMD dispatch. What still depends on the host: `**` in `sampling._dist`
+(libm's `pow`, which need not round correctly), `np.arcsin` and `np.arccos`
+in the PSO kernel's `_Scorer` (their bits change with numpy's SIMD
+dispatch), and numpy's `sum` and `mean`, whose order of additions numpy does
+not promise across versions. So another numpy build or libm may
+legitimately produce other values.
 """
 
 import hashlib

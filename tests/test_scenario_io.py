@@ -222,6 +222,7 @@ def test_rejects_bad_parameter_values():
         ("random_uavs: {count: 1001}\n", "random_uavs.count"),
         ("random_obstacles: {count: 1001}\n", "random_obstacles.count"),
         ("max_ticks: 20001\n", "max_ticks"),
+        ("airspace: {extent: [100001, 1000, 250]}\nobstacles: []\n", "airspace.extent: at most"),
         ("mode: Nope\n", "mode"),
         ("mode: [SSP]\n", "mode"),
         ("cost: {k4: -1.0, k5: -100.0}\nobstacles: []\n", "cost: k4"),
@@ -328,6 +329,11 @@ def test_run_sizes_at_their_upper_bounds_load(monkeypatch):
 def test_largest_grid_loads():
     sc = load_scenario("airspace: {cells: [16, 16, 16]}\nobstacles: []\n")
     assert sc.counts == (16, 16, 16)
+
+
+def test_largest_extent_loads():
+    sc = load_scenario("airspace: {extent: [100000, 100000, 100000]}\nobstacles: []\n")
+    assert sc.extent == (100000.0, 100000.0, 100000.0)
 
 
 def test_injections_parsed_as_sudden():
