@@ -44,7 +44,7 @@ def detect_conflicts(path: Waypath, ob: CuboidObstacle) -> set[int]:
     if ob.kind is not ObstacleKind.SUDDEN:
         raise ValueError("conflict detection applies to sudden obstacles")
     boxes = flatten_obstacles([ob])
-    pts = path.waypoints
+    pts = path.waypoints.tolist()
     contained = {j for j in range(len(pts)) if not point_free(pts[j], boxes)}
     conflicts = set(contained)
     for j in range(len(pts) - 1):

@@ -247,7 +247,10 @@ def birrt_plan(
 
 
 def _dist(a, b) -> float:
-    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
+    """Euclidean distance, `sqrt((dx*dx + dy*dy) + dz*dz)`: single IEEE
+    operations, so the same bits on any host."""
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 class _Draws:
@@ -393,31 +396,46 @@ class _Tree:
         return np.array([self.pts[i] for i in reversed(order)], dtype=float)
 
 
-def shortcut(path: np.ndarray, boxes: Boxes) -> np.ndarray:
-    """Greedy farthest-visible shortcutting; keeps the path collision-free."""
+def shortcut(path: Sequence[Sequence[float]], boxes: Boxes) -> list:
+    """Greedy farthest-visible shortcutting; keeps the path collision-free.
+
+    `path` holds float triples, and so does the returned list.
+    """
     if len(path) <= 2:
-        return path.copy()
-    keep = [0]
+        return list(path)
+    keep = [path[0]]
     i = 0
-    while i < len(path) - 1:
-        j = len(path) - 1
+    last = len(path) - 1
+    while i < last:
+        j = last
         while j > i + 1 and not segment_free(path[i], path[j], boxes):
             j -= 1
-        keep.append(j)
+        keep.append(path[j])
         i = j
-    return path[keep].copy()
+    return keep
 
 
-def moving_average_smooth(path: np.ndarray, boxes: Boxes, window: int) -> np.ndarray:
-    """Average each interior vertex over its window, skipping moves that collide."""
+def moving_average_smooth(path: Sequence[Sequence[float]], boxes: Boxes, window: int) -> list:
+    """Average each interior vertex over its window, skipping moves that collide.
+
+    `path` holds float triples, and so does the returned list. A window's
+    mean adds its rows in order to 0.0 (so rows of -0.0 average to 0.0),
+    then divides by their count, as numpy's `mean(axis=0)` does.
+    """
     if len(path) <= 2 or window < 2:
-        return path.copy()
+        return list(path)
     half = window // 2
-    out = path.copy()
-    for i in range(1, len(path) - 1):
-        lo = max(0, i - half)
-        hi = min(len(path), i + half + 1)
-        candidate = path[lo:hi].mean(axis=0)
+    n = len(path)
+    out = list(path)
+    for i in range(1, n - 1):
+        rows = path[max(0, i - half) : min(n, i + half + 1)]
+        sx = sy = sz = 0.0
+        for x, y, z in rows:
+            sx += x
+            sy += y
+            sz += z
+        k = len(rows)
+        candidate = (sx / k, sy / k, sz / k)
         if segment_free(out[i - 1], candidate, boxes) and segment_free(candidate, out[i + 1], boxes):
             out[i] = candidate
     return out
@@ -472,9 +490,9 @@ def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) 
 
 def _smooth(raw, boxes: Boxes, window: int) -> np.ndarray:
     """Shortcut, moving-average smooth, and shortcut again a raw planner path."""
-    path = shortcut(np.asarray(raw, dtype=float), boxes)
+    path = shortcut(np.asarray(raw, dtype=float).tolist(), boxes)
     path = moving_average_smooth(path, boxes, window)
-    return shortcut(path, boxes)
+    return np.array(shortcut(path, boxes), dtype=float)
 
 
 def smooth_and_resample(

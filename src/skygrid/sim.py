@@ -140,6 +140,7 @@ class World:
         self.metrics = SimMetrics(n_cells=self.grid.n_cells)
         self.occupancy = (0,) * self.grid.n_cells  # index 0 = cell 1
         self._counts = list(self.occupancy)  # position reports received this tick, per cell
+        self._peaks = list(self.occupancy)  # metrics.max_occupancy as Python ints
         self._plan_counter = 0
 
         root = np.random.SeedSequence(scenario.seed)
@@ -436,7 +437,12 @@ class World:
         self.bus.publish(
             AdsbMessage(sender="ground-station", tick=self.tick, payload=OccupancyReport(self.occupancy))
         )
-        np.maximum(self.metrics.max_occupancy, self.occupancy, out=self.metrics.max_occupancy)
+        # Only a cell that received a report can raise its peak.
+        peaks = self._peaks
+        for i, c in enumerate(self._counts):
+            if c > peaks[i]:
+                peaks[i] = c
+                self.metrics.max_occupancy[i] = c
 
     def _log(self, kind: str, who: str, **details) -> None:
         self.metrics.events.append({"tick": self.tick, "kind": kind, "who": who, **details})

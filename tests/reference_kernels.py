@@ -9,9 +9,10 @@ resampling `resample_polyline`/`straight_waypath` (small-array numpy), the
 simulation's tick `World.step`/`_advance`/`_record_tick` (each UAV's position
 a (3,) array, each gap its own `dot`), the swarm's scoring `_segments`,
 `_batch_cost`, `_batch_penalty` and `optimize` (per-call numpy over
-particle-major (P, J, 3) paths) and the result writer `write_table` (every
-row through `csv.writer`) were rewritten to give the same results with less
-per-call overhead. `test_kernel_exactness.py`, `test_coarse_exactness.py`,
+particle-major (P, J, 3) paths), the result writer `write_table` (every
+row through `csv.writer`) and the smoothing `shortcut`/`moving_average_smooth`/
+`_smooth` (numpy rows and `mean(axis=0)`) were rewritten to give the same
+results with less per-call overhead. `test_kernel_exactness.py`, `test_coarse_exactness.py`,
 `test_bookkeeping_exactness.py`, `test_swarm_exactness.py` and
 `test_writer_exactness.py` compare them with these copies, which must stay
 as they are.
@@ -460,6 +461,43 @@ def record_tick(world):
         AdsbMessage(sender="ground-station", tick=world.tick, payload=OccupancyReport(world.occupancy))
     )
     np.maximum(world.metrics.max_occupancy, world.occupancy, out=world.metrics.max_occupancy)
+
+
+def shortcut(path, boxes):
+    """`sampling.shortcut` on a (n, 3) array; its slab test is the frozen
+    `segment_free` above."""
+    if len(path) <= 2:
+        return path.copy()
+    keep = [0]
+    i = 0
+    while i < len(path) - 1:
+        j = len(path) - 1
+        while j > i + 1 and not segment_free(path[i], path[j], boxes):
+            j -= 1
+        keep.append(j)
+        i = j
+    return path[keep].copy()
+
+
+def moving_average_smooth(path, boxes, window):
+    if len(path) <= 2 or window < 2:
+        return path.copy()
+    half = window // 2
+    out = path.copy()
+    for i in range(1, len(path) - 1):
+        lo = max(0, i - half)
+        hi = min(len(path), i + half + 1)
+        candidate = path[lo:hi].mean(axis=0)
+        if segment_free(out[i - 1], candidate, boxes) and segment_free(candidate, out[i + 1], boxes):
+            out[i] = candidate
+    return out
+
+
+def smooth(raw, boxes, window):
+    """`sampling._smooth`."""
+    path = shortcut(np.asarray(raw, dtype=float), boxes)
+    path = moving_average_smooth(path, boxes, window)
+    return shortcut(path, boxes)
 
 
 # -- the swarm's scoring; geometry goes through the frozen kernels above ------

@@ -7,9 +7,11 @@ numpy code (`reference_kernels.py`): paths of two points, of eight or more
 segments (where numpy's sum of the segment lengths turns pairwise), with
 zero-length segments, with no length at all, with tied fractional shares and
 with no interval to spare; and, after every tick, every UAV's position,
-flown length, next waypoint and phase, the bus log and the events, on an
-obstacle-free fleet, a staggered fleet on a lossy bus, a repair mid-leg and
-UAVs fast enough to cross several waypoints and a face in one tick.
+flown length, next waypoint and phase, the bus log, the events and the
+per-cell peak occupancy (`max_occupancy`, which the tick raises cell by cell
+instead of with `np.maximum`), on an obstacle-free fleet, a staggered fleet
+on a lossy bus, a repair mid-leg and UAVs fast enough to cross several
+waypoints and a face in one tick.
 
 The tick takes each gap as `sqrt((x*x + y*y) + z*z)`, which IEEE 754 rounds
 the same on every host. The frozen tick takes it as `sqrt(d.dot(d))`, BLAS's
@@ -231,8 +233,8 @@ def under_nehalem(check):
 
 def fly_both(text: str):
     """Tick a World and its frozen twin in lockstep. After every tick, every
-    UAV's position bits, flown length, next waypoint and phase, and the new bus
-    messages and events, must be the same. Returns the World and, per tick,
+    UAV's position bits, flown length, next waypoint and phase, the new bus
+    messages and events, and the per-cell peak occupancy must be the same. Returns the World and, per tick,
     each UAV's (before, after) snapshot."""
     scenario = load_scenario(text)
     fast, frozen = World(scenario, Mode.SSP), frozen_world(text)
@@ -249,6 +251,7 @@ def fly_both(text: str):
             assert a.phase is b.phase, (fast.tick, a.id)
         assert len(fast.bus.log) == len(frozen.bus.log) and fast.bus.log[k:] == frozen.bus.log[k:]
         assert fast.metrics.events[e:] == frozen.metrics.events[e:]
+        assert same_bits(fast.metrics.max_occupancy, frozen.metrics.max_occupancy), fast.tick
         ticks.append(list(zip(before, map(snapshot, fast.uavs))))
     assert frozen.done() and frozen.tick == fast.tick
     return fast, ticks

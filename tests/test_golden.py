@@ -2,15 +2,14 @@
 
 A refactor or a speedup must leave these hashes unchanged. A change that
 alters results on purpose regenerates them and says why. The tree planners'
-nearest-node ranking is a specified formula, and the tick's gaps are
-`sqrt((x*x + y*y) + z*z)`, which IEEE 754 rounds the same on every host;
-`test_bookkeeping_exactness` checks the tick's bits under other BLAS kernels
-and SIMD dispatch. What still depends on the host: `**` in `sampling._dist`
-(libm's `pow`, which need not round correctly), `np.arcsin` and `np.arccos`
-in the PSO kernel's `_Scorer` (their bits change with numpy's SIMD
-dispatch), and numpy's `sum` and `mean`, whose order of additions numpy does
-not promise across versions. So another numpy build or libm may
-legitimately produce other values.
+nearest-node ranking is a specified formula, and the tick's gaps and the
+tree planners' `sampling._dist` are `sqrt((x*x + y*y) + z*z)`, which IEEE 754
+rounds the same on every host; `test_bookkeeping_exactness` checks the tick's
+bits under other BLAS kernels and SIMD dispatch. What still depends on the
+host: `np.arcsin` and `np.arccos` in the PSO kernel's `_Scorer` (their bits
+change with numpy's SIMD dispatch), and numpy's `sum`, whose order of
+additions numpy does not promise across versions. So another numpy
+build may legitimately produce other values.
 """
 
 import hashlib
@@ -44,72 +43,72 @@ GOLDEN = {
         ["plan-sub", "--seed", "1"],
         None,
         {
-            "adsb_log": "0096846c88177d53dd3a6b9c0b5abf1f625a7476efc7fe0dcfa5ebf831b4d468",
-            "convergence": "d49b8ebc37d1321f432a71193214b463f7113ec00ea8b5b1f42eee2e72cdc283",
+            "adsb_log": "7da82d865af727f210add4aa19a342cb1ac1b6e2da4df4b2e3f0ea62685b27f7",
+            "convergence": "b6b12cf1f94edb09a3bd301d48c39519bb528dfd7ca33f6b274ea76471754fdc",
             "events": "647eb938031ff7bc2337b5ed80ac1cfac1df1c710313b291ba96b6b111f5b244",
-            "lengths": "d62e58e59c8711617217658bd26aa506cf16490ce6d669bf6f9a50e739ef4241",
+            "lengths": "8d83025d126a9ee8e8ea2076150f36a4904e1f5a13bfc22e36cc54087c6fe5e1",
             "occupancy": "dfd4b1e10b99bd04b0b4caff7b801bb8afd8f55ce087520720d4d262cb5b14d1",
-            "waypoints": "5cd07096db0639938cec764637528230f4c87eb4cf2befbe1373a9794bc76411",
+            "waypoints": "8abae2eddb9203c9f34f902a53feae4bebe0afe6838ce2a6c1e146500332234b",
         },
     ),
     "plan --seed 2": (
         ["plan", "--seed", "2"],
         None,
         {
-            "adsb_log": "00f9a7035a23cecc825f42c7109723affee4302bc18e160e742ce18de08020e9",
-            "convergence": "9a3f393d0fa34604a126ecdfa0ef037bddd83e48be05cf80f042e31ecd52a24c",
-            "events": "560ed5af2ec39bfc1e753dd513101a2c0e1dee49e5e31b91213b1d735301ca09",
-            "lengths": "d132c7ff91298ea07b8864a599058a4454481f2f6290c862f1003f36520ffaae",
+            "adsb_log": "48ce78f5ad88dfea2e801925ed87e8f41f2ce85461ef776ed7357a6ff12c2591",
+            "convergence": "397a5943ede6183df8e6b69d9df7ad860d86c674c5655d313491d857066073a1",
+            "events": "57002cc1ca52d26c27b6b222cfc7ac6103b255e4b72d4c25abddfb66b7d5fcd1",
+            "lengths": "aa8e30f7b0ef76d4f25b146d16a508d26a504709ab22a1bcda7301044e99618f",
             "occupancy": "118de3457215198511ef33c97d7d43458badee6916e2b0a76899c3292fa5c441",
-            "waypoints": "38461711174bbd4326eb6fe69d6c8c1dd8c97568b6ebed569418cb621eecbf7e",
+            "waypoints": "47d43a44d1e4c6b0efcbe33d171af22cb84ecd6d00a5a9862408abcc351ebbbb",
         },
     ),
     "plan --seed 2 --format jsonl": (
         ["plan", "--seed", "2", "--format", "jsonl"],
         None,
         {
-            "adsb_log": "a7a659aca9482cec515d8fbde133b8ab5a363dadb2d2c7b27a31d7b99d4300a2",
-            "convergence": "725ede9d604117e898b85b1d2ffa5e9c619e1ba795c60b5f7b0854ac29d75fe2",
-            "events": "f321331874f2fa0c09a0e3fa2ee2b68871699180092f38a34781f12d2390ccbc",
-            "lengths": "e6063b9d88ae0860938a984870a1f43068c361458f13e107cd69e466271d90f5",
+            "adsb_log": "615b1c3d8a8a764bbf6bfb6dc7d2e44d1b0e35ea2bbb7ea6019d7ce5014be68f",
+            "convergence": "d76497be3d73d19da4264fe8b82f4504912be083dff1d0e962c94005b889fa4b",
+            "events": "b274b80a9d7d7fc08d18cbdb62b9df5a4b4e787ccb630ba4c6029292002063d4",
+            "lengths": "880ba158f1e7b58a0788ea3d6ae405f2f45de015d389e7f578515b2fddedbedd",
             "occupancy": "cc37112b522991e1c720bfe04232096b1afcd28e5d7cf6af28db46b0f2493e8d",
-            "waypoints": "42b12f9c33e90739b80cb0a98bb202ccc856c4162fa7468fd2b451e96b874b03",
+            "waypoints": "2aefc83a0d8d8286876c33df47ca26623adb1158bdb38c1d53e5d15af0644d3d",
         },
     ),
     "simulate --seed 1 (10 UAVs)": (
         ["simulate", "--seed", "1"],
         TEN_UAVS,
         {
-            "adsb_log": "a6722e1c2c0c2b3d91a63bd60868ca2a62a4214f9fe004c177b63af33c3a912b",
-            "convergence": "7aa15e68e9ea0239fc7e69fd70f8f3ea18fcf953be868a3c878b06272c862382",
-            "events": "35c069c593da87496d05929b36dc801aba70115b1b83cf54dc5065413f6e8998",
-            "lengths": "aa7d42493d227157eec64dc763be215af85d6e9d899483a30105e4efbfb7de26",
-            "occupancy": "4bccdfc88833ee241bcabce388abc87dc3a7f4cd5363645d2b3407879a54296b",
-            "waypoints": "b4e5f0b16e4d8f020486a30a63fb65157216c848366d0058a20e537635b36b81",
+            "adsb_log": "e4df7b91479a280b69862a4fbaa221c7df4dadda194c0d25154c882ad0fb7acc",
+            "convergence": "2f57bb55fafccb063966c2695fe31d089260a18a5174251f6fd57447b126b915",
+            "events": "7564f62b734fde3793343aa7b7b5f57aa427c700a09dac220361bc5a8d4c46cf",
+            "lengths": "2c054be2fc0e62d0ca0243fcb5e7080e476bcd26f3802688ae1fea3ed7af6309",
+            "occupancy": "ad1454ae08cabe2c57f9af4e8a38834af8b47ad0e5d6549a362436b681471f50",
+            "waypoints": "c0c74cce8d226172d2c509585c1823a19612a4d8a3178a6112c29772b8f31846",
         },
     ),
     "simulate --seed 3 (sudden obstacles, loss 0.3)": (
         ["simulate", "--seed", "3"],
         SUDDEN_LOSSY,
         {
-            "adsb_log": "e01ef071e6b2522fc8ff30be93cdb6fcf7be69c73fccdee02871a1cd2f709f10",
-            "convergence": "98356964ca5b3c998795d0412469ba8c97584c47bae0dac75e3c3625657b3de2",
+            "adsb_log": "e0f5ea4c4abe7ace0a55f3d263da4b25dfc58e4164fc097372b6360866a2b6a8",
+            "convergence": "4bdf0985d946aaaeb554d5648a4056f09337a82f31c89e8497c7319a5d9f22ec",
             "events": "03070d7036626c3c7de24c0f9ab85b495f1ac2200c55de76154a667e93786f4e",
-            "lengths": "5d9681a53bb72277722b6fd9ef65667b08d593b18268bf6664ac15411f02faf9",
+            "lengths": "492980ea1aded487da9d66229b392c2eb0b7f155d814d2e562d82d032ea73209",
             "occupancy": "5b2cea63dbe85ec99bedaa8e60255aa33e4747876b55aa997d5d7ece8d4f581a",
-            "waypoints": "feaffcf302246dbeb11fbccde4fe2ad03cf78f3cae2da57a91b3b5dd1d7fc6f5",
+            "waypoints": "4fe9135ccf995136bdc26b2d5abde0030ff070dddf4c4e7c57143bebdb26d34a",
         },
     ),
     "replan-demo --seed 4": (
         ["replan-demo", "--seed", "4"],
         None,
         {
-            "convergence": "6ef5612c6b4f7acef6e88c1a934eba517e13816c3681f2a5944793b305f9c4cd",
+            "convergence": "3e062e15043de74b9ae3dd94d23f341dd83e19b00e40b2e6d8f43e3cb14a3f99",
             "events": "288658d935affc1c1f4101c210b433fbc3d06e036c3871a924b82367af8d5eea",
             "lengths": "d63953529d87d8e052fb42b773b703f0696711f8491921f4397232af2e51462e",
             "occupancy": "35ea3dfdde5808bd0c820efd3c06ff433f803c864c729ca3c730feba8e9196fb",
-            "waypoints": "ee7599adf5396ee1daea0ed12d66a0160831ea4f411daa349dab454b3d52dca6",
-            "waypoints_repaired": "5321ade794e427ddc4062abdbe9219939436edbf7e4765c18565087bd1f424db",
+            "waypoints": "0c9a1060b5da576ea2a57cd1de95651eb57d0673d52ffa5730aed522f1be1601",
+            "waypoints_repaired": "144b856d1de5b130b7a70ca25a4fc43b41ee81a0941f044a16cdf1d6372cc8a7",
         },
     ),
 }

@@ -1,16 +1,19 @@
 """Exactness of the rewritten fine-planning kernels.
 
-The collision kernels, the clearance kernel and the tree planners are
-compared with frozen copies of their earlier code (`reference_kernels.py`)
-on inputs that hit the edge cases: zero-delta axes, endpoints on box faces,
-touching boxes, margin-inflated boxes, points inside boxes, near-tie and
-duplicate tree nodes, and generators holding a buffered uint32. The tree
-planners, the seed population and the swarm are also pinned to digests and
-RNG states recorded before the rewrites: same draws, same floats, same result.
+The collision kernels, the clearance kernel, the smoothing and the tree
+planners are compared with frozen copies of their earlier code
+(`reference_kernels.py`) on inputs that hit the edge cases: zero-delta axes,
+endpoints on box faces, touching boxes, margin-inflated boxes, points inside
+boxes, repeated points and signed zeros, near-tie and duplicate tree nodes,
+and generators holding a buffered uint32. The tree planners, the seed
+population and the swarm are also pinned to digests and RNG states recorded
+before the rewrites: same draws, same floats, same result.
 
-The nearest-node ranking is a specified formula of single IEEE operations,
-so it gives the same picks on any numpy build. The frozen copies and the
-recorded digests still go through numpy reductions and libm functions
+The nearest-node ranking and `_dist` are specified formulas of single IEEE
+operations, so they give the same bits on any numpy build and libm. `_dist`
+squared with `**` (libm's `pow`) until it changed on purpose, so the frozen
+planners are run with today's `_dist`. The frozen copies and the recorded
+digests still go through numpy reductions and libm functions
 (`np.linalg.norm` and `sum` in resampling and the swarm's cost, `arccos`,
 `arcsin`, `**`), whose rounding numpy does not promise, and the frozen
 nearest-node ranking is `einsum`'s; a different numpy build may
@@ -18,10 +21,11 @@ legitimately produce other values there.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
 from skygrid import sampling
@@ -94,6 +98,9 @@ def segment_on_faces(draw, obstacles, m):
     return a, b
 
 
+# With numpy rows the slab test does numpy-scalar arithmetic, which warns on
+# overflow; the program itself passes float triples.
+@pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), obstacles=cuboids(), m=margin, as_array=st.booleans())
 def test_segment_free_matches_reference(data, obstacles, m, as_array):
@@ -156,6 +163,16 @@ def test_degenerate_segment_on_a_face_hits():
     for a, b in (((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)), ((2.0, -1.0, 2.0), (2.0, 3.0, 2.0))):
         assert not segment_free(a, b, boxes)
         assert segments_intersect_cuboids(np.array([a]), np.array([b]), *obstacle_arrays([ob]))[0]
+
+
+def test_dist_is_single_ieee_operations():
+    """`_dist` is sqrt((dx*dx + dy*dy) + dz*dz): no `pow`, whose rounding
+    libm does not promise. Full-mantissa draws, on which `**` gives other
+    bits now and then (10 of these 20000 pairs on an x86-64 glibc host)."""
+    for row in np.random.default_rng(0).uniform(-100.0, 100.0, size=(20000, 6)).tolist():
+        a, b = row[:3], row[3:]
+        dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        assert sampling._dist(a, b) == math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
 def _specified_nearest(nodes, target) -> int:
@@ -279,6 +296,40 @@ def test_points_to_cuboids_distance_matches_reference_on_swarm_shapes():
         assert _same_bits(points_to_cuboids_distance(pts[:1], lo, hi), want[:1])
 
 
+# -- smoothing on float triples against the frozen array smoothing -----------
+
+
+@st.composite
+def smoothing_inputs(draw):
+    """A polyline among a few boxes (some touching), with repeated points,
+    signed zeros and arbitrary floats, and a smoothing window."""
+    obstacles = draw(cuboids())
+    faces = sorted({v for ob in obstacles for v in ob.box})
+    value = st.one_of(coord, st.sampled_from(faces)) if faces else coord
+    pts = [draw(st.tuples(value, value, value))]
+    for _ in range(draw(st.integers(0, 14))):
+        pts.append(pts[-1] if draw(st.integers(0, 6)) == 0 else draw(st.tuples(value, value, value)))
+    window = draw(st.one_of(st.integers(0, 7), st.integers(8, 40)))
+    return np.array(pts, dtype=float), flatten_obstacles(obstacles), window
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=smoothing_inputs())
+@example(case=(np.array([[-1.0, -1.0, -0.0]] * 3), [], 8))  # numpy's mean starts from +0.0
+def test_smoothing_on_floats_matches_the_frozen_array_smoothing(case):
+    """`shortcut`, `moving_average_smooth` and `_smooth` on float triples give
+    the bits of their frozen numpy-row copies; a window's mean is numpy's
+    `mean(axis=0)`, the rows added in order to 0.0 and then divided by their
+    count (a window of -0.0 rows averages to 0.0)."""
+    path, boxes, window = case
+    rows = path.tolist()
+    assert _same_bits(np.array(sampling.shortcut(rows, boxes)), ref.shortcut(path, boxes))
+    assert _same_bits(
+        np.array(sampling.moving_average_smooth(rows, boxes, window)), ref.moving_average_smooth(path, boxes, window)
+    )
+    assert _same_bits(sampling._smooth(path, boxes, window), ref.smooth(path, boxes, window))
+
+
 # -- planners against digests recorded before the rewrite ---------------------
 
 BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
@@ -386,13 +437,17 @@ EXITS = {
 
 def _run_both(planner, obstacles, start, goal, params, rngs):
     """Results of the planner and of its frozen per-draw copy (the array
-    bytes, or the PlanningFailed message)."""
+    bytes, or the PlanningFailed message). The frozen copy measures its
+    distances with `sampling._dist`: `_dist` left `**` for multiplication on
+    purpose, and what is compared here is the draws and the tree."""
     out = []
-    for fn, rng in ((getattr(sampling, planner), rngs[0]), (getattr(ref, planner), rngs[1])):
-        try:
-            out.append(fn(BOUNDS, obstacles, start, goal, params, rng).tobytes())
-        except PlanningFailed as exc:
-            out.append(str(exc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ref, "_dist", sampling._dist)
+        for fn, rng in ((getattr(sampling, planner), rngs[0]), (getattr(ref, planner), rngs[1])):
+            try:
+                out.append(fn(BOUNDS, obstacles, start, goal, params, rng).tobytes())
+            except PlanningFailed as exc:
+                out.append(str(exc))
     return out
 
 

@@ -132,15 +132,14 @@ def test_rrt_params_validation():
 
 
 def test_shortcut_straightens_collinear_chain():
-    path = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
-    out = shortcut(path, [])
-    assert np.array_equal(out, path[[0, 3]])
+    path = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
+    assert shortcut(path, []) == [path[0], path[3]]
 
 
 def test_shortcut_preserves_collision_freedom(rng):
     boxes = flatten_obstacles(CELL_OBS)
     raw = rrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
-    cut = shortcut(raw, boxes)
+    cut = shortcut(raw.tolist(), boxes)
     assert len(cut) <= len(raw)
     assert misses_cell_obstacles(cut)
     assert np.allclose(cut[0], raw[0]) and np.allclose(cut[-1], raw[-1])
@@ -148,7 +147,7 @@ def test_shortcut_preserves_collision_freedom(rng):
 
 def test_moving_average_keeps_endpoints_and_freedom(rng):
     raw = rrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
-    smoothed = moving_average_smooth(raw, flatten_obstacles(CELL_OBS), 5)
+    smoothed = moving_average_smooth(raw.tolist(), flatten_obstacles(CELL_OBS), 5)
     assert np.allclose(smoothed[0], raw[0]) and np.allclose(smoothed[-1], raw[-1])
     assert misses_cell_obstacles(smoothed)
 
@@ -188,7 +187,7 @@ def test_smooth_and_resample_contract(seed, count, planner):
     rng = np.random.default_rng(seed)
     raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
     boxes = flatten_obstacles(CELL_OBS)
-    smoothed = moving_average_smooth(shortcut(raw, boxes), boxes, DEFAULT_SMOOTH_WINDOW)
+    smoothed = moving_average_smooth(shortcut(raw.tolist(), boxes), boxes, DEFAULT_SMOOTH_WINDOW)
     vertices = shortcut(smoothed, boxes)
     if len(vertices) > count:
         with pytest.raises(PlanningFailed, match=f"more than {count} waypoints"):
@@ -214,8 +213,7 @@ def test_shortcut_neighbours_of_a_kept_vertex_never_see_each_other(points):
     """Each kept vertex is the farthest one its predecessor sees, so no kept
     vertex could be removed by bridging its two neighbours."""
     boxes = flatten_obstacles(CELL_OBS)
-    path = np.array(points)
-    out = shortcut(path, boxes)
-    assert np.array_equal(out[0], path[0]) and np.array_equal(out[-1], path[-1])
+    out = shortcut(points, boxes)
+    assert out[0] == points[0] and out[-1] == points[-1]
     for k in range(1, len(out) - 1):
         assert not segment_free(out[k - 1], out[k + 1], boxes)
