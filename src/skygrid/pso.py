@@ -79,8 +79,8 @@ class SwarmParams:
     stall_iterations: int = 20
     stall_tolerance: float = 1.0e-6
     # One RRT seed costs about seven Bi-RRT seeds, and on the reference cell
-    # 5 + 15 reaches the final cost of 15 + 15; both planners stay (PSO-RRT).
-    n_rrt: int = 5
+    # 10 + 15 reaches the final cost of 15 + 15; both planners stay (PSO-RRT).
+    n_rrt: int = 10
     n_birrt: int = 15
 
     def __post_init__(self):

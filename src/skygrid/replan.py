@@ -105,5 +105,5 @@ def repair(
     except PlanningFailed as exc:
         raise RepairFailed(str(exc)) from exc
 
-    detour = _smooth(raw, boxes, smooth_window)
+    detour = np.array(_smooth(raw, boxes, smooth_window), dtype=float)
     return np.vstack([pts[: lo + 1], detour[1:-1], pts[hi:]])

@@ -488,11 +488,12 @@ def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) 
     return np.array(out)
 
 
-def _smooth(raw, boxes: Boxes, window: int) -> np.ndarray:
-    """Shortcut, moving-average smooth, and shortcut again a raw planner path."""
+def _smooth(raw, boxes: Boxes, window: int) -> list:
+    """Shortcut, moving-average smooth, and shortcut again a raw planner path;
+    float triples in the returned list."""
     path = shortcut(np.asarray(raw, dtype=float).tolist(), boxes)
     path = moving_average_smooth(path, boxes, window)
-    return np.array(shortcut(path, boxes), dtype=float)
+    return shortcut(path, boxes)
 
 
 def smooth_and_resample(

@@ -437,7 +437,8 @@ class World:
         self.bus.publish(
             AdsbMessage(sender="ground-station", tick=self.tick, payload=OccupancyReport(self.occupancy))
         )
-        # Only a cell that received a report can raise its peak.
+        # `_peaks` mirrors `metrics.max_occupancy` as Python ints; both start
+        # at zero and this loop is the only writer of either, so they stay equal.
         peaks = self._peaks
         for i, c in enumerate(self._counts):
             if c > peaks[i]:

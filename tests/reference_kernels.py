@@ -234,6 +234,8 @@ def einsum_nearest(nodes, target) -> int:
 
 
 def _dist(a, b) -> float:
+    # Not run by the planner exactness tests: `_run_both` in
+    # test_kernel_exactness.py swaps it for `sampling._dist`.
     return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 

@@ -43,72 +43,72 @@ GOLDEN = {
         ["plan-sub", "--seed", "1"],
         None,
         {
-            "adsb_log": "7da82d865af727f210add4aa19a342cb1ac1b6e2da4df4b2e3f0ea62685b27f7",
-            "convergence": "b6b12cf1f94edb09a3bd301d48c39519bb528dfd7ca33f6b274ea76471754fdc",
+            "adsb_log": "45edbdc3e85edb7b48a0f51574526b1ef63c5d172c760ef3a5868a897bc64766",
+            "convergence": "50854dd77eb0fd5ba6ee0088d24b915e4e03c57f7cc037e06653865ff64b9a2f",
             "events": "647eb938031ff7bc2337b5ed80ac1cfac1df1c710313b291ba96b6b111f5b244",
-            "lengths": "8d83025d126a9ee8e8ea2076150f36a4904e1f5a13bfc22e36cc54087c6fe5e1",
+            "lengths": "16a63f07476fe944c704e51ce406d354c339f26c8359a09682632b5ab85af6a6",
             "occupancy": "dfd4b1e10b99bd04b0b4caff7b801bb8afd8f55ce087520720d4d262cb5b14d1",
-            "waypoints": "8abae2eddb9203c9f34f902a53feae4bebe0afe6838ce2a6c1e146500332234b",
+            "waypoints": "ec3f74e18b9d75e20c18c9c31657fdcb146478b6472968943ef483358712d593",
         },
     ),
     "plan --seed 2": (
         ["plan", "--seed", "2"],
         None,
         {
-            "adsb_log": "48ce78f5ad88dfea2e801925ed87e8f41f2ce85461ef776ed7357a6ff12c2591",
-            "convergence": "397a5943ede6183df8e6b69d9df7ad860d86c674c5655d313491d857066073a1",
-            "events": "57002cc1ca52d26c27b6b222cfc7ac6103b255e4b72d4c25abddfb66b7d5fcd1",
-            "lengths": "aa8e30f7b0ef76d4f25b146d16a508d26a504709ab22a1bcda7301044e99618f",
+            "adsb_log": "38b39796374af0014530d15f335c11ee691290705c13ff5b63ca4a66d0c11787",
+            "convergence": "c8aa02d88fb69f01a3b3bc36ee41c6becf7ca029599cb18c7d77bd4e5255274e",
+            "events": "10d83349eda51b47802848e2b5aadf23a0e8ecc8c9a067f7bc160252a8a1bbc0",
+            "lengths": "de37d690f628c9d8ed996236142b8d02dfa151412ac2f198c7d7325850212410",
             "occupancy": "118de3457215198511ef33c97d7d43458badee6916e2b0a76899c3292fa5c441",
-            "waypoints": "47d43a44d1e4c6b0efcbe33d171af22cb84ecd6d00a5a9862408abcc351ebbbb",
+            "waypoints": "57de7efdde490d526d661ea883d56af84f773b6c6e990284b9400ba596d04a4e",
         },
     ),
     "plan --seed 2 --format jsonl": (
         ["plan", "--seed", "2", "--format", "jsonl"],
         None,
         {
-            "adsb_log": "615b1c3d8a8a764bbf6bfb6dc7d2e44d1b0e35ea2bbb7ea6019d7ce5014be68f",
-            "convergence": "d76497be3d73d19da4264fe8b82f4504912be083dff1d0e962c94005b889fa4b",
-            "events": "b274b80a9d7d7fc08d18cbdb62b9df5a4b4e787ccb630ba4c6029292002063d4",
-            "lengths": "880ba158f1e7b58a0788ea3d6ae405f2f45de015d389e7f578515b2fddedbedd",
+            "adsb_log": "5bc6d971da96e5c1d5d0bd09c2ec58340bcb1a3bf9f670260fba6ed5abc4ca79",
+            "convergence": "f2b1740d1e490ee53556eec89194860c6ce91f879306568503c25cead16cea76",
+            "events": "4a843603c4906f63acb593921340d7e11c89833764c6dbbe36bcf086756e681e",
+            "lengths": "61440c4ad07d8ae897ad38a7925f2a626573ff4e4c0ec6adc0b114cc2f14c4a9",
             "occupancy": "cc37112b522991e1c720bfe04232096b1afcd28e5d7cf6af28db46b0f2493e8d",
-            "waypoints": "2aefc83a0d8d8286876c33df47ca26623adb1158bdb38c1d53e5d15af0644d3d",
+            "waypoints": "9180d21d4d90781ef1695d859202c4cf034959ef182e35d00b4259fd20848f41",
         },
     ),
     "simulate --seed 1 (10 UAVs)": (
         ["simulate", "--seed", "1"],
         TEN_UAVS,
         {
-            "adsb_log": "e4df7b91479a280b69862a4fbaa221c7df4dadda194c0d25154c882ad0fb7acc",
-            "convergence": "2f57bb55fafccb063966c2695fe31d089260a18a5174251f6fd57447b126b915",
-            "events": "7564f62b734fde3793343aa7b7b5f57aa427c700a09dac220361bc5a8d4c46cf",
-            "lengths": "2c054be2fc0e62d0ca0243fcb5e7080e476bcd26f3802688ae1fea3ed7af6309",
-            "occupancy": "ad1454ae08cabe2c57f9af4e8a38834af8b47ad0e5d6549a362436b681471f50",
-            "waypoints": "c0c74cce8d226172d2c509585c1823a19612a4d8a3178a6112c29772b8f31846",
+            "adsb_log": "8ca4ae5511a8898843092a8dd0a9969f757af696835f93d42a777b989f3c1dfc",
+            "convergence": "30514f7ded346bf7cb4ead1c7b3a16c3269152aff27d52ba1e4163f8b522e697",
+            "events": "d43991d8fe5fa216c01ab05a18746424c4e36a6d932ff02cbf32c1f7115f3725",
+            "lengths": "35226e8929ea052d1f62ee7db1865f9d168d99e2ac4214aa48df64bc9963f14e",
+            "occupancy": "c37f3cd084d71d5ecf21bf683ef82c9ef6b77dd2b57b5bbefe401d19431f231e",
+            "waypoints": "64d1c984dec129809c60767acbdcd5ed9c61ee460e9d127673e1b9ca8cfcd533",
         },
     ),
     "simulate --seed 3 (sudden obstacles, loss 0.3)": (
         ["simulate", "--seed", "3"],
         SUDDEN_LOSSY,
         {
-            "adsb_log": "e0f5ea4c4abe7ace0a55f3d263da4b25dfc58e4164fc097372b6360866a2b6a8",
-            "convergence": "4bdf0985d946aaaeb554d5648a4056f09337a82f31c89e8497c7319a5d9f22ec",
-            "events": "03070d7036626c3c7de24c0f9ab85b495f1ac2200c55de76154a667e93786f4e",
-            "lengths": "492980ea1aded487da9d66229b392c2eb0b7f155d814d2e562d82d032ea73209",
+            "adsb_log": "6047f7e54a2383ee98db5d2df3e17d3e7ab9a5ead303dea77f99e5ffacdb456f",
+            "convergence": "bf9915f26ee60703081c19561cfe643479ef652dc5366a90fdb90198a80f4edc",
+            "events": "6d9978ad596980ceb51b1cc0375f44b5eeebd3c2f7ace69907895319ae79a5e1",
+            "lengths": "6ef4307d09495073237f0520fbeadc8c634419bcefe0a3d1eaa9d80f44b879fd",
             "occupancy": "5b2cea63dbe85ec99bedaa8e60255aa33e4747876b55aa997d5d7ece8d4f581a",
-            "waypoints": "4fe9135ccf995136bdc26b2d5abde0030ff070dddf4c4e7c57143bebdb26d34a",
+            "waypoints": "5a33dbb5dffae05c1f232adcf9a76f7add883ed62aa21efb68ac1bf9bd83bf66",
         },
     ),
     "replan-demo --seed 4": (
         ["replan-demo", "--seed", "4"],
         None,
         {
-            "convergence": "3e062e15043de74b9ae3dd94d23f341dd83e19b00e40b2e6d8f43e3cb14a3f99",
+            "convergence": "53ebc59999ad347e75e17773dd2ecacf437ed96ceebed2997ff6c14870691bb1",
             "events": "288658d935affc1c1f4101c210b433fbc3d06e036c3871a924b82367af8d5eea",
             "lengths": "d63953529d87d8e052fb42b773b703f0696711f8491921f4397232af2e51462e",
             "occupancy": "35ea3dfdde5808bd0c820efd3c06ff433f803c864c729ca3c730feba8e9196fb",
-            "waypoints": "0c9a1060b5da576ea2a57cd1de95651eb57d0673d52ffa5730aed522f1be1601",
-            "waypoints_repaired": "144b856d1de5b130b7a70ca25a4fc43b41ee81a0941f044a16cdf1d6372cc8a7",
+            "waypoints": "f91b3420b26b2545d9f83b9726b9540fce65ecc6b37b688c3ac55dbe16036679",
+            "waypoints_repaired": "93906b504df51ea13f70f0cb62f7b5491e64b359a048cca2b4a3decc54eaed6f",
         },
     ),
 }

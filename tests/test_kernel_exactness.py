@@ -15,7 +15,7 @@ squared with `**` (libm's `pow`) until it changed on purpose, so the frozen
 planners are run with today's `_dist`. The frozen copies and the recorded
 digests still go through numpy reductions and libm functions
 (`np.linalg.norm` and `sum` in resampling and the swarm's cost, `arccos`,
-`arcsin`, `**`), whose rounding numpy does not promise, and the frozen
+`arcsin`), whose rounding numpy does not promise, and the frozen
 nearest-node ranking is `einsum`'s; a different numpy build may
 legitimately produce other values there.
 """
@@ -327,7 +327,7 @@ def test_smoothing_on_floats_matches_the_frozen_array_smoothing(case):
     assert _same_bits(
         np.array(sampling.moving_average_smooth(rows, boxes, window)), ref.moving_average_smooth(path, boxes, window)
     )
-    assert _same_bits(sampling._smooth(path, boxes, window), ref.smooth(path, boxes, window))
+    assert _same_bits(np.array(sampling._smooth(path, boxes, window)), ref.smooth(path, boxes, window))
 
 
 # -- planners against digests recorded before the rewrite ---------------------
