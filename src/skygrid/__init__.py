@@ -8,7 +8,15 @@ sudden-obstacle alerts driving in-flight repair.
 """
 
 from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert
-from .coarse import CoarsePlan, SspParams, attraction_region, plan_coarse, select_exit_point, sliding_window_replan
+from .coarse import (
+    CoarsePlan,
+    SspParams,
+    attraction_region,
+    node_costs,
+    plan_coarse,
+    select_exit_point,
+    sliding_window_replan,
+)
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, NotAdjacent, OutOfAirspace
 from .pso import (

@@ -50,46 +50,47 @@ class CoarsePlan:
         return len(self.cells) - self.cells.index(current)
 
 
-def _node_costs(params: SspParams, obstacle_counts: list[int], occupancy: list[int]) -> list[float]:
-    """Traversal cost of each cell: k1 * static obstacles + k2 * UAV occupancy."""
-    if min(obstacle_counts) < 0 or min(occupancy) < 0:
+def node_costs(params: SspParams, occupancy, obstacle_counts) -> list[float]:
+    """The coarse search's cost of every cell, k1 * static obstacles + k2 *
+    UAV occupancy, indexed by cell id (index 0 is unused and holds 0.0).
+
+    occupancy and obstacle_counts hold one non-negative count per cell,
+    index 0 = cell 1.
+    """
+    obs = np.asarray(obstacle_counts, dtype=int).tolist()
+    occ = np.asarray(occupancy, dtype=int).tolist()
+    if min(obs) < 0 or min(occ) < 0:
         raise ValueError("counts must be non-negative")
     k1, k2 = params.k1, params.k2
-    return [k1 * o + k2 * a for o, a in zip(obstacle_counts, occupancy)]
+    return [0.0] + [k1 * o + k2 * a for o, a in zip(obs, occ)]
 
 
-def plan_coarse(
-    grid: AirspaceGrid,
-    params: SspParams,
-    occupancy: np.ndarray,
-    start: int,
-    goal: int,
-    obstacle_counts: np.ndarray,
-) -> CoarsePlan:
+_SETTLED = ()  # `best` of a cell whose label has been popped
+
+
+def plan_coarse(grid: AirspaceGrid, costs: list[float], start: int, goal: int) -> CoarsePlan:
     """Minimum-cost face-adjacent cell path from start to goal, both included.
 
     Ties are broken by fewer cells, then by the lexicographically smallest
     cell-id sequence, so the result is fully deterministic. Exit points are
-    left unset; they are chosen during execution. occupancy and
-    obstacle_counts hold one count per cell, index 0 = cell 1.
+    left unset; they are chosen during execution. costs holds each cell's
+    cost by cell id, as `node_costs` builds it.
 
     Dijkstra over labels (cost, length, path). Cell costs are non-negative,
-    so extending a label makes it strictly larger: a cell's first popped
-    label is the smallest ever pushed for it, and only that one is extended.
-    A label is therefore pushed only when it is smaller than the best label
-    already pushed for its cell; a skipped label could only have been popped
-    after that cell was settled, and discarded. (A later label can be the
-    smaller one: float sums over paths of different lengths can round to the
-    same cost.)
+    so extending a label makes it strictly larger, (c + cost >= c, length + 1,
+    ...), and popped labels never decrease. A cell's first popped label is
+    therefore the smallest ever pushed for it: the cell is settled, and a
+    later label for it, built from a label popped no earlier, is strictly
+    larger, so a settled neighbour is skipped before its label is built. A
+    label is pushed only when it is smaller than the best label already
+    pushed for its cell; a skipped label could only have been popped after
+    that cell was settled, and discarded. (A later label can be the smaller
+    one: float sums over paths of different lengths can round to the same
+    cost.)
     """
-    n = grid.n_cells
-    obs = np.asarray(obstacle_counts, dtype=int).tolist()
-    occ = np.asarray(occupancy, dtype=int).tolist()
-    cost = [0.0] + _node_costs(params, obs, occ)  # index 0 is unused
-
     adjacency = grid.adjacency
-    label = (cost[start], 1, (start,))
-    best: list[Optional[tuple]] = [None] * (n + 1)
+    label = (costs[start], 1, (start,))
+    best: list[Optional[tuple]] = [None] * len(costs)
     best[start] = label
     heap = [label]
     while heap:
@@ -97,13 +98,16 @@ def plan_coarse(
         c, length, path = label
         cell = path[-1]
         if best[cell] is not label:
-            continue  # superseded by a smaller label, popped earlier
+            continue  # superseded by a smaller label popped earlier, or settled
         if cell == goal:
             return CoarsePlan(cells=list(path), total_cost=c)
+        best[cell] = _SETTLED
         length += 1
         for nb in adjacency[cell]:
-            new = (c + cost[nb], length, path + (nb,))
             old = best[nb]
+            if old is _SETTLED:
+                continue
+            new = (c + costs[nb], length, path + (nb,))
             if old is None or new < old:
                 best[nb] = new
                 heapq.heappush(heap, new)
@@ -113,20 +117,19 @@ def plan_coarse(
 def sliding_window_replan(
     grid: AirspaceGrid,
     params: SspParams,
-    occupancy: np.ndarray,
+    costs: list[float],
     existing_plan: CoarsePlan,
     current: int,
     goal: int,
-    obstacle_counts: np.ndarray,
 ) -> CoarsePlan:
-    """Re-plan from the just-entered cell with fresh occupancy.
+    """Re-plan from the just-entered cell with the current `node_costs`.
 
     Kept unchanged when fewer than window_length cells remain on the existing
     plan (no room left to slide the window).
     """
     if existing_plan.remaining_cells(current) <= params.window_length:
         return existing_plan
-    return plan_coarse(grid, params, occupancy, current, goal, obstacle_counts)
+    return plan_coarse(grid, costs, current, goal)
 
 
 def attraction_region(

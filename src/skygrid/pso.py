@@ -188,6 +188,48 @@ class _Scorer:
         return cost, VIOLATION_PENALTY * violations
 
 
+def _obstacle_free_feasible(points: Sequence[Sequence[float]], constraints: ConstraintParams) -> bool:
+    """`feasibility_penalty(Waypath(points), constraints, []) == 0.0`, decided
+    on float triples rule for rule as `_Scorer._score` decides it at P = 1:
+    the same IEEE operations in the same order, `>` against the limits, the
+    pitch and turn angles from one `np.arcsin` and one `np.arccos` call (the
+    kernel's ufunc loops on any SIMD dispatch) and the total length by the
+    kernel's pairwise `np.add.reduce`."""
+    c = constraints
+    lengths, sines, hx, hy, hn = [], [], [], [], []
+    for (ax, ay, az), (bx, by, bz) in zip(points, points[1:]):
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        h2 = dx * dx + dy * dy
+        length = math.sqrt(h2 + dz * dz)
+        if length > c.l_max or length == 0.0:  # C1; C4 counts a zero length
+            return False
+        s = dz / length
+        # np.maximum and np.minimum, which keep a NaN.
+        s = -1.0 if s < -1.0 else s
+        sines.append(1.0 if s > 1.0 else s)
+        lengths.append(length)
+        hx.append(dx)
+        hy.append(dy)
+        hn.append(math.sqrt(h2))
+    cosines = []
+    for i in range(len(hn) - 1):
+        denom = hn[i] * hn[i + 1]
+        if denom == 0.0:  # C3 counts a purely vertical segment
+            return False
+        cos = (hx[i] * hx[i + 1] + hy[i] * hy[i + 1]) / denom
+        cos = -1.0 if cos < -1.0 else cos
+        cosines.append(1.0 if cos > 1.0 else cos)
+    lo, hi = c.bounds_lo.tolist(), c.bounds_hi.tolist()
+    for p in points[1:-1]:  # C5-C7
+        if any(v < a or v > b for v, a, b in zip(p, lo, hi)):
+            return False
+    if np.add.reduce(lengths) > c.L_max:  # C2
+        return False
+    if any(abs(a) > c.pa_max for a in np.degrees(np.arcsin(sines)).tolist()):  # C4
+        return False
+    return not any(a > c.ta_max for a in np.degrees(np.arccos(cosines)).tolist())  # C3
+
+
 def _split_obstacles(obstacles: Iterable[CuboidObstacle]):
     static = [o for o in obstacles if o.kind is ObstacleKind.STATIC]
     sudden = [o for o in obstacles if o.kind is ObstacleKind.SUDDEN]

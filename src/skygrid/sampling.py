@@ -448,16 +448,21 @@ def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) 
     (each segment keeps at least one), and points are equally spaced within
     each segment, so the geometry is unchanged.
     """
+    if len(path) < 2 and count >= 2:
+        return np.repeat(path, count, axis=0)[:count]
+    return np.array(resample_points(np.asarray(path, dtype=float).tolist(), count))
+
+
+def resample_points(pts: Sequence[Sequence[float]], count: int) -> list[tuple[float, float, float]]:
+    """`resample_polyline` of a polyline of at least two float triples, on
+    floats: its points as float triples."""
     if count < 2:
         raise ValueError("count must be >= 2")
-    if len(path) < 2:
-        return np.repeat(path, count, axis=0)[:count]
-    n_seg = len(path) - 1
+    n_seg = len(pts) - 1
     if n_seg > count - 1:
-        raise ValueError(f"cannot keep {len(path)} vertices with only {count} points")
+        raise ValueError(f"cannot keep {len(pts)} vertices with only {count} points")
     # Float arithmetic in the order numpy's norm(diff(path), axis=1) and the
     # elementwise forms use; only the total keeps numpy's pairwise sum.
-    pts = np.asarray(path, dtype=float).tolist()
     segments = list(zip(pts, pts[1:]))
     lengths = []
     for (ax, ay, az), (bx, by, bz) in segments:
@@ -479,13 +484,13 @@ def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) 
             order = sorted(range(n_seg), key=lambda k: -(quota[k] - base[k]))
             for k in order[:remainder]:
                 shares[k] += 1
-    out = [pts[0]]
+    out = [tuple(pts[0])]
     for ((ax, ay, az), (bx, by, bz)), share in zip(segments, shares):
         for k in range(1, share + 1):
             t = k / share
             u = 1 - t
             out.append((ax * u + bx * t, ay * u + by * t, az * u + bz * t))
-    return np.array(out)
+    return out
 
 
 def _smooth(raw, boxes: Boxes, window: int) -> list:
@@ -516,9 +521,16 @@ def smooth_and_resample(
     return Waypath(waypoints=resample_polyline(path, count), sub_airspace=sub_airspace)
 
 
+def straight_points(
+    start: Point3, goal: Point3, count: int = DEFAULT_WAYPOINT_COUNT
+) -> list[tuple[float, float, float]]:
+    """Straight-line connection resampled to `count` points, as float triples
+    (collisions allowed)."""
+    return resample_points([(start.x, start.y, start.z), (goal.x, goal.y, goal.z)], count)
+
+
 def straight_waypath(
     start: Point3, goal: Point3, count: int = DEFAULT_WAYPOINT_COUNT, sub_airspace: int = 0
 ) -> Waypath:
-    """Straight-line connection resampled to `count` points (collisions allowed)."""
-    pts = resample_polyline([(start.x, start.y, start.z), (goal.x, goal.y, goal.z)], count)
-    return Waypath(waypoints=pts, sub_airspace=sub_airspace)
+    """`straight_points` as a Waypath."""
+    return Waypath(waypoints=np.array(straight_points(start, goal, count)), sub_airspace=sub_airspace)

@@ -20,13 +20,20 @@ from .adsb import AdsbBus, AdsbMessage, OccupancyReport, PositionReport, SuddenO
 from .coarse import (
     CoarsePlan,
     attraction_region,
+    node_costs,
     plan_coarse,
     select_exit_point,
     sliding_window_replan,
 )
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, OutOfAirspace
-from .pso import ConstraintParams, build_seed_population, feasibility_penalty, optimize
+from .pso import (
+    ConstraintParams,
+    _obstacle_free_feasible,
+    build_seed_population,
+    feasibility_penalty,
+    optimize,
+)
 from .replan import RepairFailed, repair
 from .sampling import (
     PlanningFailed,
@@ -36,7 +43,7 @@ from .sampling import (
     point_free,
     rrt_plan,
     smooth_and_resample,
-    straight_waypath,
+    straight_points,
 )
 from .scenario import Mode, Scenario, ValidationError, parse_mode
 
@@ -141,6 +148,8 @@ class World:
         self.occupancy = (0,) * self.grid.n_cells  # index 0 = cell 1
         self._counts = list(self.occupancy)  # position reports received this tick, per cell
         self._peaks = list(self.occupancy)  # metrics.max_occupancy as Python ints
+        self._costs_of: Optional[tuple[int, ...]] = None  # the occupancy `_costs` was built from
+        self._costs: list[float] = []
         self._plan_counter = 0
 
         root = np.random.SeedSequence(scenario.seed)
@@ -180,19 +189,24 @@ class World:
         c = self._cell(cell)
         return c.obstacles + [ob for ob in self.injected if ob.overlaps(c.lo, c.hi)]
 
+    def _node_costs(self) -> list[float]:
+        """The coarse search's cell costs for the current occupancy, built at
+        most once per tick: occupancy changes only when a tick is recorded."""
+        if self._costs_of is not self.occupancy:
+            self._costs_of = self.occupancy
+            self._costs = node_costs(self.scenario.ssp, self.occupancy, self.obstacle_counts)
+        return self._costs
+
     def _coarse_plan(self, uav: UavState, current_cell: int) -> CoarsePlan:
         """A coarse plan through current_cell: the takeoff cell, or the next
         cell of the UAV's own plan."""
         if uav.coarse_plan is None:
-            return plan_coarse(
-                self.grid, self.scenario.ssp, self.occupancy, current_cell, uav.goal_cell,
-                self.obstacle_counts,
-            )
+            return plan_coarse(self.grid, self._node_costs(), current_cell, uav.goal_cell)
         if self.mode is Mode.NO_SLIDING_WINDOW:
             return uav.coarse_plan
         return sliding_window_replan(
-            self.grid, self.scenario.ssp, self.occupancy, uav.coarse_plan,
-            current_cell, uav.goal_cell, self.obstacle_counts,
+            self.grid, self.scenario.ssp, self._node_costs(), uav.coarse_plan,
+            current_cell, uav.goal_cell,
         )
 
     def _exit_point(self, uav: UavState, plan: CoarsePlan, cell: int, entry: Point3) -> Optional[Point3]:
@@ -257,9 +271,9 @@ class World:
         # clearance-free cost, so the seed/PSO machinery is skipped when it
         # also satisfies the kinematic constraints.
         if not obstacles:
-            straight = straight_waypath(entry, target, count, cell)
-            if feasibility_penalty(straight, constraints, obstacles) == 0.0:
-                return straight
+            straight = straight_points(entry, target, count)
+            if _obstacle_free_feasible(straight, constraints):
+                return Waypath(np.array(straight), cell)
 
         last_error: Optional[Exception] = None
         for _ in range(FINE_PLAN_ATTEMPTS):

@@ -70,11 +70,11 @@ def turn_angle(prev: SegmentDelta, nxt: SegmentDelta) -> float:
 
 def pitch_angle(d: SegmentDelta) -> float:
     """Climb angle in [-90, 90] degrees of a single segment."""
-    length = segment_length(d)
-    if length == 0.0:
+    if segment_length(d) == 0.0:
         raise DegenerateSegment("zero-length segment has no pitch")
-    s = max(-1.0, min(1.0, d.qz / length))
-    return math.degrees(math.asin(s))
+    # atan2 stays well conditioned near +-90 degrees, where asin(qz / length)
+    # turns one rounding of the length into ~1e-6 degrees.
+    return math.degrees(math.atan2(d.qz, math.hypot(d.qx, d.qy)))
 
 
 # -- clearance and collision oracles -------------------------------------------

@@ -25,7 +25,7 @@ from conftest import (
     turn_angle,
 )
 from skygrid.cli import main as cli_main
-from skygrid.coarse import plan_coarse, SspParams
+from skygrid.coarse import node_costs, plan_coarse, SspParams
 from skygrid.grid import AirspaceGrid
 from skygrid.pso import ConstraintParams, CostParams, SwarmParams, build_seed_population, optimize, penalized_cost
 from skygrid.replan import detect_conflicts
@@ -351,7 +351,7 @@ def test_criterion_8_coarse_planner_matches_exhaustive_search():
         counts = rng.integers(0, 6, size=27)
         occupancy = rng.integers(0, 4, size=27)
         start, goal = (int(v) for v in rng.choice(27, size=2, replace=False) + 1)
-        plan = plan_coarse(grid, params, occupancy, start, goal, counts)
+        plan = plan_coarse(grid, node_costs(params, occupancy, counts), start, goal)
 
         def cost_of(c):
             return params.k1 * int(counts[c - 1]) + params.k2 * int(occupancy[c - 1])

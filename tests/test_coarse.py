@@ -7,6 +7,7 @@ from skygrid.coarse import (
     CoarsePlan,
     SspParams,
     attraction_region,
+    node_costs,
     plan_coarse,
     select_exit_point,
     sliding_window_replan,
@@ -15,6 +16,7 @@ from skygrid.grid import AirspaceGrid
 
 GRID = AirspaceGrid(extent=(1000.0, 1000.0, 250.0), counts=(5, 5, 5))
 EMPTY = np.zeros(125, dtype=int)
+ZERO_COSTS = node_costs(SspParams(), EMPTY, EMPTY)
 
 
 # -- parameters and node cost ------------------------------------------------
@@ -33,7 +35,7 @@ def cell_cost(params, o_n, aec_n):
     """The cost of a one-cell plan whose cell holds o_n obstacles and aec_n UAVs."""
     counts, occupancy = EMPTY.copy(), EMPTY.copy()
     counts[6], occupancy[6] = o_n, aec_n
-    return plan_coarse(GRID, params, occupancy, 7, 7, counts).total_cost
+    return plan_coarse(GRID, node_costs(params, occupancy, counts), 7, 7).total_cost
 
 
 def test_node_cost_blends_obstacles_and_occupancy():
@@ -56,16 +58,15 @@ def test_occupancy_dominates_obstacles_with_default_weights():
 
 
 def test_plan_trivial_same_cell():
-    plan = plan_coarse(GRID, SspParams(), EMPTY, 7, 7, np.zeros(125, dtype=int))
+    plan = plan_coarse(GRID, ZERO_COSTS, 7, 7)
     assert plan.cells == [7]
 
 
 def test_plan_uniform_costs_prefers_shortest_then_lexicographic():
-    counts = np.zeros(125, dtype=int)
-    plan = plan_coarse(GRID, SspParams(), EMPTY, 1, 3, counts)
+    plan = plan_coarse(GRID, ZERO_COSTS, 1, 3)
     assert plan.cells == [1, 2, 3]
     # 1 -> 49 requires 3 x-steps, 4 y-steps, 1 z-step: 9 cells minimum.
-    plan = plan_coarse(GRID, SspParams(), EMPTY, 1, 49, counts)
+    plan = plan_coarse(GRID, ZERO_COSTS, 1, 49)
     assert len(plan.cells) == 9
     assert plan.cells[0] == 1 and plan.cells[-1] == 49
     for a, b in zip(plan.cells, plan.cells[1:]):
@@ -73,18 +74,16 @@ def test_plan_uniform_costs_prefers_shortest_then_lexicographic():
 
 
 def test_plan_detours_around_expensive_cell():
-    counts = np.zeros(125, dtype=int)
     occupancy = np.zeros(125, dtype=int)
     occupancy[1] = 10  # cell 2 very crowded
-    plan = plan_coarse(GRID, SspParams(), occupancy, 1, 3, counts)
+    plan = plan_coarse(GRID, node_costs(SspParams(), occupancy, EMPTY), 1, 3)
     assert 2 not in plan.cells
     assert plan.cells[0] == 1 and plan.cells[-1] == 3
 
 
 def test_plan_deterministic():
-    occupancy = np.zeros(125, dtype=int)
-    a = plan_coarse(GRID, SspParams(), occupancy, 1, 125, EMPTY)
-    b = plan_coarse(GRID, SspParams(), occupancy, 1, 125, EMPTY)
+    a = plan_coarse(GRID, ZERO_COSTS, 1, 125)
+    b = plan_coarse(GRID, ZERO_COSTS, 1, 125)
     assert a.cells == b.cells and a.total_cost == b.total_cost
 
 
@@ -97,7 +96,7 @@ def test_plan_cost_matches_exhaustive_oracle(seed):
     occupancy = rng.integers(0, 4, size=27)
     start, goal = (int(v) for v in rng.choice(27, size=2, replace=False) + 1)
     params = SspParams()
-    plan = plan_coarse(grid, params, occupancy, start, goal, counts)
+    plan = plan_coarse(grid, node_costs(params, occupancy, counts), start, goal)
 
     def cost_of(c):
         return params.k1 * int(counts[c - 1]) + params.k2 * int(occupancy[c - 1])
@@ -110,18 +109,19 @@ def test_plan_cost_matches_exhaustive_oracle(seed):
 
 
 def test_sliding_window_replans_when_room_remains():
+    plan = plan_coarse(GRID, ZERO_COSTS, 1, 49)
     occupancy = np.zeros(125, dtype=int)
-    plan = plan_coarse(GRID, SspParams(), occupancy, 1, 49, EMPTY)
     occupancy[plan.cells[1] - 1] = 10  # next planned cell becomes crowded
-    new = sliding_window_replan(GRID, SspParams(), occupancy, plan, plan.cells[0], 49, EMPTY)
+    costs = node_costs(SspParams(), occupancy, EMPTY)
+    new = sliding_window_replan(GRID, SspParams(), costs, plan, plan.cells[0], 49)
     assert plan.cells[1] not in new.cells
 
 
 def test_sliding_window_keeps_plan_near_goal():
     plan = CoarsePlan(cells=[1, 2, 3, 4])
-    kept = sliding_window_replan(GRID, SspParams(window_length=4), EMPTY, plan, 1, 4, EMPTY)
+    kept = sliding_window_replan(GRID, SspParams(window_length=4), ZERO_COSTS, plan, 1, 4)
     assert kept is plan  # exactly window_length cells remain: no re-plan
-    kept = sliding_window_replan(GRID, SspParams(window_length=4), EMPTY, plan, 3, 4, EMPTY)
+    kept = sliding_window_replan(GRID, SspParams(window_length=4), ZERO_COSTS, plan, 3, 4)
     assert kept is plan
 
 

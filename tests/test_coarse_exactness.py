@@ -6,6 +6,8 @@
 compared with frozen copies of their earlier code (`reference_kernels.py`):
 the same cells, the same total cost to the last bit, the same exception for
 points outside the airspace, and the same exit points and generator states.
+The search takes the cell costs `node_costs` builds; the frozen copy takes
+the counts and builds them itself.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from skygrid.coarse import (
     CoarsePlan,
     SspParams,
     attraction_region,
+    node_costs,
     plan_coarse,
     select_exit_point,
     sliding_window_replan,
@@ -53,7 +56,7 @@ def coarse_cases(draw):
 
 def _check(case):
     grid, params, occupancy, start, goal, obstacle_counts = case
-    plan = plan_coarse(grid, params, occupancy, start, goal, obstacle_counts)
+    plan = plan_coarse(grid, node_costs(params, occupancy, obstacle_counts), start, goal)
     cells, cost = ref.plan_coarse(grid, params, occupancy, start, goal, obstacle_counts)
     assert plan.cells == cells
     assert plan.total_cost == cost
@@ -83,6 +86,20 @@ def test_plan_coarse_matches_reference_on_every_pair_with_ties():
     for start in range(1, 126, 7):
         for goal in range(1, 126):
             _check((grid, SspParams(), zeros, start, goal, zeros))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    occupancy=st.lists(st.sampled_from([0] * 15 + [1, 2]), min_size=256, max_size=256),
+    start=st.integers(1, 256),
+    goal=st.integers(1, 256),
+)
+def test_plan_coarse_matches_reference_on_open_sky_plateaus(occupancy, start, goal):
+    # An 8 x 8 x 4 grid with no buildings and a few occupied cells, as in an
+    # open sky: long zero-cost plateaus, where many labels tie on cost and a
+    # settled cell is reached again from most of its neighbours.
+    grid = AirspaceGrid(extent=(1600.0, 1600.0, 200.0), counts=(8, 8, 4))
+    _check((grid, SspParams(), np.array(occupancy), start, goal, np.zeros(256, dtype=int)))
 
 
 # Cost sums that tie only after rounding: a label pushed later for a cell can
@@ -115,7 +132,8 @@ def test_sliding_window_replan_matches_reference(case, data):
     existing = CoarsePlan(cells=cells, total_cost=cost)
     current = data.draw(st.sampled_from(cells))
     fresh = data.draw(counts_for(grid.n_cells))
-    got = sliding_window_replan(grid, params, fresh, existing, current, goal, obstacle_counts)
+    costs = node_costs(params, fresh, obstacle_counts)
+    got = sliding_window_replan(grid, params, costs, existing, current, goal)
     if existing.remaining_cells(current) <= params.window_length:
         assert got is existing
     else:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     DegenerateSegment,
@@ -86,6 +86,8 @@ def test_pitch_angle_zero_length_is_degenerate():
     qx=finite, qy=finite, qz=finite,
     scale=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
 )
+# Nearly vertical: asin(qz / length) gave 89.99999879 here and 90.0 scaled.
+@example(qx=0.0, qy=1e-5, qz=631.6853191745588, scale=1.25)
 def test_angles_invariant_under_positive_scaling(qx, qy, qz, scale):
     d = SegmentDelta(qx, qy, qz)
     scaled = SegmentDelta(qx * scale, qy * scale, qz * scale)
