@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .output import emit_comparison, emit_results, write_table
 from .replan import detect_conflicts
@@ -28,7 +30,7 @@ from .scenario import (
     parse_mode,
     single_cell_scenario,
 )
-from .sim import ExecutedPath, Mode, SimMetrics, World
+from .sim import ExecutedPath, Mode, SimMetrics, UavPhase, World
 
 DEFAULT_MULTI_UAV_CONFIG = "random_uavs: {count: 50, min_cell_separation: 5}\n"
 # As many as an explicit list of a scenario file may hold.
@@ -41,21 +43,26 @@ def _load(args, default_text: str = "") -> Scenario:
     return load_scenario(default_text, args.seed, args.mode)
 
 
-def _unfinished(metrics: SimMetrics) -> list[str]:
-    """The UAVs that neither arrived nor failed: still flying at `max_ticks`."""
-    done = {*metrics.arrived, *metrics.failed}
-    return [uav for uav in metrics.per_uav_length if uav not in done]
+def _unfinished(world: World) -> list[str]:
+    """One line each for the UAVs still flying at `max_ticks` and for those
+    that never took off; none when every UAV arrived or failed."""
+    lines = []
+    for phase, what in ((UavPhase.FLYING, "still flying"), (UavPhase.PLANNING, "not launched")):
+        ids = [uav.id for uav in world.uavs if uav.phase is phase]
+        if ids:
+            lines.append(f"{what} after {world.tick} ticks: {', '.join(ids)}")
+    return lines
 
 
 def _run_and_emit(scenario: Scenario, args) -> int:
     world = World(scenario, Mode(scenario.mode))
     metrics = world.run()
     emit_results(metrics, args.out, args.format, bus_log=world.bus.log)
-    unfinished = _unfinished(metrics)
+    unfinished = _unfinished(world)
     if metrics.failed:
         print(f"planning failed for: {', '.join(metrics.failed)}", file=sys.stderr)
-    if unfinished:
-        print(f"still flying after {metrics.ticks} ticks: {', '.join(unfinished)}", file=sys.stderr)
+    for line in unfinished:
+        print(line, file=sys.stderr)
     if metrics.failed or unfinished:
         return 1
     print(f"done: {len(metrics.arrived)}/{len(scenario.uavs)} arrived in {metrics.ticks} ticks")
@@ -111,11 +118,11 @@ def cmd_compare(args) -> int:
                 scenario = load_scenario_file(args.scenario, seed, mode.value)
             else:
                 scenario = load_scenario(DEFAULT_MULTI_UAV_CONFIG, seed, mode.value)
-            metrics = World(scenario, mode).run()
-            unfinished = _unfinished(metrics)
-            if unfinished:
-                print(f"seed {seed} {mode.value}: still flying after {metrics.ticks} ticks: "
-                      f"{', '.join(unfinished)}", file=sys.stderr)
+            world = World(scenario, mode)
+            metrics = world.run()
+            unfinished = _unfinished(world)
+            for line in unfinished:
+                print(f"seed {seed} {mode.value}: {line}", file=sys.stderr)
             any_failed = any_failed or bool(metrics.failed) or bool(unfinished)
             rows.append(
                 {
@@ -137,11 +144,11 @@ def cmd_replan_demo(args) -> int:
     world = World(scenario, Mode.SSP)
     uav = world.uavs[0]
     world.step(scenario.dt)
-    if uav.active_waypath is None:
+    if not uav.route:
         print("initial planning failed", file=sys.stderr)
         return 1
-    committed = uav.active_waypath
-    target = committed.waypoints[5]
+    committed = np.array(uav.route)
+    target = committed[5]
     side = 10.0
     ob = CuboidObstacle(
         anchor=Point3(target[0] - side / 2, target[1] - side / 2, max(0.0, target[2] - side / 2)),
@@ -156,23 +163,20 @@ def cmd_replan_demo(args) -> int:
     if any(e["kind"] == "repair_failed" for e in world.metrics.events):
         print("repair failed", file=sys.stderr)
         return 1
-    repaired = uav.active_waypath
+    repaired = uav.route
     metrics = SimMetrics(n_cells=1)
     metrics.convergence = world.metrics.convergence
-    metrics.executed = [ExecutedPath("committed", 1, committed.waypoints)]
+    metrics.executed = [ExecutedPath("committed", 1, committed)]
     emit_results(metrics, args.out, args.format)
     write_table(
         f"{args.out}/waypoints_repaired",
         ["uav_id", "seq", "x", "y", "z", "cell_id"],
-        [
-            ["repaired", i, float(x), float(y), float(z), 1]
-            for i, (x, y, z) in enumerate(repaired.waypoints)
-        ],
+        [["repaired", i, x, y, z, 1] for i, (x, y, z) in enumerate(repaired)],
         args.format,
     )
     print(
         f"conflicts at waypoints {sorted(conflicts)}; repaired path has "
-        f"{repaired.count} waypoints"
+        f"{len(repaired)} waypoints"
     )
     return 0
 

@@ -24,7 +24,7 @@ from .sampling import (
     birrt_plan,
     rrt_plan,
     smooth_and_resample,
-    straight_waypath,
+    straight_points,
 )
 
 VIOLATION_PENALTY = 1.0e6
@@ -189,7 +189,7 @@ class _Scorer:
 
 
 def _obstacle_free_feasible(points: Sequence[Sequence[float]], constraints: ConstraintParams) -> bool:
-    """`feasibility_penalty(Waypath(points), constraints, []) == 0.0`, decided
+    """`feasibility_penalty(np.array(points), constraints, []) == 0.0`, decided
     on float triples rule for rule as `_Scorer._score` decides it at P = 1:
     the same IEEE operations in the same order, `>` against the limits, the
     pitch and turn angles from one `np.arcsin` and one `np.arccos` call (the
@@ -236,13 +236,13 @@ def _split_obstacles(obstacles: Iterable[CuboidObstacle]):
     return static, sudden
 
 
-def _axis_major(path: Waypath) -> np.ndarray:
-    """One path as a (3, 1, J) batch."""
-    return path.waypoints.T[:, None, :]
+def _axis_major(path: np.ndarray) -> np.ndarray:
+    """One (J, 3) path as a (3, 1, J) batch."""
+    return np.asarray(path, dtype=float).T[:, None, :]
 
 
 def trajectory_cost(
-    path: Waypath,
+    path: np.ndarray,
     static: Sequence[CuboidObstacle],
     sudden: Sequence[CuboidObstacle],
     cp: CostParams,
@@ -257,7 +257,7 @@ def trajectory_cost(
 
 
 def feasibility_penalty(
-    path: Waypath,
+    path: np.ndarray,
     constraints: ConstraintParams,
     obstacles: Sequence[CuboidObstacle],
 ) -> float:
@@ -273,42 +273,38 @@ def penalized_cost(
     cp: CostParams,
     constraints: ConstraintParams,
 ) -> float:
-    cost, penalty = _Scorer(*_split_obstacles(obstacles), cp, constraints)(_axis_major(path))
+    cost, penalty = _Scorer(*_split_obstacles(obstacles), cp, constraints)(_axis_major(path.waypoints))
     return float(cost[0]) + float(penalty[0])
 
 
 def optimize(
-    seeds: Sequence[Waypath],
+    seeds: np.ndarray,
     obstacles: Sequence[CuboidObstacle],
     cp: CostParams,
     constraints: ConstraintParams,
     params: SwarmParams,
     rng: np.random.Generator,
-) -> tuple[Waypath, list[float]]:
-    """Global-best PSO over the interior waypoints of the seed population.
+) -> tuple[np.ndarray, list[float]]:
+    """Global-best PSO over the interior waypoints of a (P, J, 3) seed population.
 
-    Returns the best-ever trajectory and the per-iteration global-best cost
-    history (monotone non-increasing). Raises NoFeasibleSeed if every particle
-    is still infinitely penalized when the budget runs out.
+    Returns the best-ever (J, 3) trajectory and the per-iteration global-best
+    cost history (monotone non-increasing). Raises NoFeasibleSeed if every
+    particle is still infinitely penalized when the budget runs out.
     """
-    if not seeds:
-        raise ValueError("seed population is empty")
-    j = seeds[0].count
-    first = seeds[0].waypoints[0].copy()
-    last = seeds[0].waypoints[-1].copy()
-    for s in seeds:
-        if s.count != j or not np.array_equal(s.waypoints[0], first) or not np.array_equal(
-            s.waypoints[-1], last
-        ):
-            raise ValueError("all seeds must share endpoints and waypoint count")
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 3 or seeds.shape[2] != 3 or 0 in seeds.shape:
+        raise ValueError(f"seeds must be a non-empty (P, J, 3) array, got shape {seeds.shape}")
+    p, j, _ = seeds.shape
+    first, last = seeds[0, 0], seeds[0, -1]
+    if not ((seeds[:, 0] == first).all() and (seeds[:, -1] == last).all()):
+        raise ValueError("all seeds must share their endpoints")
 
     score = _Scorer(*_split_obstacles(obstacles), cp, constraints)
-    sub = seeds[0].sub_airspace
 
     # The kernel's axis-major (3, P, J) paths: the fixed endpoint columns are
     # written once, the interior columns from x on every evaluation.
-    x = np.stack([s.waypoints[1:-1] for s in seeds])  # (P, J-2, 3)
-    paths = np.empty((3, len(seeds), j))
+    x = seeds[:, 1:-1].copy()  # (P, J-2, 3)
+    paths = np.empty((3, p, j))
     paths[:, :, 0] = first[:, None]
     paths[:, :, -1] = last[:, None]
     interior = paths[:, :, 1:-1]
@@ -361,7 +357,7 @@ def optimize(
     best_path[0] = first
     best_path[-1] = last
     best_path[1:-1] = gbest
-    return Waypath(waypoints=best_path, sub_airspace=sub), history
+    return best_path, history
 
 
 def build_seed_population(
@@ -374,9 +370,9 @@ def build_seed_population(
     swarm: Optional[SwarmParams] = None,
     count: int = DEFAULT_WAYPOINT_COUNT,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-    sub_airspace: int = 0,
-) -> list[Waypath]:
-    """RRT + Bi-RRT seed paths plus the straight-line connection.
+) -> np.ndarray:
+    """RRT + Bi-RRT seed paths plus the straight-line connection, as a
+    (P, count, 3) array.
 
     The straight path is included even when it collides; its penalty removes
     it from contention while guaranteeing the optimal obstacle-free line is
@@ -386,20 +382,18 @@ def build_seed_population(
     """
     rrt_params = rrt_params or RrtParams()
     swarm = swarm or SwarmParams()
-    seeds: list[Waypath] = []
+    seeds = []
     failures = 0
     for planner, n in ((rrt_plan, swarm.n_rrt), (birrt_plan, swarm.n_birrt)):
         for _ in range(n):
             try:
                 raw = planner(bounds, obstacles, start, goal, rrt_params, rng)
-                seeds.append(
-                    smooth_and_resample(raw, obstacles, count, smooth_window, sub_airspace)
-                )
+                seeds.append(smooth_and_resample(raw, obstacles, count, smooth_window))
             except PlanningFailed:
                 failures += 1
     if failures == swarm.n_rrt + swarm.n_birrt and failures > 0:
         raise PlanningFailed(
             f"every RRT and Bi-RRT seed failed to connect or to fit {count} waypoints"
         )
-    seeds.append(straight_waypath(start, goal, count, sub_airspace))
-    return seeds
+    seeds.append(straight_points(start, goal, count))
+    return np.array(seeds)

@@ -19,7 +19,6 @@ from .sampling import (
     DEFAULT_SMOOTH_WINDOW,
     PlanningFailed,
     RrtParams,
-    Waypath,
     _smooth,
     birrt_plan,
     flatten_obstacles,
@@ -33,8 +32,8 @@ class RepairFailed(Exception):
     coarse re-plan."""
 
 
-def detect_conflicts(path: Waypath, ob: CuboidObstacle) -> set[int]:
-    """Waypoint indices in conflict with the obstacle.
+def detect_conflicts(path: np.ndarray, ob: CuboidObstacle) -> set[int]:
+    """Indices of the (J, 3) path's waypoints in conflict with the obstacle.
 
     A waypoint inside the obstacle conflicts directly. A segment crossing the
     obstacle with both endpoints clear flags both its endpoints (the crossing
@@ -44,7 +43,7 @@ def detect_conflicts(path: Waypath, ob: CuboidObstacle) -> set[int]:
     if ob.kind is not ObstacleKind.SUDDEN:
         raise ValueError("conflict detection applies to sudden obstacles")
     boxes = flatten_obstacles([ob])
-    pts = path.waypoints.tolist()
+    pts = path.tolist()
     contained = {j for j in range(len(pts)) if not point_free(pts[j], boxes)}
     conflicts = set(contained)
     for j in range(len(pts) - 1):
@@ -57,7 +56,7 @@ def detect_conflicts(path: Waypath, ob: CuboidObstacle) -> set[int]:
 
 
 def repair(
-    path: Waypath,
+    path: np.ndarray,
     ob: CuboidObstacle,
     obstacles: Sequence[CuboidObstacle],
     constraints: ConstraintParams,
@@ -65,8 +64,8 @@ def repair(
     rrt_params: Optional[RrtParams] = None,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> Optional[np.ndarray]:
-    """The path's waypoints with the conflicting stretch replaced by a
-    smoothed Bi-RRT detour, or None when nothing conflicts.
+    """The (J, 3) path with the conflicting stretch replaced by a smoothed
+    Bi-RRT detour, or None when nothing conflicts.
 
     The resulting waypoint count may differ from the original. Raises
     RepairFailed when no collision-free bracket exists or Bi-RRT cannot
@@ -79,17 +78,16 @@ def repair(
 
     full = list(obstacles) + [ob]
     boxes = flatten_obstacles(full)
-    pts = path.waypoints
     # Bracket: the nearest collision-free waypoints at or outside the conflict
     # range. A conflict index that is merely segment-flagged (the point itself
     # is clear) can serve as its own bracket end.
     lo = min(conflicts)
     hi = max(conflicts)
-    while lo >= 0 and not point_free(pts[lo], boxes):
+    while lo >= 0 and not point_free(path[lo], boxes):
         lo -= 1
-    while hi <= len(pts) - 1 and not point_free(pts[hi], boxes):
+    while hi <= len(path) - 1 and not point_free(path[hi], boxes):
         hi += 1
-    if lo < 0 or hi > len(pts) - 1:
+    if lo < 0 or hi > len(path) - 1:
         raise RepairFailed("no collision-free bracketing waypoints remain")
 
     bounds = (constraints.bounds_lo, constraints.bounds_hi)
@@ -97,8 +95,8 @@ def repair(
         raw = birrt_plan(
             bounds,
             full,
-            Point3.from_array(pts[lo]),
-            Point3.from_array(pts[hi]),
+            Point3.from_array(path[lo]),
+            Point3.from_array(path[hi]),
             rrt_params,
             rng,
         )
@@ -106,4 +104,4 @@ def repair(
         raise RepairFailed(str(exc)) from exc
 
     detour = np.array(_smooth(raw, boxes, smooth_window), dtype=float)
-    return np.vstack([pts[: lo + 1], detour[1:-1], pts[hi:]])
+    return np.vstack([path[: lo + 1], detour[1:-1], path[hi:]])

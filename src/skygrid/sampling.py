@@ -42,10 +42,10 @@ class RrtParams:
 
 @dataclass
 class Waypath:
-    """Fixed-length fine trajectory inside one sub-airspace.
+    """A UAV's installed route viewed as a (J, 3) array with its cell.
 
-    First and last waypoints are boundary conditions and are never moved by
-    any optimizer.
+    The planners pass plain arrays: a path is (J, 3) and a seed population
+    (P, J, 3).
     """
 
     waypoints: np.ndarray  # (J, 3)
@@ -55,10 +55,6 @@ class Waypath:
         self.waypoints = np.asarray(self.waypoints, dtype=float)
         if self.waypoints.ndim != 2 or self.waypoints.shape[1] != 3:
             raise ValueError("waypoints must have shape (J, 3)")
-
-    @property
-    def count(self) -> int:
-        return len(self.waypoints)
 
 
 # Obstacles are pre-flattened to float tuples: the per-cell obstacle count is
@@ -506,8 +502,7 @@ def smooth_and_resample(
     obstacles: Iterable[CuboidObstacle],
     count: int = DEFAULT_WAYPOINT_COUNT,
     smooth_window: int = DEFAULT_SMOOTH_WINDOW,
-    sub_airspace: int = 0,
-) -> Waypath:
+) -> np.ndarray:
     """Shortcut, smooth, and resample a raw polyline to exactly `count` points.
 
     Endpoints and every vertex of the smoothed path are kept, and the result
@@ -518,7 +513,7 @@ def smooth_and_resample(
     path = _smooth(raw, flatten_obstacles(obstacles), smooth_window)
     if len(path) > count:
         raise PlanningFailed(f"smoothed path keeps {len(path)} vertices, more than {count} waypoints")
-    return Waypath(waypoints=resample_polyline(path, count), sub_airspace=sub_airspace)
+    return resample_polyline(path, count)
 
 
 def straight_points(
@@ -528,9 +523,3 @@ def straight_points(
     (collisions allowed)."""
     return resample_points([(start.x, start.y, start.z), (goal.x, goal.y, goal.z)], count)
 
-
-def straight_waypath(
-    start: Point3, goal: Point3, count: int = DEFAULT_WAYPOINT_COUNT, sub_airspace: int = 0
-) -> Waypath:
-    """`straight_points` as a Waypath."""
-    return Waypath(waypoints=np.array(straight_points(start, goal, count)), sub_airspace=sub_airspace)

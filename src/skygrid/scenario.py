@@ -404,6 +404,8 @@ def load_scenario(
         raise ValidationError(f"dt must be finite and positive, got {scalars['dt']}")
     if scalars["max_ticks"] < 1:
         raise ValidationError(f"max_ticks must be >= 1, got {scalars['max_ticks']}")
+    if scalars["stagger"] < 0:
+        raise ValidationError(f"stagger must be >= 0, got {scalars['stagger']}")
     seed = scalars["seed"]
 
     sections = {}
@@ -548,8 +550,15 @@ def load_scenario(
 def load_scenario_file(
     path: str, seed_override: Optional[int] = None, mode_override: Optional[str] = None
 ) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read(), seed_override, mode_override)
+    """`load_scenario` of a UTF-8 file; a file that cannot be read is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read scenario file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
+    return load_scenario(text, seed_override, mode_override)
 
 
 def single_cell_scenario(

@@ -70,8 +70,7 @@ class UavState:
     takeoff_tick: int = 0
     phase: UavPhase = UavPhase.PLANNING
     coarse_plan: Optional[CoarsePlan] = None
-    active_waypath: Optional[Waypath] = None
-    route: tuple[Xyz, ...] = ()  # active_waypath's waypoints, as floats
+    route: tuple[Xyz, ...] = ()  # the installed waypoints; `World._commit` writes it
     next_waypoint_index: int = 0
     current_cell: int = 0
     flown_length: float = 0.0
@@ -87,6 +86,12 @@ class UavState:
     def position(self, p) -> None:
         x, y, z = np.asarray(p, dtype=float).tolist()
         self.xyz = (x, y, z)
+
+    @property
+    def active_waypath(self) -> Optional[Waypath]:
+        """A fresh array view of `route` in `current_cell`, the cell it was
+        installed in; None before the first plan."""
+        return Waypath(np.array(self.route), self.current_cell) if self.route else None
 
     def leg(self) -> Xyz:
         """From the position to the next waypoint."""
@@ -245,8 +250,8 @@ class World:
                 return p
         raise PlanningFailed(f"no collision-free exit point on face {cell}->{nxt}")
 
-    def _fine_plan(self, uav: UavState, cell: int, entry: Point3, target: Point3) -> Waypath:
-        """Plan the in-cell trajectory; retries with fresh draws before failing."""
+    def _fine_plan(self, uav: UavState, cell: int, entry: Point3, target: Point3) -> np.ndarray:
+        """Plan the in-cell (J, 3) trajectory; retries with fresh draws before failing."""
         obstacles = self._cell_obstacles(cell)
         constraints = self._cell(cell).constraints
         bounds = (constraints.bounds_lo, constraints.bounds_hi)
@@ -256,7 +261,7 @@ class World:
         if self.mode in (Mode.RRT_ONLY, Mode.BIRRT_ONLY):
             planner = rrt_plan if self.mode is Mode.RRT_ONLY else birrt_plan
             raw = planner(bounds, obstacles, entry, target, self.scenario.rrt, uav.rng)
-            return smooth_and_resample(raw, obstacles, count, smooth_window, cell)
+            return smooth_and_resample(raw, obstacles, count, smooth_window)
 
         # No path of `count` waypoints within the length limits spans more
         # than `reach`; the slack keeps rounding from deciding.
@@ -273,14 +278,14 @@ class World:
         if not obstacles:
             straight = straight_points(entry, target, count)
             if _obstacle_free_feasible(straight, constraints):
-                return Waypath(np.array(straight), cell)
+                return np.array(straight)
 
         last_error: Optional[Exception] = None
         for _ in range(FINE_PLAN_ATTEMPTS):
             try:
                 seeds = build_seed_population(
                     bounds, obstacles, entry, target, uav.rng,
-                    self.scenario.rrt, self.scenario.swarm, count, smooth_window, cell,
+                    self.scenario.rrt, self.scenario.swarm, count, smooth_window,
                 )
                 best, history = optimize(
                     seeds, obstacles, self.scenario.cost, constraints,
@@ -308,7 +313,7 @@ class World:
             for draw in range(EXIT_DRAWS):
                 exit_point = self._exit_point(uav, plan, cell, entry)
                 try:
-                    waypath = self._fine_plan(uav, cell, entry, exit_point or uav.goal)
+                    waypoints = self._fine_plan(uav, cell, entry, exit_point or uav.goal)
                     break
                 except PlanningFailed:
                     if draw == EXIT_DRAWS - 1 or exit_point is None:
@@ -318,14 +323,14 @@ class World:
             self._log("fine_plan_failed", uav.id, cell=cell, reason=str(exc))
             return
         uav.current_cell = cell
-        self._commit(uav, waypath, 1, "cell_entered")
+        self._commit(uav, waypoints, 1, "cell_entered")
 
-    def _commit(self, uav: UavState, waypath: Waypath, next_index: int, event: str) -> None:
-        """Install a route in the UAV's current cell, record it and log why."""
-        uav.active_waypath = waypath
-        uav.route = tuple(map(tuple, waypath.waypoints.tolist()))
+    def _commit(self, uav: UavState, waypoints: np.ndarray, next_index: int, event: str) -> None:
+        """Install a fresh (J, 3) array as the route in the UAV's current
+        cell, record it (the array itself) and log why."""
+        uav.route = tuple(map(tuple, waypoints.tolist()))
         uav.next_waypoint_index = next_index
-        self.metrics.executed.append(ExecutedPath(uav.id, uav.current_cell, waypath.waypoints.copy()))
+        self.metrics.executed.append(ExecutedPath(uav.id, uav.current_cell, waypoints))
         self._log(event, uav.id, cell=uav.current_cell)
 
     # -- sudden obstacles ---------------------------------------------------
@@ -344,11 +349,11 @@ class World:
             if uav.phase is not UavPhase.FLYING:
                 continue
             # Only the route ahead of the UAV is checked, so an obstacle behind it is ignored.
-            wp, nxt, cell = uav.active_waypath.waypoints, uav.next_waypoint_index, uav.current_cell
+            wp, nxt, cell = uav.route, uav.next_waypoint_index, uav.current_cell
             obstacles = [o for o in self._cell_obstacles(cell) if o is not ob]
             try:
                 route = repair(
-                    Waypath(np.vstack([uav.position, wp[nxt:]]), cell), ob, obstacles,
+                    np.array((uav.xyz,) + wp[nxt:]), ob, obstacles,
                     self._cell(cell).constraints, uav.rng, self.scenario.rrt, self.scenario.smooth_window,
                 )
                 event = "repair"
@@ -356,8 +361,7 @@ class World:
                 # Escalate: re-plan the rest of the cell from the current position.
                 self._log("repair_failed", uav.id, cell=cell)
                 try:
-                    entry, target = Point3.from_array(uav.position), Point3.from_array(wp[-1])
-                    route = self._fine_plan(uav, cell, entry, target).waypoints
+                    route = self._fine_plan(uav, cell, Point3(*uav.xyz), Point3(*wp[-1]))
                 except PlanningFailed as exc:
                     uav.phase = UavPhase.FAILED
                     self._log("replan_failed", uav.id, cell=cell, reason=str(exc))
@@ -371,9 +375,9 @@ class World:
                 head, route, target = wp[:nxt], route[1:], nxt
             else:
                 # The detour leaves from the position, which becomes a vertex (held once).
-                keep = nxt - 1 if np.array_equal(uav.position, wp[nxt - 1]) else nxt
+                keep = nxt - 1 if uav.xyz == wp[nxt - 1] else nxt
                 head, target = wp[:keep], keep + 1
-            self._commit(uav, Waypath(np.vstack([head, route]), cell), target, event)
+            self._commit(uav, np.vstack([*head, route]), target, event)
 
     # -- time stepping ------------------------------------------------------
 

@@ -29,7 +29,7 @@ from skygrid.coarse import node_costs, plan_coarse, SspParams
 from skygrid.grid import AirspaceGrid
 from skygrid.pso import ConstraintParams, CostParams, SwarmParams, build_seed_population, optimize, penalized_cost
 from skygrid.replan import detect_conflicts
-from skygrid.sampling import RrtParams
+from skygrid.sampling import RrtParams, Waypath
 from skygrid.scenario import load_scenario, single_cell_scenario
 from skygrid.sim import Mode, World
 
@@ -98,10 +98,10 @@ def reference_cell_runs():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        seeds = build_seed_population(bounds, obstacles, start, goal, rng, rp, sp, 10, 5, 1)
-        seed_costs = [penalized_cost(s, obstacles, cp, constraints) for s in seeds]
+        seeds = build_seed_population(bounds, obstacles, start, goal, rng, rp, sp, 10, 5)
+        seed_costs = [penalized_cost(Waypath(s), obstacles, cp, constraints) for s in seeds]
         best, history = optimize(seeds, obstacles, cp, constraints, sp, rng)
-        final = penalized_cost(best, obstacles, cp, constraints)
+        final = penalized_cost(Waypath(best), obstacles, cp, constraints)
         runs.append(
             {
                 "elapsed": time.perf_counter() - t0,
@@ -182,12 +182,12 @@ def repair_experiment():
     world = World(sc, Mode.SSP)
     world.step()  # commit the initial plan and start flying
     uav = world.uavs[0]
-    committed = uav.active_waypath.waypoints.copy()
+    committed = uav.active_waypath.waypoints
     assert uav.next_waypoint_index <= 4  # waypoint 5 still ahead
     ob = make_sudden(committed[5])
-    conflicts = detect_conflicts(uav.active_waypath, ob)
+    conflicts = detect_conflicts(committed, ob)
     world.inject_sudden_obstacle(ob, world.tick)
-    repaired = uav.active_waypath.waypoints.copy()
+    repaired = uav.active_waypath.waypoints
     metrics = world.run()
     return {
         "committed": committed,
@@ -249,7 +249,7 @@ def test_criterion_3_no_penetrations_anywhere(
     checked = 0
     for r in reference_cell_runs["runs"]:
         assert not dense_sample_penetrates(
-            r["best"].waypoints, reference_cell_runs["obstacles"]
+            r["best"], reference_cell_runs["obstacles"]
         )
         checked += 1
     for pair in occupancy_comparison["sets"]:
@@ -276,7 +276,7 @@ def test_criterion_4_accepted_waypaths_satisfy_all_constraints(
     lo = np.zeros(3)
     hi = np.array([200.0, 200.0, 50.0])
     for r in reference_cell_runs["runs"]:
-        assert constraint_violations(r["best"].waypoints, lo, hi) == []
+        assert constraint_violations(r["best"], lo, hi) == []
     run_infos = [
         info for pair in occupancy_comparison["sets"] for info in pair.values()
     ] + [

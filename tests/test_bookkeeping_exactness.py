@@ -1,6 +1,6 @@
 """Exactness of the simulation's per-UAV bookkeeping.
 
-`resample_polyline`, `straight_waypath` and the tick (`World.step`,
+`resample_polyline`, `straight_points` and the tick (`World.step`,
 `_advance`, `_record_tick`) do their scalar work in Python floats instead of
 small numpy arrays. They are compared bit for bit with frozen copies of the
 numpy code (`reference_kernels.py`): paths of two points, of eight or more
@@ -45,7 +45,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from skygrid.geometry import Point3
-from skygrid.sampling import resample_polyline, straight_waypath
+from skygrid.sampling import resample_polyline, straight_points
 from skygrid.scenario import load_scenario
 from skygrid.sim import Mode, UavPhase, World
 
@@ -179,11 +179,9 @@ def test_resample_polyline_keeps_the_pairwise_total(path, count):
 
 @settings(max_examples=300, deadline=None)
 @given(a=point, b=point, count=st.integers(2, 60))
-def test_straight_waypath_matches_reference(a, b, count):
+def test_straight_points_match_reference(a, b, count):
     start, goal = Point3(*a), Point3(*b)
-    assert same_bits(
-        straight_waypath(start, goal, count).waypoints, ref.straight_waypath(start, goal, count)
-    )
+    assert same_bits(np.array(straight_points(start, goal, count)), ref.straight_waypath(start, goal, count))
 
 
 def test_resample_polyline_rejects_what_the_reference_rejects():

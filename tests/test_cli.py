@@ -149,6 +149,7 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("random_uavs: {count: 1001}\n", "random_uavs.count"),
         ("random_obstacles: {count: 1001}\n", "random_obstacles.count"),
         ("max_ticks: 20001\n", "max_ticks"),
+        ("stagger: -7\n", "stagger"),
         ("mode: Nope\n", "mode"),
         ("cost: {k4: -1.0, k5: -100.0}\n", "cost: k4"),
         ("cost: {k3: .nan}\n", "cost.k3"),
@@ -192,6 +193,32 @@ def test_exit_2_names_the_key_of_a_malformed_value(tmp_path, capsys, text, key_p
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and key_path in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+@pytest.mark.parametrize(
+    "make,reason",
+    [
+        (lambda p: p.write_bytes(b"\xff\xfeseed: 1\n"), "is not UTF-8 text"),
+        (lambda p: None, "No such file or directory"),
+        (lambda p: p.mkdir(), "Is a directory"),
+    ],
+    ids=["not-utf8", "missing", "directory"],
+)
+def test_exit_2_on_an_unreadable_scenario_file(tmp_path, capsys, command, make, reason):
+    path = tmp_path / "scenario.yaml"
+    make(path)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err and reason in err
+
+
+def test_exit_1_when_the_output_directory_cannot_be_written(small_scenario, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")  # under a regular file
+    assert main(["plan", "--scenario", small_scenario, "--seed", "1", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("io error: ")
 
 
 def test_exit_2_on_unknown_mode(small_scenario, tmp_path):
@@ -247,6 +274,19 @@ def test_exit_1_when_uavs_are_still_flying_at_max_ticks(tmp_path, capsys, comman
     assert "still flying after 3 ticks: uav0" in capsys.readouterr().err
     # The tables are still written.
     assert os.listdir(out)
+
+
+@pytest.mark.parametrize("command", ["plan", "compare"])
+def test_exit_1_names_the_uavs_that_never_took_off(tmp_path, capsys, command):
+    late = tmp_path / "late.yaml"
+    late.write_text(SMALL_SCENARIO + "  - {start: [190, 10, 10], goal: [10, 190, 40]}\n"
+                    "stagger: 500\nmax_ticks: 3\n")
+    out = str(tmp_path / "out")
+    assert main([command, "--scenario", str(late), "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "still flying after 3 ticks: uav0\n" in err
+    assert "not launched after 3 ticks: uav1\n" in err
+    assert "uav1" not in err.split("not launched")[0]
 
 
 def test_exit_1_when_a_smoothed_path_needs_more_waypoints(tmp_path):

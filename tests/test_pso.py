@@ -14,7 +14,7 @@ from skygrid.pso import (
     penalized_cost,
     trajectory_cost,
 )
-from skygrid.sampling import PlanningFailed, RrtParams, Waypath, straight_waypath
+from skygrid.sampling import PlanningFailed, RrtParams, Waypath, straight_points
 from skygrid.scenario import single_cell_scenario
 
 BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
@@ -25,20 +25,24 @@ CONSTRAINTS = ConstraintParams()
 
 
 def level_path(xs, y=0.0, z=10.0):
-    return Waypath(waypoints=np.array([[x, y, z] for x in xs], dtype=float))
+    return np.array([[x, y, z] for x in xs], dtype=float)
+
+
+def straight(start, goal, count):
+    return np.array(straight_points(start, goal, count))
 
 
 # -- cost --------------------------------------------------------------------
 
 
 def test_cost_is_pure_length_with_no_obstacles():
-    wp = straight_waypath(Point3(0, 0, 10), Point3(100, 0, 10), 10)
+    wp = straight(Point3(0, 0, 10), Point3(100, 0, 10), 10)
     cp = CostParams()
     assert trajectory_cost(wp, [], [], cp) == pytest.approx(cp.k4 * 100.0)
 
 
 def test_cost_adds_clearance_terms_per_obstacle_kind():
-    wp = straight_waypath(Point3(0, 0, 10), Point3(100, 0, 10), 10)
+    wp = straight(Point3(0, 0, 10), Point3(100, 0, 10), 10)
     cp = CostParams()
     static = [CuboidObstacle(anchor=Point3(40, 30, 0), len_x=10, len_y=10, len_z=30)]
     sudden = [
@@ -47,12 +51,12 @@ def test_cost_adds_clearance_terms_per_obstacle_kind():
         )
     ]
     d_static = sum(
-        point_to_cuboid_distance(Point3.from_array(p), static[0]) for p in wp.waypoints
+        point_to_cuboid_distance(Point3.from_array(p), static[0]) for p in wp
     )
     d_sudden = sum(
-        point_to_cuboid_distance(Point3.from_array(p), sudden[0]) for p in wp.waypoints
+        point_to_cuboid_distance(Point3.from_array(p), sudden[0]) for p in wp
     )
-    expected = cp.k3 * (cp.k5 / d_static + cp.k6 / d_sudden) + cp.k4 * path_length(wp.waypoints)
+    expected = cp.k3 * (cp.k5 / d_static + cp.k6 / d_sudden) + cp.k4 * path_length(wp)
     assert trajectory_cost(wp, static, sudden, cp) == pytest.approx(expected)
 
 
@@ -67,8 +71,8 @@ def test_cost_infinite_when_summed_clearance_is_zero():
 
 def test_cost_closer_paths_cost_more():
     static = [CuboidObstacle(anchor=Point3(40, 100, 0), len_x=10, len_y=10, len_z=30)]
-    near = straight_waypath(Point3(0, 90, 10), Point3(100, 90, 10), 10)
-    far = straight_waypath(Point3(0, 20, 10), Point3(100, 20, 10), 10)
+    near = straight(Point3(0, 90, 10), Point3(100, 90, 10), 10)
+    far = straight(Point3(0, 20, 10), Point3(100, 20, 10), 10)
     cp = CostParams()
     assert trajectory_cost(near, static, [], cp) > trajectory_cost(far, static, [], cp)
 
@@ -77,7 +81,7 @@ def test_cost_closer_paths_cost_more():
 
 
 def test_feasible_path_has_zero_penalty():
-    wp = straight_waypath(Point3(0, 0, 10), Point3(100, 0, 10), 10)
+    wp = straight(Point3(0, 0, 10), Point3(100, 0, 10), 10)
     assert feasibility_penalty(wp, CONSTRAINTS, []) == 0.0
 
 
@@ -95,14 +99,12 @@ def test_total_length_violation():
 
 
 def test_turn_angle_violation():
-    wp = Waypath(
-        waypoints=np.array([[0, 0, 10], [10, 0, 10], [12, 10, 10]], dtype=float)
-    )  # ~79 degree turn
+    wp = np.array([[0, 0, 10], [10, 0, 10], [12, 10, 10]], dtype=float)  # ~79 degree turn
     assert feasibility_penalty(wp, CONSTRAINTS, []) == VIOLATION_PENALTY
 
 
 def test_vertical_segment_counts_as_violation():
-    wp = Waypath(waypoints=np.array([[0, 0, 10], [10, 0, 10], [10, 0, 20], [20, 0, 20]], dtype=float))
+    wp = np.array([[0, 0, 10], [10, 0, 10], [10, 0, 20], [20, 0, 20]], dtype=float)
     # The purely vertical middle segment breaks both turn junctions and the
     # pitch limit.
     penalty = feasibility_penalty(wp, CONSTRAINTS, [])
@@ -110,19 +112,19 @@ def test_vertical_segment_counts_as_violation():
 
 
 def test_pitch_violation():
-    wp = Waypath(waypoints=np.array([[0, 0, 0], [10, 0, 0], [14, 0, 5], [24, 0, 5]], dtype=float))
+    wp = np.array([[0, 0, 0], [10, 0, 0], [14, 0, 5], [24, 0, 5]], dtype=float)
     # Segment (10,0,0)->(14,0,5): pitch arcsin(5/sqrt(41)) ~ 51.3 degrees.
     assert feasibility_penalty(wp, CONSTRAINTS, []) == VIOLATION_PENALTY
 
 
 def test_out_of_bounds_interior_waypoint():
-    wp = Waypath(waypoints=np.array([[0, 0, 10], [10, 0, 60], [20, 0, 10]], dtype=float))
+    wp = np.array([[0, 0, 10], [10, 0, 60], [20, 0, 10]], dtype=float)
     c = ConstraintParams(l_max=100.0, ta_max=179.0, pa_max=89.0)
     assert feasibility_penalty(wp, c, []) == VIOLATION_PENALTY
 
 
 def test_endpoints_exempt_from_bounds():
-    wp = Waypath(waypoints=np.array([[-5, 0, 10], [10, 0, 10], [20, 0, 10]], dtype=float))
+    wp = np.array([[-5, 0, 10], [10, 0, 10], [20, 0, 10]], dtype=float)
     assert feasibility_penalty(wp, CONSTRAINTS, []) == 0.0
 
 
@@ -143,30 +145,34 @@ def test_constraint_params_validation():
 
 
 def test_optimize_requires_consistent_seeds(rng):
-    a = straight_waypath(Point3(0, 0, 10), Point3(100, 0, 10), 10)
-    b = straight_waypath(Point3(0, 0, 10), Point3(100, 10, 10), 10)
-    with pytest.raises(ValueError):
-        optimize([a, b], [], CostParams(), CONSTRAINTS, SwarmParams(), rng)
-    with pytest.raises(ValueError):
-        optimize([], [], CostParams(), CONSTRAINTS, SwarmParams(), rng)
+    a = straight(Point3(0, 0, 10), Point3(100, 0, 10), 10)
+    b = straight(Point3(0, 0, 10), Point3(100, 10, 10), 10)
+    with pytest.raises(ValueError, match="share their endpoints"):
+        optimize(np.array([a, b]), [], CostParams(), CONSTRAINTS, SwarmParams(), rng)
+    with pytest.raises(ValueError, match="non-empty"):
+        optimize(np.empty((0, 10, 3)), [], CostParams(), CONSTRAINTS, SwarmParams(), rng)
+    with pytest.raises(ValueError, match="non-empty"):  # the last axis is not xyz
+        optimize(np.array([a[:, :2]]), [], CostParams(), CONSTRAINTS, SwarmParams(), rng)
+    with pytest.raises(ValueError):  # ragged: numpy refuses to build the array
+        optimize([a, a[:5]], [], CostParams(), CONSTRAINTS, SwarmParams(), rng)
 
 
 def test_optimize_never_worse_than_best_seed(rng):
-    seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng, sub_airspace=1)
-    seed_costs = [penalized_cost(s, CELL_OBS, CostParams(), CONSTRAINTS) for s in seeds]
+    seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng)
+    seed_costs = [penalized_cost(Waypath(s), CELL_OBS, CostParams(), CONSTRAINTS) for s in seeds]
     best, history = optimize(seeds, CELL_OBS, CostParams(), CONSTRAINTS, SwarmParams(), rng)
-    final = penalized_cost(best, CELL_OBS, CostParams(), CONSTRAINTS)
+    final = penalized_cost(Waypath(best), CELL_OBS, CostParams(), CONSTRAINTS)
     assert final <= min(seed_costs) + 1e-9
     assert history[0] == pytest.approx(min(seed_costs))
 
 
 def test_optimize_history_monotone_and_endpoints_fixed(rng):
-    seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng, sub_airspace=1)
+    seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng)
     best, history = optimize(seeds, CELL_OBS, CostParams(), CONSTRAINTS, SwarmParams(), rng)
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
-    assert np.array_equal(best.waypoints[0], START.as_array())
-    assert np.array_equal(best.waypoints[-1], GOAL.as_array())
-    assert best.sub_airspace == 1
+    assert best.shape == (10, 3)
+    assert np.array_equal(best[0], START.as_array())
+    assert np.array_equal(best[-1], GOAL.as_array())
 
 
 def test_optimize_deterministic_per_seed():
@@ -174,7 +180,7 @@ def test_optimize_deterministic_per_seed():
         rng = np.random.default_rng(11)
         seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng)
         best, history = optimize(seeds, CELL_OBS, CostParams(), CONSTRAINTS, SwarmParams(), rng)
-        return best.waypoints.copy(), list(history)
+        return best, list(history)
 
     (wa, ha), (wb, hb) = run(), run()
     assert np.array_equal(wa, wb) and ha == hb
@@ -183,7 +189,7 @@ def test_optimize_deterministic_per_seed():
 def test_optimize_early_stop_on_stall(rng):
     # A single straight feasible seed in an empty cell is already optimal:
     # the run should stop at the stall budget, well under max_iterations.
-    seeds = [straight_waypath(Point3(0, 0, 10), Point3(100, 0, 10), 10)]
+    seeds = straight(Point3(0, 0, 10), Point3(100, 0, 10), 10)[None]
     params = SwarmParams(max_iterations=100, stall_iterations=20)
     _, history = optimize(seeds, [], CostParams(), CONSTRAINTS, params, rng)
     assert len(history) <= 30
@@ -195,19 +201,18 @@ def test_optimize_early_stop_on_stall(rng):
 def test_seed_population_composition(rng):
     seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng)
     sp = SwarmParams()
-    assert len(seeds) == sp.n_rrt + sp.n_birrt + 1
+    assert seeds.shape == (sp.n_rrt + sp.n_birrt + 1, 10, 3)
     for s in seeds:
-        assert s.count == 10
-        assert np.allclose(s.waypoints[0], START.as_array())
-        assert np.allclose(s.waypoints[-1], GOAL.as_array())
+        assert np.allclose(s[0], START.as_array())
+        assert np.allclose(s[-1], GOAL.as_array())
 
 
 def test_straight_seed_included_even_when_colliding(rng):
     # The default start/goal straight line passes through the first building.
     seeds = build_seed_population(BOUNDS, CELL_OBS, START, GOAL, rng)
-    straight = straight_waypath(START, GOAL, 10)
-    assert any(np.allclose(s.waypoints, straight.waypoints) for s in seeds)
-    assert feasibility_penalty(straight, CONSTRAINTS, CELL_OBS) > 0
+    line = straight(START, GOAL, 10)
+    assert any(np.allclose(s, line) for s in seeds)
+    assert feasibility_penalty(line, CONSTRAINTS, CELL_OBS) > 0
 
 
 def test_seed_that_cannot_be_smoothed_to_count_is_a_failure():

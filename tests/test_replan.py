@@ -5,7 +5,7 @@ from conftest import dense_sample_penetrates, make_sudden
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import ConstraintParams
 from skygrid.replan import RepairFailed, detect_conflicts, repair
-from skygrid.sampling import Waypath, straight_waypath
+from skygrid.sampling import straight_points
 from skygrid.scenario import single_cell_scenario
 
 CELL_OBS = list(single_cell_scenario().obstacles)
@@ -13,7 +13,7 @@ CONSTRAINTS = ConstraintParams()
 
 
 def level_path(n=10, y=20.0, z=10.0, x_max=180.0):
-    return straight_waypath(Point3(0.0, y, z), Point3(x_max, y, z), n)
+    return np.array(straight_points(Point3(0.0, y, z), Point3(x_max, y, z), n))
 
 
 # -- conflict detection ------------------------------------------------------
@@ -27,7 +27,7 @@ def test_no_conflicts_when_far():
 
 def test_contained_waypoint_flags_only_itself():
     path = level_path()
-    ob = make_sudden(path.waypoints[5])
+    ob = make_sudden(path[5])
     assert detect_conflicts(path, ob) == {5}
 
 
@@ -35,7 +35,7 @@ def test_crossing_segment_flags_both_endpoints():
     # Obstacle straddles the midpoint of segment 3-4 without containing
     # either waypoint (segment length 20 m, cube side 6 m).
     path = level_path()
-    mid = (path.waypoints[3] + path.waypoints[4]) / 2
+    mid = (path[3] + path[4]) / 2
     ob = make_sudden(mid)
     assert detect_conflicts(path, ob) == {3, 4}
 
@@ -58,52 +58,52 @@ def test_repair_requires_conflicts(rng):
 
 def test_repair_preserves_outside_bracket_bitwise(rng):
     path = level_path()
-    ob = make_sudden(path.waypoints[5])
+    ob = make_sudden(path[5])
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
     assert isinstance(repaired, np.ndarray) and repaired.shape[1] == 3
-    assert np.array_equal(repaired[:5], path.waypoints[:5])
-    tail = path.waypoints[6:]
+    assert np.array_equal(repaired[:5], path[:5])
+    tail = path[6:]
     assert np.array_equal(repaired[-len(tail):], tail)
 
 
 def test_repair_result_collision_free(rng):
     path = level_path()
-    ob = make_sudden(path.waypoints[5])
+    ob = make_sudden(path[5])
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
     assert not dense_sample_penetrates(repaired, CELL_OBS + [ob])
     # Idempotence: the repaired path no longer conflicts.
-    assert detect_conflicts(Waypath(repaired), ob) == set()
-    assert repair(Waypath(repaired), ob, CELL_OBS, CONSTRAINTS, rng) is None
+    assert detect_conflicts(repaired, ob) == set()
+    assert repair(repaired, ob, CELL_OBS, CONSTRAINTS, rng) is None
 
 
 def test_repair_crossing_segment_brackets_with_flagged_endpoints(rng):
     path = level_path()
-    mid = (path.waypoints[3] + path.waypoints[4]) / 2
+    mid = (path[3] + path[4]) / 2
     ob = make_sudden(mid)
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired[:4], path.waypoints[:4])
-    tail = path.waypoints[4:]
+    assert np.array_equal(repaired[:4], path[:4])
+    tail = path[4:]
     assert np.array_equal(repaired[-len(tail):], tail)
-    assert detect_conflicts(Waypath(repaired), ob) == set()
+    assert detect_conflicts(repaired, ob) == set()
 
 
 def test_repair_widens_bracket_past_contained_neighbors(rng):
     path = level_path()
     # Large obstacle swallowing waypoints 4-6: bracket must widen to (3, 7).
-    ob = make_sudden(path.waypoints[5], side=42.0)
+    ob = make_sudden(path[5], side=42.0)
     conflicts = detect_conflicts(path, ob)
     assert {4, 5, 6} <= conflicts
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired[:4], path.waypoints[:4])
-    tail = path.waypoints[7:]
+    assert np.array_equal(repaired[:4], path[:4])
+    tail = path[7:]
     assert np.array_equal(repaired[-len(tail):], tail)
-    assert detect_conflicts(Waypath(repaired), ob) == set()
+    assert detect_conflicts(repaired, ob) == set()
 
 
 def test_repair_fails_when_endpoint_engulfed(rng):
     path = level_path(n=4)
     # Obstacle covering the final waypoint: no free bracket on the right.
-    ob = make_sudden(path.waypoints[-1], side=30.0)
+    ob = make_sudden(path[-1], side=30.0)
     with pytest.raises(RepairFailed):
         repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
 
@@ -112,7 +112,7 @@ def test_repair_fails_in_sealed_corridor(rng):
     # A corridor cell 20 m tall, obstacle slab sealing it wall to wall between
     # the bracket points: Bi-RRT cannot connect.
     slab_cell = ConstraintParams(bounds_lo=np.zeros(3), bounds_hi=np.array([100.0, 20.0, 20.0]))
-    path = straight_waypath(Point3(0, 10, 10), Point3(100, 10, 10), 6)
+    path = np.array(straight_points(Point3(0, 10, 10), Point3(100, 10, 10), 6))
     seal = CuboidObstacle(
         anchor=Point3(45.0, 0.0, 0.0), len_x=10.0, len_y=20.0, len_z=20.0,
         kind=ObstacleKind.SUDDEN, id="seal",
@@ -125,7 +125,7 @@ def test_repair_fails_in_sealed_corridor(rng):
 
 def test_repair_deterministic_per_seed():
     path = level_path()
-    ob = make_sudden(path.waypoints[5])
+    ob = make_sudden(path[5])
 
     def run():
         return repair(path, ob, CELL_OBS, CONSTRAINTS, np.random.default_rng(9))

@@ -18,7 +18,7 @@ from skygrid.sampling import (
     segment_free,
     shortcut,
     smooth_and_resample,
-    straight_waypath,
+    straight_points,
 )
 from skygrid.scenario import single_cell_scenario
 
@@ -68,15 +68,15 @@ def test_waypath_shape_validation():
     with pytest.raises(ValueError):
         Waypath(waypoints=np.zeros((3, 2)))
     wp = Waypath(waypoints=np.array([[0, 0, 0], [3, 4, 0]]))
-    assert wp.count == 2
+    assert wp.waypoints.dtype == float
     assert path_length(wp.waypoints) == pytest.approx(5.0)
 
 
-def test_straight_waypath_equally_spaced():
-    wp = straight_waypath(Point3(0, 0, 0), Point3(9, 0, 0), count=10)
-    assert wp.count == 10
-    assert np.allclose(wp.waypoints[:, 0], np.arange(10.0))
-    assert np.allclose(wp.waypoints[:, 1:], 0.0)
+def test_straight_points_equally_spaced():
+    wp = np.array(straight_points(Point3(0, 0, 0), Point3(9, 0, 0), count=10))
+    assert wp.shape == (10, 3)
+    assert np.allclose(wp[:, 0], np.arange(10.0))
+    assert np.allclose(wp[:, 1:], 0.0)
 
 
 # -- planners ----------------------------------------------------------------
@@ -191,17 +191,17 @@ def test_smooth_and_resample_contract(seed, count, planner):
     vertices = shortcut(smoothed, boxes)
     if len(vertices) > count:
         with pytest.raises(PlanningFailed, match=f"more than {count} waypoints"):
-            smooth_and_resample(raw, CELL_OBS, count=count, sub_airspace=1)
+            smooth_and_resample(raw, CELL_OBS, count=count)
         return
-    wp = smooth_and_resample(raw, CELL_OBS, count=count, sub_airspace=1)
-    assert wp.count == count
-    assert np.allclose(wp.waypoints[0], START.as_array())
-    assert np.allclose(wp.waypoints[-1], GOAL.as_array())
+    wp = smooth_and_resample(raw, CELL_OBS, count=count)
+    assert wp.shape == (count, 3)
+    assert np.allclose(wp[0], START.as_array())
+    assert np.allclose(wp[-1], GOAL.as_array())
     for v in vertices:
-        assert (np.linalg.norm(wp.waypoints - v, axis=1) < 1e-9).any()
-    assert misses_cell_obstacles(wp.waypoints)
-    assert not dense_sample_penetrates(wp.waypoints, CELL_OBS)
-    assert path_length(wp.waypoints) <= np.linalg.norm(np.diff(raw, axis=0), axis=1).sum() + 1e-6
+        assert (np.linalg.norm(wp - v, axis=1) < 1e-9).any()
+    assert misses_cell_obstacles(wp)
+    assert not dense_sample_penetrates(wp, CELL_OBS)
+    assert path_length(wp) <= np.linalg.norm(np.diff(raw, axis=0), axis=1).sum() + 1e-6
 
 
 cell_point = st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0), st.floats(0.0, 50.0))

@@ -198,6 +198,7 @@ def test_rejects_bad_parameter_values():
         ("ssp: {window_length: 1.5}\n", "ssp.window_length"),
         ("swarm: {stall_tolerance: tiny}\n", "swarm.stall_tolerance"),
         ("stagger: 0.5\n", "stagger"),
+        ("stagger: -7\n", "stagger"),
         ("max_ticks: .inf\n", "max_ticks"),
         ("dt: .inf\nobstacles: []\n", "dt"),
         ("dt: 0\nobstacles: []\n", "dt"),

@@ -16,6 +16,7 @@ from skygrid.replan import RepairFailed
 from skygrid.sampling import flatten_obstacles, segment_free
 from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
 from skygrid.sim import Mode, UavPhase, World, run_scenario
+from test_golden import SUDDEN_LOSSY
 
 
 def empty_single_cell(seed=0):
@@ -99,9 +100,7 @@ def test_executed_paths_feasible_and_collision_free():
         boxes = flatten_obstacles(obstacles)
         assert all(segment_free(a, b, boxes) for a, b in zip(ex.waypoints[:-1], ex.waypoints[1:]))
         constraints = world._cell(ex.cell).constraints
-        from skygrid.sampling import Waypath
-
-        assert feasibility_penalty(Waypath(ex.waypoints, ex.cell), constraints, obstacles) == 0.0
+        assert feasibility_penalty(ex.waypoints, constraints, obstacles) == 0.0
 
 
 def test_full_airspace_cell_sequence_is_face_adjacent():
@@ -333,10 +332,10 @@ def test_only_the_route_ahead_triggers_a_repair():
     assert np.linalg.norm(uav.position - uav.active_waypath.waypoints[nxt - 1]) > 2.0
     for offset, repaired in ((-1, False), (0, True), (1, True)):
         trial = copy.deepcopy(world)
-        path = trial.uavs[0].active_waypath
-        trial.inject_sudden_obstacle(make_sudden(path.waypoints[nxt + offset], side=2.0), trial.tick)
+        route = trial.uavs[0].route
+        trial.inject_sudden_obstacle(make_sudden(route[nxt + offset], side=2.0), trial.tick)
         assert any(e["kind"] == "repair" for e in trial.metrics.events) is repaired, offset
-        assert (trial.uavs[0].active_waypath is path) is not repaired, offset
+        assert (trial.uavs[0].route is route) is not repaired, offset
 
 
 # Reference-cell runs (seed, ticks flown) in which a 4 m cube 3 m behind the
@@ -364,10 +363,10 @@ def _route_ahead(uav):
 @pytest.mark.parametrize("seed,ticks", PROBE_CASES)
 def test_cube_just_behind_the_uav_is_ignored(seed, ticks):
     world, uav, u = _flying(seed, ticks)
-    path, nxt = uav.active_waypath, uav.next_waypoint_index
+    route, nxt = uav.route, uav.next_waypoint_index
     world.inject_sudden_obstacle(make_sudden(uav.position - 3.0 * u, side=4.0), world.tick)
     assert world.metrics.events[-1]["kind"] == "sudden_obstacle"
-    assert uav.active_waypath is path and uav.next_waypoint_index == nxt
+    assert uav.route is route and uav.next_waypoint_index == nxt
 
 
 @pytest.mark.parametrize("seed,ticks", PROBE_CASES)
@@ -409,8 +408,8 @@ def test_repair_keeps_the_route_ahead_clear_wherever_the_cube_lands(probe_worlds
     recorded route that misses the cube and the buildings."""
     world = copy.deepcopy(probe_worlds[case])
     uav = world.uavs[0]
-    path, nxt = uav.active_waypath, uav.next_waypoint_index
-    wp = path.waypoints
+    route, nxt = uav.route, uav.next_waypoint_index
+    wp = np.array(route)
     # The point at arc-length fraction `where` of the cell's route.
     lengths = np.linalg.norm(np.diff(wp, axis=0), axis=1)
     s = where * lengths.sum()
@@ -422,7 +421,7 @@ def test_repair_keeps_the_route_ahead_clear_wherever_the_cube_lands(probe_worlds
     ahead = _route_ahead(uav)
     world.inject_sudden_obstacle(ob, world.tick)
     if not dense_sample_penetrates(ahead, [grown]):
-        assert uav.active_waypath is path and uav.next_waypoint_index == nxt
+        assert uav.route is route and uav.next_waypoint_index == nxt
     if uav.phase is UavPhase.FLYING:
         assert _position_on_route(uav)
         assert not dense_sample_penetrates(_route_ahead(uav), list(world.scenario.obstacles) + [ob])
@@ -477,6 +476,29 @@ def test_an_escalated_replan_keeps_the_flown_part_of_the_cell(monkeypatch):
     assert recorded == pytest.approx(metrics.per_uav_length["uav0"], abs=1e-6)
 
 
+def test_the_route_is_the_installed_path_after_every_tick():
+    """The sudden-obstacle golden run: after every tick each UAV's route is
+    the array last recorded for it, bit for bit, and `active_waypath` is
+    that route in the UAV's current cell."""
+    sc = load_scenario(SUDDEN_LOSSY, seed_override=3)
+    world = World(sc, Mode(sc.mode))
+    while not world.done() and world.tick < sc.max_ticks:
+        world.step(sc.dt)
+        last = {ex.uav_id: ex for ex in world.metrics.executed}
+        for uav in world.uavs:
+            if uav.id not in last:
+                assert uav.route == () and uav.active_waypath is None
+                continue
+            recorded = last[uav.id]
+            route = np.array(uav.route)
+            assert route.shape == recorded.waypoints.shape
+            assert route.tobytes() == recorded.waypoints.tobytes(), (world.tick, uav.id)
+            view = uav.active_waypath
+            assert view.waypoints.tobytes() == route.tobytes()
+            assert view.sub_airspace == uav.current_cell == recorded.cell
+    assert {"repair", "cell_entered"} <= {e["kind"] for e in world.metrics.events}
+
+
 def test_obstacle_behind_uav_is_ignored():
     sc = empty_single_cell(seed=1)
     world = World(sc, Mode.SSP)
@@ -484,9 +506,9 @@ def test_obstacle_behind_uav_is_ignored():
         world.step()
     uav = world.uavs[0]
     flown = uav.active_waypath.waypoints[max(0, uav.next_waypoint_index - 2)]
-    before = uav.active_waypath
+    before = uav.route
     world.inject_sudden_obstacle(make_sudden(flown, side=2.0), world.tick)
-    assert uav.active_waypath is before  # no repair: conflict already flown
+    assert uav.route is before  # no repair: conflict already flown
 
 
 def test_injection_via_scenario_schedule():
@@ -511,12 +533,12 @@ def test_injection_centred_outside_the_airspace_is_rejected_before_any_effect(an
     while world.tick < 3:
         world.step()
     log, events = len(world.bus.log), len(world.metrics.events)
-    path = world.uavs[0].active_waypath
+    route = world.uavs[0].route
     ob = CuboidObstacle(Point3(*anchor), 12.0, 12.0, 12.0, kind=ObstacleKind.SUDDEN)
     with pytest.raises(ValidationError, match="centre outside the airspace"):
         world.inject_sudden_obstacle(ob, world.tick)
     assert (len(world.bus.log), len(world.metrics.events)) == (log, events)
-    assert world.injected == [] and world.uavs[0].active_waypath is path
+    assert world.injected == [] and world.uavs[0].route is route
 
 
 def test_a_static_obstacle_is_rejected_before_anything_is_published():

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from skygrid import pso
 from skygrid.geometry import Point3
 from skygrid.pso import ConstraintParams, feasibility_penalty
-from skygrid.sampling import Waypath, straight_points
+from skygrid.sampling import straight_points
 
 LO = (100.0, 200.0, 0.0)
 HI = (300.0, 400.0, 50.0)
@@ -94,7 +94,7 @@ def straight_lines(draw):
 
 
 def agrees(points, constraints) -> bool:
-    want = feasibility_penalty(Waypath(np.array(points)), constraints, []) == 0.0
+    want = feasibility_penalty(np.array(points), constraints, []) == 0.0
     return pso._obstacle_free_feasible(points, constraints) == want
 
 

@@ -22,7 +22,7 @@ from conftest import path_length
 from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, obstacle_arrays
 from skygrid.pso import ConstraintParams, CostParams, NoFeasibleSeed, SwarmParams, build_seed_population
-from skygrid.sampling import Waypath, straight_waypath
+from skygrid.sampling import Waypath, straight_points
 from skygrid.scenario import single_cell_scenario
 
 # Few distinct values, so that boxes share planes and waypoints land on them.
@@ -115,12 +115,11 @@ def test_single_path_entry_points_match_frozen_scoring(batch, cp, constraints):
     """trajectory_cost, feasibility_penalty and penalized_cost: the kernel at P = 1."""
     paths, obstacles = batch
     static, sudden = pso._split_obstacles(obstacles)
-    for waypoints in paths:
-        path = Waypath(waypoints)
-        want_cost, want_penalty = _frozen(waypoints[None], obstacles, cp, constraints)
+    for path in paths:
+        want_cost, want_penalty = _frozen(path[None], obstacles, cp, constraints)
         cost = pso.trajectory_cost(path, static, sudden, cp)
         penalty = pso.feasibility_penalty(path, constraints, obstacles)
-        total = pso.penalized_cost(path, obstacles, cp, constraints)
+        total = pso.penalized_cost(Waypath(path), obstacles, cp, constraints)
         assert _same_bits(cost, float(want_cost[0]))
         assert _same_bits(penalty, float(want_penalty[0]))
         assert _same_bits(total, float(want_cost[0]) + float(want_penalty[0]))
@@ -129,14 +128,13 @@ def test_single_path_entry_points_match_frozen_scoring(batch, cp, constraints):
 def test_trajectory_cost_keeps_the_callers_kinds():
     """A box passed in the static list is weighted by k5 whatever its kind."""
     ob = CuboidObstacle(Point3(50.0, 50.0, 10.0), 10.0, 10.0, 10.0, kind=ObstacleKind.SUDDEN)
-    path = straight_waypath(Point3(0.0, 0.0, 5.0), Point3(200.0, 0.0, 5.0), 6)
+    path = np.array(straight_points(Point3(0.0, 0.0, 5.0), Point3(200.0, 0.0, 5.0), 6))
     cp = CostParams(k5=100.0, k6=0.0)
     want = ref._batch_cost(
-        path.waypoints[None], ref._segments(path.waypoints[None])[2], *obstacle_arrays([ob]),
-        *obstacle_arrays([]), cp,
+        path[None], ref._segments(path[None])[2], *obstacle_arrays([ob]), *obstacle_arrays([]), cp
     )
     assert _same_bits(pso.trajectory_cost(path, [ob], [], cp), float(want[0]))
-    assert pso.trajectory_cost(path, [], [ob], cp) == path_length(path.waypoints) * cp.k4
+    assert pso.trajectory_cost(path, [], [ob], cp) == path_length(path) * cp.k4
 
 
 # -- optimize against the frozen swarm ----------------------------------------
@@ -149,24 +147,39 @@ CUBE = CuboidObstacle(Point3(95.0, 95.0, 5.0), 10.0, 10.0, 10.0, kind=ObstacleKi
 SMALL_SWARM = SwarmParams(n_rrt=3, n_birrt=3, max_iterations=30)
 
 
-def _vertical_seeds(count: int) -> list[Waypath]:
+def _vertical_seeds(count: int) -> np.ndarray:
     """Straight climbs: every segment is vertical, a turn violation each."""
     start, goal = Point3(60.0, 60.0, 0.0), Point3(60.0, 60.0, 50.0)
-    climb = straight_waypath(start, goal, count)
-    wobble = climb.waypoints.copy()
+    climb = np.array(straight_points(start, goal, count))
+    wobble = climb.copy()
     wobble[1:-1, 0] += 3.0
-    return [climb, Waypath(wobble), Waypath(climb.waypoints.copy())]
+    return np.array([climb, wobble, climb])
+
+
+class _FrozenSeed(Waypath):
+    """A particle as the frozen `optimize` reads it: a Waypath with the
+    `count` that Waypath no longer has."""
+
+    @property
+    def count(self) -> int:
+        return len(self.waypoints)
+
+
+def _frozen_optimize(seeds, *args):
+    """The frozen `optimize` on a (P, J, 3) population."""
+    best, history = ref.optimize([_FrozenSeed(w) for w in seeds], *args)
+    return best.waypoints, history
 
 
 def _run_both(seeds, obstacles, cp, constraints, swarm, seed):
     out = []
     rngs = []
-    for fn in (pso.optimize, ref.optimize):
+    for fn in (pso.optimize, _frozen_optimize):
         rng = np.random.default_rng(seed)
         rng.integers(0, 9, dtype=np.uint32)  # a buffered uint32 rides along
         try:
             best, history = fn(seeds, obstacles, cp, constraints, swarm, rng)
-            out.append((best.waypoints.tobytes(), best.sub_airspace, np.array(history).tobytes()))
+            out.append((best.tobytes(), np.array(history).tobytes()))
         except NoFeasibleSeed as exc:
             out.append(str(exc))
         rngs.append(rng)
@@ -188,15 +201,15 @@ def test_optimize_matches_frozen_swarm(seed, cp):
 def test_optimize_matches_frozen_swarm_on_vertical_seeds(count, seed):
     """Vertical seed paths: every segment breaks the pitch limit and every
     turn has no horizontal heading."""
-    seeds = _vertical_seeds(count) if count > 1 else [Waypath(np.array([[60.0, 60.0, 0.0]]))] * 2
+    seeds = _vertical_seeds(count) if count > 1 else np.array([[[60.0, 60.0, 0.0]]] * 2)
     _run_both(seeds, [CUBE], CostParams(), CELL, SMALL_SWARM, seed)
 
 
 def test_optimize_matches_frozen_swarm_when_no_particle_is_finite():
     """A two-point climb inside the cube has no waypoint to move and a
     summed clearance of 0: both raise NoFeasibleSeed."""
-    climb = straight_waypath(Point3(100.0, 100.0, 6.0), Point3(100.0, 100.0, 14.0), 2)
-    assert _run_both([climb, climb], [CUBE], CostParams(), CELL, SMALL_SWARM, 0) == (
+    climb = straight_points(Point3(100.0, 100.0, 6.0), Point3(100.0, 100.0, 14.0), 2)
+    assert _run_both(np.array([climb, climb]), [CUBE], CostParams(), CELL, SMALL_SWARM, 0) == (
         "no particle reached a finite penalized cost"
     )
 
@@ -210,7 +223,6 @@ def test_optimize_matches_frozen_swarm_on_random_seeds(batch, cp, seed):
         return
     paths[:, 0] = paths[0, 0]
     paths[:, -1] = paths[0, -1]
-    seeds = [Waypath(w, sub_airspace=3) for w in paths]
     swarm = SwarmParams(max_iterations=15, stall_iterations=5)
     with np.errstate(all="ignore"):
-        _run_both(seeds, obstacles, cp, CELL, swarm, seed)
+        _run_both(paths, obstacles, cp, CELL, swarm, seed)
