@@ -89,10 +89,26 @@ class SwarmParams:
         # Velocities are clamped to [-v_max, v_max].
         if not 0 < self.v_max < math.inf:
             raise ValueError("v_max must be finite and positive")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.stall_iterations < 1:
+            raise ValueError(f"stall_iterations must be >= 1, got {self.stall_iterations}")
+        if self.stall_tolerance < 0:
+            raise ValueError(f"stall_tolerance must be >= 0, got {self.stall_tolerance}")
         if self.n_rrt < 0 or self.n_birrt < 0:
             raise ValueError(f"n_rrt and n_birrt must be >= 0, got {self.n_rrt} and {self.n_birrt}")
         if self.n_rrt + self.n_birrt < 1:
             raise ValueError("n_rrt + n_birrt must be >= 1: the swarm needs a sampled seed path")
+
+
+def _angle_limits(constraints: ConstraintParams) -> tuple[float, float]:
+    """(sin_pa, cos_ta): a segment is too steep when |dz| > sin_pa · length, and
+    a turn too sharp when h1 · h2 < cos_ta · |h1| |h2|. A limit at or above 90°
+    (pitch) or 180° (turn) rules nothing out. cos_ta is sin(90° − ta_max):
+    exactly 0 at 90°, where cos(ta_max) is 6.1e-17 and fails a right angle."""
+    sin_pa = math.sin(math.radians(constraints.pa_max)) if constraints.pa_max < 90.0 else math.inf
+    cos_ta = math.sin(math.radians(90.0 - constraints.ta_max)) if constraints.ta_max < 180.0 else -math.inf
+    return sin_pa, cos_ta
 
 
 class _Scorer:
@@ -124,6 +140,7 @@ class _Scorer:
         if constraints is not None:
             self.bounds_lo = constraints.bounds_lo.reshape(3, 1, 1)
             self.bounds_hi = constraints.bounds_hi.reshape(3, 1, 1)
+            self.sin_pa, self.cos_ta = _angle_limits(constraints)
             lo, hi = obstacle_arrays([*static, *sudden])
             self.planes = slab_planes(lo, hi, 2) if len(lo) else None
 
@@ -161,12 +178,8 @@ class _Scorer:
         # an interior waypoint outside the cell box (endpoints are fixed
         # boundary conditions on the cell faces). Counts are integers, so
         # their sum does not depend on the order of the terms.
-        zero_len = lengths == 0.0
-        sinp = d[2] / lengths
-        np.maximum(sinp, -1.0, out=sinp)
-        np.minimum(sinp, 1.0, out=sinp)
-        pa = np.abs(np.degrees(np.arcsin(sinp)))
-        per_segment = np.add(lengths > c.l_max, (pa > c.pa_max) | zero_len, dtype=np.intp)
+        steep = np.abs(d[2]) > self.sin_pa * lengths
+        per_segment = np.add(lengths > c.l_max, steep | (lengths == 0.0), dtype=np.intp)
         if self.planes is not None:
             per_segment += slab_test(paths[:, :, :-1], d, self.planes)
 
@@ -174,13 +187,10 @@ class _Scorer:
         hn = np.sqrt(h2)
         dot = hx[:, :-1] * hx[:, 1:] + hy[:, :-1] * hy[:, 1:]
         denom = hn[:, :-1] * hn[:, 1:]
-        cosang = dot / denom
-        np.maximum(cosang, -1.0, out=cosang)
-        np.minimum(cosang, 1.0, out=cosang)
-        ta = np.degrees(np.arccos(cosang))
+        sharp = dot < self.cos_ta * denom
         interior = paths[:, :, 1:-1]
         outside = np.logical_or.reduce((interior < self.bounds_lo) | (interior > self.bounds_hi), 0)
-        per_turn = np.add((ta > c.ta_max) | (denom == 0.0), outside, dtype=np.intp)
+        per_turn = np.add(sharp | (denom == 0.0), outside, dtype=np.intp)
 
         # C2: the total length limit.
         violations = np.add.reduce(per_segment, 1) + np.add.reduce(per_turn, 1)
@@ -191,43 +201,32 @@ class _Scorer:
 def _obstacle_free_feasible(points: Sequence[Sequence[float]], constraints: ConstraintParams) -> bool:
     """`feasibility_penalty(np.array(points), constraints, []) == 0.0`, decided
     on float triples rule for rule as `_Scorer._score` decides it at P = 1:
-    the same IEEE operations in the same order, `>` against the limits, the
-    pitch and turn angles from one `np.arcsin` and one `np.arccos` call (the
-    kernel's ufunc loops on any SIMD dispatch) and the total length by the
-    kernel's pairwise `np.add.reduce`."""
+    the same IEEE operations in the same order, against the same thresholds,
+    and the total length by the kernel's pairwise `np.add.reduce`."""
     c = constraints
-    lengths, sines, hx, hy, hn = [], [], [], [], []
+    sin_pa, cos_ta = _angle_limits(c)
+    lengths, prev = [], None
     for (ax, ay, az), (bx, by, bz) in zip(points, points[1:]):
         dx, dy, dz = bx - ax, by - ay, bz - az
         h2 = dx * dx + dy * dy
         length = math.sqrt(h2 + dz * dz)
-        if length > c.l_max or length == 0.0:  # C1; C4 counts a zero length
+        # C1; C4, where a zero length counts.
+        if length > c.l_max or abs(dz) > sin_pa * length or length == 0.0:
             return False
-        s = dz / length
-        # np.maximum and np.minimum, which keep a NaN.
-        s = -1.0 if s < -1.0 else s
-        sines.append(1.0 if s > 1.0 else s)
+        hn = math.sqrt(h2)
+        if prev is not None:
+            px, py, pn = prev
+            denom = pn * hn
+            # C3, where a purely vertical segment counts.
+            if px * dx + py * dy < cos_ta * denom or denom == 0.0:
+                return False
+        prev = dx, dy, hn
         lengths.append(length)
-        hx.append(dx)
-        hy.append(dy)
-        hn.append(math.sqrt(h2))
-    cosines = []
-    for i in range(len(hn) - 1):
-        denom = hn[i] * hn[i + 1]
-        if denom == 0.0:  # C3 counts a purely vertical segment
-            return False
-        cos = (hx[i] * hx[i + 1] + hy[i] * hy[i + 1]) / denom
-        cos = -1.0 if cos < -1.0 else cos
-        cosines.append(1.0 if cos > 1.0 else cos)
     lo, hi = c.bounds_lo.tolist(), c.bounds_hi.tolist()
     for p in points[1:-1]:  # C5-C7
         if any(v < a or v > b for v, a, b in zip(p, lo, hi)):
             return False
-    if np.add.reduce(lengths) > c.L_max:  # C2
-        return False
-    if any(abs(a) > c.pa_max for a in np.degrees(np.arcsin(sines)).tolist()):  # C4
-        return False
-    return not any(a > c.ta_max for a in np.degrees(np.arccos(cosines)).tolist())  # C3
+    return not np.add.reduce(lengths) > c.L_max  # C2
 
 
 def _split_obstacles(obstacles: Iterable[CuboidObstacle]):

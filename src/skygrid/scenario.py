@@ -406,6 +406,8 @@ def load_scenario(
         raise ValidationError(f"max_ticks must be >= 1, got {scalars['max_ticks']}")
     if scalars["stagger"] < 0:
         raise ValidationError(f"stagger must be >= 0, got {scalars['stagger']}")
+    if scalars["smooth_window"] < 0:
+        raise ValidationError(f"smooth_window must be >= 0, got {scalars['smooth_window']}")
     seed = scalars["seed"]
 
     sections = {}

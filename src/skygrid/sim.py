@@ -29,6 +29,7 @@ from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, OutOfAirspace
 from .pso import (
     ConstraintParams,
+    _angle_limits,
     _obstacle_free_feasible,
     build_seed_population,
     feasibility_penalty,
@@ -229,13 +230,12 @@ class World:
         # entry climbs/dives steeper than the pitch limit is also rejected
         # when possible: zigzagging cannot make up much horizontal run under
         # the turn-angle limit, so such targets are usually unreachable.
-        pa_max = math.radians(self.scenario.constraint_limits["pa_max"])
+        sin_pa, _ = _angle_limits(self._cell(cell).constraints)
         goal_next = uav.goal if nxt == uav.goal_cell else None
 
         def too_steep(a: Point3, b: Point3) -> bool:
-            rise = abs(b.z - a.z)
-            run = math.hypot(b.x - a.x, b.y - a.y)
-            return rise > 1e-12 and math.atan2(rise, run) > pa_max
+            dx, dy, dz = b.x - a.x, b.y - a.y, b.z - a.z
+            return abs(dz) > sin_pa * math.sqrt((dx * dx + dy * dy) + dz * dz)
 
         for margin, check_pitch in ((1.0, True), (1.0, False), (0.0, False)):
             boxes = flatten_obstacles(obstacles, margin)

@@ -25,16 +25,21 @@ Last, the tick must give the same bits whatever BLAS kernel or SIMD dispatch
 the host picks: two scenarios run in child processes under the default
 environment, `OPENBLAS_CORETYPE=Nehalem` and numpy without its AVX-512 loops,
 and after every tick every UAV's position and flown length and every executed
-waypoint must be the same bits in all three.
+waypoint must be the same bits in all three. So must every table of the
+golden `skygrid plan-sub --seed 1` run, which plans with the swarm and its
+kernel.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import types
 from itertools import chain
 from pathlib import Path
@@ -44,6 +49,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
+from skygrid.cli import main
 from skygrid.geometry import Point3
 from skygrid.sampling import resample_polyline, straight_points
 from skygrid.scenario import load_scenario
@@ -334,16 +340,43 @@ def default_tick_bits():
     return json.loads(in_child("t.print_tick_bits()", {}))
 
 
-@pytest.mark.parametrize(
+def print_golden_hashes() -> None:
+    """The SHA-256 of every table that the golden `skygrid plan-sub --seed 1` writes."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["plan-sub", "--seed", "1", "--out", out]) == 0
+        tables = sorted(Path(out).iterdir())
+        print(json.dumps({t.name: hashlib.sha256(t.read_bytes()).hexdigest() for t in tables}))
+
+
+@pytest.fixture(scope="module")
+def default_golden_hashes():
+    return json.loads(in_child("t.print_golden_hashes()", {}))
+
+
+def in_host_child(call: str, env: dict[str, str]):
+    """`in_child` under another host's `env`, its printed JSON decoded."""
+    if "OPENBLAS_CORETYPE" in env and platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OPENBLAS_CORETYPE names x86 kernels; this host is {platform.machine()}")
+    return json.loads(in_child(call, env))
+
+
+OTHER_HOSTS = pytest.mark.parametrize(
     "env",
     [{"OPENBLAS_CORETYPE": "Nehalem"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
     ids=["openblas-nehalem", "numpy-without-avx512"],
 )
+
+
+@OTHER_HOSTS
 def test_tick_bits_do_not_depend_on_the_host(env, default_tick_bits):
-    if "OPENBLAS_CORETYPE" in env and platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip(f"OPENBLAS_CORETYPE names x86 kernels; this host is {platform.machine()}")
-    got = json.loads(in_child("t.print_tick_bits()", env))
+    got = in_host_child("t.print_tick_bits()", env)
     for name, want in default_tick_bits.items():
         assert len(got[name]) == len(want), name
         differ = [tick for tick, (a, b) in enumerate(zip(got[name], want)) if a != b]
         assert not differ, f"{name}: bits differ from the default environment's from tick {differ[0]}"
+
+
+@OTHER_HOSTS
+def test_golden_tables_do_not_depend_on_the_host(env, default_golden_hashes):
+    assert in_host_child("t.print_golden_hashes()", env) == default_golden_hashes

@@ -5,11 +5,13 @@ alters results on purpose regenerates them and says why. The tree planners'
 nearest-node ranking is a specified formula, and the tick's gaps and the
 tree planners' `sampling._dist` are `sqrt((x*x + y*y) + z*z)`, which IEEE 754
 rounds the same on every host; `test_bookkeeping_exactness` checks the tick's
-bits under other BLAS kernels and SIMD dispatch. What still depends on the
-host: `np.arcsin` and `np.arccos` in the PSO kernel's `_Scorer` (their bits
-change with numpy's SIMD dispatch), and numpy's `sum`, whose order of
-additions numpy does not promise across versions. So another numpy
-build may legitimately produce other values.
+bits under other BLAS kernels and SIMD dispatch, and this module's
+`plan-sub --seed 1` tables too. The PSO kernel's pitch and turn limits are
+sine and cosine thresholds computed once with `math`, so no `arcsin` or
+`arccos` runs. What still depends on the host is numpy's summation order
+(`sum`, `np.add.reduce`), which numpy does not promise across versions, and
+the frozen copies' `arcsin` and `arccos` in the exactness tests. So another
+numpy build may legitimately produce other values.
 """
 
 import hashlib

@@ -12,11 +12,12 @@ before the rewrites: same draws, same floats, same result.
 The nearest-node ranking and `_dist` are specified formulas of single IEEE
 operations, so they give the same bits on any numpy build and libm. `_dist`
 squared with `**` (libm's `pow`) until it changed on purpose, so the frozen
-planners are run with today's `_dist`. The frozen copies and the recorded
-digests still go through numpy reductions and libm functions
-(`np.linalg.norm` and `sum` in resampling and the swarm's cost, `arccos`,
-`arcsin`), whose rounding numpy does not promise, and the frozen
-nearest-node ranking is `einsum`'s; a different numpy build may
+planners are run with today's `_dist`. What still depends on the host is
+numpy's summation order (`np.linalg.norm` and `sum` in resampling and the
+swarm's cost, and the frozen nearest-node ranking's `einsum`), which numpy
+does not promise, and the frozen copies' `arcsin` and `arccos`, whose bits
+change with numpy's SIMD dispatch; the program's kernel compares against
+sine and cosine thresholds instead. A different numpy build may
 legitimately produce other values there.
 """
 

@@ -217,6 +217,11 @@ def test_rejects_bad_parameter_values():
         ("swarm: {n_rrt: 0, n_birrt: 0}\nobstacles: []\n", "swarm: n_rrt + n_birrt"),
         ("swarm: {n_rrt: -3}\nobstacles: []\n", "swarm: n_rrt"),
         ("swarm: {n_birrt: -1}\nobstacles: []\n", "n_birrt"),
+        ("swarm: {max_iterations: -3}\nobstacles: []\n", "swarm: max_iterations"),
+        ("swarm: {stall_iterations: -3}\nobstacles: []\n", "swarm: stall_iterations"),
+        ("swarm: {stall_iterations: 0}\nobstacles: []\n", "swarm: stall_iterations"),
+        ("swarm: {stall_tolerance: -1.0}\nobstacles: []\n", "swarm: stall_tolerance"),
+        ("smooth_window: -5\nobstacles: []\n", "smooth_window"),
         ("random_uavs: {count: -3}\n", "random_uavs.count"),
         ("random_uavs: {speed: 0}\n", "random_uavs.speed"),
         ("random_uavs: {speed: -5}\n", "random_uavs.speed"),
@@ -272,6 +277,14 @@ def test_parameter_blocks_reject_non_finite_values(cls, kwargs):
 def test_swarm_needs_a_seed_path(kwargs):
     with pytest.raises(ValueError):
         SwarmParams(**kwargs)
+
+
+def test_inputs_at_their_lower_bounds_load():
+    sc = load_scenario(
+        "swarm: {max_iterations: 0, stall_iterations: 1, stall_tolerance: 0.0}\nsmooth_window: 0\nobstacles: []\n"
+    )
+    assert (sc.swarm.max_iterations, sc.swarm.stall_iterations, sc.swarm.stall_tolerance) == (0, 1, 0.0)
+    assert sc.smooth_window == 0
 
 
 def test_inputs_at_their_upper_bounds_load():
