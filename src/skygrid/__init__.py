@@ -22,14 +22,13 @@ from .grid import AirspaceGrid, NotAdjacent, OutOfAirspace
 from .pso import (
     ConstraintParams,
     CostParams,
-    NoFeasibleSeed,
     SwarmParams,
     build_seed_population,
     feasibility_penalty,
     optimize,
     trajectory_cost,
 )
-from .replan import RepairFailed, detect_conflicts, repair
+from .replan import detect_conflicts, repair
 from .sampling import PlanningFailed, RrtParams, Waypath, birrt_plan, rrt_plan, smooth_and_resample
 from .scenario import ParseError, Scenario, UavSpec, ValidationError, load_scenario, single_cell_scenario
 from .sim import Mode, SimMetrics, UavPhase, World, run_scenario

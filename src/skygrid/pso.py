@@ -30,10 +30,6 @@ from .sampling import (
 VIOLATION_PENALTY = 1.0e6
 
 
-class NoFeasibleSeed(PlanningFailed):
-    """Every particle still has infinite penalized cost after the iteration budget."""
-
-
 @dataclass(frozen=True)
 class CostParams:
     k3: float = 0.8
@@ -89,6 +85,12 @@ class SwarmParams:
         # Velocities are clamped to [-v_max, v_max].
         if not 0 < self.v_max < math.inf:
             raise ValueError("v_max must be finite and positive")
+        # Inertia-weight PSO (Shi & Eberhart 1998) converges only for |inertia| < 1
+        # (Clerc & Kennedy 2002); a negative c1 or c2 pushes particles from their bests.
+        if self.c1 < 0 or self.c2 < 0:
+            raise ValueError(f"c1 and c2 must be >= 0, got {self.c1} and {self.c2}")
+        if not 0 <= self.inertia < 1:
+            raise ValueError(f"inertia must be in [0, 1), got {self.inertia}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if self.stall_iterations < 1:
@@ -287,7 +289,7 @@ def optimize(
     """Global-best PSO over the interior waypoints of a (P, J, 3) seed population.
 
     Returns the best-ever (J, 3) trajectory and the per-iteration global-best
-    cost history (monotone non-increasing). Raises NoFeasibleSeed if every
+    cost history (monotone non-increasing). Raises PlanningFailed if every
     particle is still infinitely penalized when the budget runs out.
     """
     seeds = np.asarray(seeds, dtype=float)
@@ -350,7 +352,7 @@ def optimize(
             break
 
     if not np.isfinite(gbest_cost):
-        raise NoFeasibleSeed("no particle reached a finite penalized cost")
+        raise PlanningFailed("no particle reached a finite penalized cost")
 
     best_path = np.empty((j, 3))
     best_path[0] = first

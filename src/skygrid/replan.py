@@ -27,11 +27,6 @@ from .sampling import (
 )
 
 
-class RepairFailed(Exception):
-    """Bi-RRT could not connect the bracketing waypoints; escalate to a
-    coarse re-plan."""
-
-
 def detect_conflicts(path: np.ndarray, ob: CuboidObstacle) -> set[int]:
     """Indices of the (J, 3) path's waypoints in conflict with the obstacle.
 
@@ -68,7 +63,7 @@ def repair(
     Bi-RRT detour, or None when nothing conflicts.
 
     The resulting waypoint count may differ from the original. Raises
-    RepairFailed when no collision-free bracket exists or Bi-RRT cannot
+    PlanningFailed when no collision-free bracket exists or Bi-RRT cannot
     connect.
     """
     conflicts = detect_conflicts(path, ob)
@@ -88,20 +83,10 @@ def repair(
     while hi <= len(path) - 1 and not point_free(path[hi], boxes):
         hi += 1
     if lo < 0 or hi > len(path) - 1:
-        raise RepairFailed("no collision-free bracketing waypoints remain")
+        raise PlanningFailed("no collision-free bracketing waypoints remain")
 
     bounds = (constraints.bounds_lo, constraints.bounds_hi)
-    try:
-        raw = birrt_plan(
-            bounds,
-            full,
-            Point3.from_array(path[lo]),
-            Point3.from_array(path[hi]),
-            rrt_params,
-            rng,
-        )
-    except PlanningFailed as exc:
-        raise RepairFailed(str(exc)) from exc
+    raw = birrt_plan(bounds, full, Point3.from_array(path[lo]), Point3.from_array(path[hi]), rrt_params, rng)
 
     detour = np.array(_smooth(raw, boxes, smooth_window), dtype=float)
     return np.vstack([path[: lo + 1], detour[1:-1], path[hi:]])

@@ -35,25 +35,33 @@ DEFAULT_FOOTPRINT_RANGE = (20.0, 60.0)
 # The adjacency table, the static obstacle counts and every tick's occupancy
 # report grow with the cell count (16 x 16 x 16 at most).
 MAX_CELLS = 4096
-# Upper bounds of the inputs that size the planner's work and memory per cell
-# (4 to 200 times their defaults), and of those that size a run: the random
-# fleet (20 times the CLI's 50 UAVs), the random buildings (13 times the 75
-# by default), the explicit lists (the same 1000 entries each) and the ticks
-# (4 times the default), each of which logs one report per airborne UAV.
-UPPER_BOUNDS = {
-    "rrt.max_iterations": 20_000,
-    "swarm.max_iterations": 10_000,
-    "waypoints_per_cell": 1000,
-    "smooth_window": 1000,
-    "random_uavs.count": 1000,
-    "random_obstacles.count": 1000,
-    "uavs": 1000,
-    "obstacles": 1000,
-    "injections": 1000,
-    "max_ticks": 20_000,
+# Inclusive (low, high) ranges of the numeric inputs, by key; None leaves an
+# end open. `_scalar` checks each value it parses under one of these keys, and
+# `_entries` each list length. The upper ends bound the inputs that size the
+# planner's work and memory per cell (4 to 200 times their defaults), and those
+# that size a run: the random fleet (20 times the CLI's 50 UAVs), the random
+# buildings (13 times the 75 by default), the explicit lists (the same 1000
+# entries each) and the ticks (4 times the default), each of which logs one
+# report per airborne UAV.
+BOUNDS = {
+    "seed": (0, None),
+    "stagger": (0, None),
+    "loss_rate": (0.0, 1.0),
+    "waypoints_per_cell": (3, 1000),
+    "smooth_window": (0, 1000),
+    "max_ticks": (1, 20_000),
+    "rrt.max_iterations": (None, 20_000),
+    "swarm.max_iterations": (None, 10_000),
+    "random_uavs.count": (0, 1000),
+    "random_uavs.min_cell_separation": (0, None),
+    "random_obstacles.count": (0, 1000),
+    "uavs": (None, 1000),
+    "obstacles": (None, 1000),
+    "injections": (None, 1000),
+    "airspace.cells": (1, None),
     # Each axis, in metres. 100 km holds any city's low-altitude airspace, and
     # the planners square coordinate differences, which overflow near 1e154.
-    "airspace.extent": 100_000.0,
+    "airspace.extent": (None, 100_000.0),
 }
 
 # Reference single-cell environment: 200x200x50 m box with three buildings.
@@ -167,9 +175,10 @@ class Scenario:
 
 
 def _scalar(value, cast, name: str):
-    """cast(value), with a ValidationError naming the key for a malformed value,
-    a boolean or non-finite number where a number is expected, or a
-    non-integral number where an int is expected."""
+    """cast(value) within its BOUNDS range, with a ValidationError naming the
+    key for a malformed or out-of-range value, a boolean or non-finite number
+    where a number is expected, or a non-integral number where an int is
+    expected."""
     if cast in (int, float) and isinstance(value, bool):
         raise ValidationError(f"{name}: expected {cast.__name__}, got {value!r}")
     try:
@@ -180,23 +189,25 @@ def _scalar(value, cast, name: str):
         raise ValidationError(f"{name}: expected int, got {value!r}")
     if cast is float and not math.isfinite(out):
         raise ValidationError(f"{name}: expected a finite number, got {value!r}")
-    return out
+    return _bounded(out, name)
 
 
 def _bounded(value, name: str):
-    """value, or a ValidationError naming the key if it exceeds its upper bound."""
-    limit = UPPER_BOUNDS.get(name)
-    if limit is not None and value > limit:
-        raise ValidationError(f"{name}: at most {limit}, got {value}")
+    """value, or a ValidationError naming the key if it lies outside its BOUNDS range."""
+    low, high = BOUNDS.get(name, (None, None))
+    if low is not None and value < low:
+        raise ValidationError(f"{name}: at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name}: at most {high}, got {value}")
     return value
 
 
-def _count(value, name: str) -> int:
-    """A bounded non-negative int, or a ValidationError naming the key."""
-    n = _bounded(_scalar(value, int, name), name)
-    if n < 0:
-        raise ValidationError(f"{name} must be >= 0, got {n}")
-    return n
+def _positive(value, name: str) -> float:
+    """The float value, or a ValidationError naming the key unless it is above 0."""
+    out = _scalar(value, float, name)
+    if not out > 0:
+        raise ValidationError(f"{name} must be positive, got {out}")
+    return out
 
 
 def _range(value, high_max: float, name: str) -> tuple[float, float]:
@@ -217,10 +228,6 @@ def _parse_obstacle(cfg: dict, index: int, kind: ObstacleKind, where: str) -> Cu
     _reject_unknown(cfg, {"anchor", "lengths", "kind", "id"}, where)
     anchor = _floats(cfg.get("anchor"), 3, f"{where}.anchor")
     lengths = _floats(cfg.get("lengths"), 3, f"{where}.lengths")
-    names = ("len_x", "len_y", "len_z")
-    for n, l in zip(names, lengths):
-        if l <= 0:
-            raise ValidationError(f"{where}.{n} must be positive, got {l}")
     if "kind" in cfg:
         try:
             kind = ObstacleKind(cfg["kind"])
@@ -373,18 +380,14 @@ def load_scenario(
     airspace = _section(cfg, "airspace")
     _reject_unknown(airspace, {"extent", "cells"}, "airspace")
     extent = _floats(airspace.get("extent", DEFAULT_EXTENT), 3, "airspace.extent")
+    for e in extent:
+        _positive(e, "airspace.extent")
     cells_raw = airspace.get("cells", DEFAULT_COUNTS)
     if not isinstance(cells_raw, (list, tuple)) or len(cells_raw) != 3:
         raise ValidationError("airspace.cells must be a list of three integers")
     counts = tuple(_scalar(c, int, "airspace.cells") for c in cells_raw)
-    if any(c < 1 for c in counts):
-        raise ValidationError("airspace.cells entries must be >= 1")
     if math.prod(counts) > MAX_CELLS:
         raise ValidationError(f"airspace.cells: at most {MAX_CELLS} cells, got {math.prod(counts)}")
-    if any(e <= 0 for e in extent):
-        raise ValidationError("airspace.extent entries must be positive")
-    for e in extent:
-        _bounded(e, "airspace.extent")
 
     overrides = {"seed": seed_override, "mode": mode_override}
     scalars = {}
@@ -392,22 +395,9 @@ def load_scenario(
         if f.name in SCALAR_KEYS:
             value = overrides.get(f.name)
             raw = cfg.get(f.name, f.default) if value is None else value
-            scalars[f.name] = _bounded(_scalar(raw, type(f.default), f.name), f.name)
+            scalars[f.name] = _scalar(raw, type(f.default), f.name)
     parse_mode(scalars["mode"])
-    if scalars["seed"] < 0:
-        raise ValidationError(f"seed must be >= 0, got {scalars['seed']}")
-    if scalars["waypoints_per_cell"] < 3:
-        raise ValidationError("waypoints_per_cell must be >= 3")
-    if not 0.0 <= scalars["loss_rate"] <= 1.0:
-        raise ValidationError("loss_rate must be in [0, 1]")
-    if not 0.0 < scalars["dt"] < math.inf:
-        raise ValidationError(f"dt must be finite and positive, got {scalars['dt']}")
-    if scalars["max_ticks"] < 1:
-        raise ValidationError(f"max_ticks must be >= 1, got {scalars['max_ticks']}")
-    if scalars["stagger"] < 0:
-        raise ValidationError(f"stagger must be >= 0, got {scalars['stagger']}")
-    if scalars["smooth_window"] < 0:
-        raise ValidationError(f"smooth_window must be >= 0, got {scalars['smooth_window']}")
+    _positive(scalars["dt"], "dt")
     seed = scalars["seed"]
 
     sections = {}
@@ -418,7 +408,7 @@ def load_scenario(
         for f in fields(cls):
             if f.name in raw:
                 key = f"{section}.{f.name}"
-                values[f.name] = _bounded(_scalar(raw[f.name], type(f.default), key), key)
+                values[f.name] = _scalar(raw[f.name], type(f.default), key)
         try:
             sections[section] = cls(**values)
         except (TypeError, ValueError) as exc:
@@ -427,10 +417,7 @@ def load_scenario(
     limits = _default_limits()
     _reject_unknown(constraints_raw, set(limits), "constraints")
     for k, v in constraints_raw.items():
-        v = _scalar(v, float, f"constraints.{k}")
-        if v <= 0:
-            raise ValidationError(f"constraints.{k} must be positive, got {v}")
-        limits[k] = v
+        limits[k] = _positive(v, f"constraints.{k}")
 
     # Explicit obstacles; the random block fills in the default field when
     # neither is given.
@@ -448,9 +435,7 @@ def load_scenario(
         _reject_unknown(u, {"id", "start", "goal", "speed"}, f"uavs[{i}]")
         start = Point3(*_floats(u.get("start"), 3, f"uavs[{i}].start"))
         goal = Point3(*_floats(u.get("goal"), 3, f"uavs[{i}].goal"))
-        speed = _scalar(u.get("speed", DEFAULT_SPEED), float, f"uavs[{i}].speed")
-        if speed <= 0:
-            raise ValidationError(f"uavs[{i}].speed must be positive")
+        speed = _positive(u.get("speed", DEFAULT_SPEED), f"uavs[{i}].speed")
         if start == goal:
             raise ValidationError(f"uavs[{i}]: start equals goal [{start.x}, {start.y}, {start.z}]")
         uav_id = u.get("id", f"uav{i}")
@@ -493,7 +478,7 @@ def load_scenario(
 
     # Every value of the random blocks is checked before anything is generated.
     if want_random_obstacles:
-        n_obstacles = _count(rob.get("count", DEFAULT_OBSTACLE_COUNT), "random_obstacles.count")
+        n_obstacles = _scalar(rob.get("count", DEFAULT_OBSTACLE_COUNT), int, "random_obstacles.count")
         # Heights are cut at the airspace top; a footprint must fit the extent.
         hr = _range(rob.get("height_range", DEFAULT_HEIGHT_RANGE), math.inf, "random_obstacles.height_range")
         fr = _range(
@@ -501,17 +486,15 @@ def load_scenario(
             "random_obstacles.footprint_range",
         )
     if want_random_uavs:
-        n_uavs = _count(ruav.get("count", 1), "random_uavs.count")
-        sep = _count(ruav.get("min_cell_separation", 0), "random_uavs.min_cell_separation")
+        n_uavs = _scalar(ruav.get("count", 1), int, "random_uavs.count")
+        sep = _scalar(ruav.get("min_cell_separation", 0), int, "random_uavs.min_cell_separation")
         # The largest cell distance (L1 of cell coordinates) in the grid.
         max_sep = sum(c - 1 for c in counts)
         if sep > max_sep:
             raise ValidationError(
                 f"random_uavs.min_cell_separation: at most {max_sep} in this grid, got {sep}"
             )
-        speed = _scalar(ruav.get("speed", DEFAULT_SPEED), float, "random_uavs.speed")
-        if speed <= 0:
-            raise ValidationError(f"random_uavs.speed must be positive, got {speed}")
+        speed = _positive(ruav.get("speed", DEFAULT_SPEED), "random_uavs.speed")
 
     if not uavs and not want_random_uavs:
         uavs = [UavSpec(id="uav0", start=Point3(*DEFAULT_START), goal=Point3(*DEFAULT_GOAL))]

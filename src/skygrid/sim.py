@@ -35,7 +35,7 @@ from .pso import (
     feasibility_penalty,
     optimize,
 )
-from .replan import RepairFailed, repair
+from .replan import repair
 from .sampling import (
     PlanningFailed,
     Waypath,
@@ -357,7 +357,7 @@ class World:
                     self._cell(cell).constraints, uav.rng, self.scenario.rrt, self.scenario.smooth_window,
                 )
                 event = "repair"
-            except RepairFailed:
+            except PlanningFailed:
                 # Escalate: re-plan the rest of the cell from the current position.
                 self._log("repair_failed", uav.id, cell=cell)
                 try:

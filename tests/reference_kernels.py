@@ -28,8 +28,8 @@ import numpy as np
 
 from skygrid.geometry import ObstacleKind, obstacle_arrays
 from skygrid.grid import NotAdjacent, OutOfAirspace
-from skygrid.pso import NoFeasibleSeed
 from skygrid.sampling import PlanningFailed, Waypath, flatten_obstacles, point_free
+from skygrid.sampling import PlanningFailed as NoFeasibleSeed
 
 
 def segment_free(a, b, boxes) -> bool:

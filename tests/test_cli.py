@@ -6,8 +6,7 @@ import pytest
 
 from skygrid import sim
 from skygrid.cli import main
-from skygrid.pso import NoFeasibleSeed
-from skygrid.replan import RepairFailed
+from skygrid.sampling import PlanningFailed
 from skygrid.scenario import single_cell_scenario
 
 SMALL_SCENARIO = """\
@@ -304,11 +303,12 @@ def test_exit_1_when_a_smoothed_path_needs_more_waypoints(tmp_path):
 
 def test_exit_1_when_no_seed_is_feasible(tmp_path, monkeypatch, capsys):
     def optimize(*args, **kwargs):
-        raise NoFeasibleSeed("no particle reached a finite penalized cost")
+        raise PlanningFailed("no particle reached a finite penalized cost")
 
     monkeypatch.setattr(sim, "optimize", optimize)
     assert main(["plan-sub", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
     assert "planning failed for: uav0" in capsys.readouterr().err
+    assert "no particle reached a finite penalized cost" in (tmp_path / "o" / "events.csv").read_text()
 
 
 def test_exit_1_on_a_planner_value_error(tmp_path, monkeypatch, capsys):
@@ -323,7 +323,7 @@ def test_exit_1_on_a_planner_value_error(tmp_path, monkeypatch, capsys):
 
 def test_replan_demo_exit_1_when_repair_fails(tmp_path, monkeypatch, capsys):
     def repair(*args, **kwargs):
-        raise RepairFailed("no collision-free bracketing waypoints remain")
+        raise PlanningFailed("no collision-free bracketing waypoints remain")
 
     monkeypatch.setattr(sim, "repair", repair)
     assert main(["replan-demo", "--seed", "0", "--out", str(tmp_path / "o")]) == 1

@@ -17,9 +17,14 @@ numpy build may legitimately produce other values.
 import hashlib
 import os
 
+import numpy
 import pytest
 
 from skygrid.cli import main
+
+# The numpy version the hashes below were taken with. .github/workflows/tier1.yml
+# installs the same version; change both together.
+GOLDEN_NUMPY = "2.4.6"
 
 TEN_UAVS = "random_uavs: {count: 10, min_cell_separation: 5}\n"
 
@@ -133,7 +138,9 @@ def test_golden_output_hashes(run, tmp_path):
         argv = argv + ["--scenario", str(path)]
     out = str(tmp_path / "out")
     assert main(argv + ["--out", out]) == 0
-    assert _table_hashes(out) == expected
+    assert _table_hashes(out) == expected, (
+        f"hashes taken with numpy {GOLDEN_NUMPY}, this run used numpy {numpy.__version__}"
+    )
 
 
 def test_golden_replan_demo_summary(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 from conftest import dense_sample_penetrates, make_sudden
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import ConstraintParams
-from skygrid.replan import RepairFailed, detect_conflicts, repair
-from skygrid.sampling import straight_points
+from skygrid.replan import detect_conflicts, repair
+from skygrid.sampling import PlanningFailed, straight_points
 from skygrid.scenario import single_cell_scenario
 
 CELL_OBS = list(single_cell_scenario().obstacles)
@@ -104,7 +104,7 @@ def test_repair_fails_when_endpoint_engulfed(rng):
     path = level_path(n=4)
     # Obstacle covering the final waypoint: no free bracket on the right.
     ob = make_sudden(path[-1], side=30.0)
-    with pytest.raises(RepairFailed):
+    with pytest.raises(PlanningFailed, match="no collision-free bracketing waypoints remain"):
         repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
 
 
@@ -119,7 +119,7 @@ def test_repair_fails_in_sealed_corridor(rng):
     )
     from skygrid.sampling import RrtParams
 
-    with pytest.raises(RepairFailed):
+    with pytest.raises(PlanningFailed, match="Bi-RRT failed to connect within 200 iterations"):
         repair(path, seal, [], slab_cell, rng, RrtParams(max_iterations=200))
 
 

@@ -18,7 +18,7 @@ from skygrid.sampling import RrtParams
 from skygrid.scenario import (
     ParseError,
     Scenario,
-    UPPER_BOUNDS,
+    BOUNDS,
     ValidationError,
     load_scenario,
     parse_mode,
@@ -26,12 +26,15 @@ from skygrid.scenario import (
 from skygrid.sim import World
 
 # Values that break a field: other types, non-finite floats, booleans,
-# nesting, and numbers past each upper bound.
+# nesting, and numbers just past each end of a bounds-table range.
 junk = st.one_of(
     st.none(),
     st.booleans(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, "", "x", "SSP", 10**12, -(10**12), 1e300]),
-    st.sampled_from(sorted({v + 1 for v in UPPER_BOUNDS.values()})),
+    st.sampled_from(sorted(
+        {high + 1 for _, high in BOUNDS.values() if high is not None}
+        | {low - 1 for low, _ in BOUNDS.values() if low is not None}
+    )),
     st.lists(st.one_of(st.integers(-2, 3), st.lists(st.integers(0, 2), max_size=2)), max_size=4),
     st.dictionaries(st.sampled_from(["count", "x"]), st.integers(-1, 3), max_size=2),
 )

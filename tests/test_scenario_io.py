@@ -1,7 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
+import yaml
 
 from skygrid.coarse import SspParams
 from skygrid.geometry import ObstacleKind
@@ -9,7 +11,9 @@ from skygrid.pso import ConstraintParams, CostParams, SwarmParams
 from skygrid import scenario as scenario_module
 from skygrid.sampling import RrtParams, flatten_obstacles, point_free
 from skygrid.scenario import (
+    BOUNDS,
     ParseError,
+    SCALAR_KEYS,
     ValidationError,
     load_scenario,
     load_scenario_file,
@@ -221,6 +225,10 @@ def test_rejects_bad_parameter_values():
         ("swarm: {stall_iterations: -3}\nobstacles: []\n", "swarm: stall_iterations"),
         ("swarm: {stall_iterations: 0}\nobstacles: []\n", "swarm: stall_iterations"),
         ("swarm: {stall_tolerance: -1.0}\nobstacles: []\n", "swarm: stall_tolerance"),
+        ("swarm: {c1: -1.4, c2: -1.4, inertia: 1.5}\nobstacles: []\n", "swarm: c1"),
+        ("swarm: {c2: -0.1}\nobstacles: []\n", "c2"),
+        ("swarm: {inertia: 1.0}\nobstacles: []\n", "swarm: inertia"),
+        ("swarm: {inertia: -0.1}\nobstacles: []\n", "swarm: inertia"),
         ("smooth_window: -5\nobstacles: []\n", "smooth_window"),
         ("random_uavs: {count: -3}\n", "random_uavs.count"),
         ("random_uavs: {speed: 0}\n", "random_uavs.speed"),
@@ -256,6 +264,12 @@ NAN, INF = float("nan"), float("inf")
         (SwarmParams, {"inertia": NAN}),
         (SwarmParams, {"stall_tolerance": INF}),
         (SwarmParams, {"v_max": INF}),
+        (SwarmParams, {"c1": -INF}),
+        (SwarmParams, {"c2": NAN}),
+        (SwarmParams, {"c1": -1.4}),
+        (SwarmParams, {"c2": -1.4}),
+        (SwarmParams, {"inertia": 1.0}),
+        (SwarmParams, {"inertia": -0.1}),
         (RrtParams, {"step_size": INF}),
         (RrtParams, {"step_size": NAN}),
         (ConstraintParams, {"l_max": NAN}),
@@ -281,9 +295,12 @@ def test_swarm_needs_a_seed_path(kwargs):
 
 def test_inputs_at_their_lower_bounds_load():
     sc = load_scenario(
-        "swarm: {max_iterations: 0, stall_iterations: 1, stall_tolerance: 0.0}\nsmooth_window: 0\nobstacles: []\n"
+        "swarm: {max_iterations: 0, stall_iterations: 1, stall_tolerance: 0.0, c1: 0.0, c2: 0.0, inertia: 0.0}\n"
+        "smooth_window: 0\nobstacles: []\n"
     )
     assert (sc.swarm.max_iterations, sc.swarm.stall_iterations, sc.swarm.stall_tolerance) == (0, 1, 0.0)
+    assert (sc.swarm.c1, sc.swarm.c2, sc.swarm.inertia) == (0.0, 0.0, 0.0)
+    assert load_scenario("swarm: {inertia: 0.999}\nobstacles: []\n").swarm.inertia == 0.999
     assert sc.smooth_window == 0
 
 
@@ -295,6 +312,53 @@ def test_inputs_at_their_upper_bounds_load():
     assert (sc.rrt.max_iterations, sc.swarm.max_iterations) == (20000, 10000)
     assert (sc.waypoints_per_cell, sc.smooth_window) == (1000, 1000)
     assert (sc.swarm.n_rrt, sc.swarm.n_birrt) == (0, 1)
+
+
+# Every stated end of a bounds-table range on a mapping value (a top-level
+# scalar or a field of a section); the list lengths and `airspace.*` keep their
+# own cases above.
+TABLE_ENDS = [
+    (key, side, end)
+    for key, (low, high) in BOUNDS.items()
+    if key in SCALAR_KEYS or ("." in key and not key.startswith("airspace."))
+    for side, end in (("low", low), ("high", high))
+    if end is not None
+]
+
+
+def _past(end, side: str):
+    """One step past the end: the next float, or the next int."""
+    if isinstance(end, float):
+        return math.nextafter(end, -math.inf if side == "low" else math.inf)
+    return end - 1 if side == "low" else end + 1
+
+
+def _load_with(monkeypatch, key: str, value):
+    """load_scenario of a building-free scenario that sets key to value, with
+    random generation stubbed; returns the value the loader passed on."""
+    asked = {}
+
+    def generate_obstacles(extent, count, *args):
+        asked["random_obstacles.count"] = count
+        return []
+
+    def generate_uavs(grid, count, min_cell_separation, *args):
+        asked.update({"random_uavs.count": count, "random_uavs.min_cell_separation": min_cell_separation})
+        return []
+
+    monkeypatch.setattr(scenario_module, "generate_obstacles", generate_obstacles)
+    monkeypatch.setattr(scenario_module, "generate_uavs", generate_uavs)
+    section, _, name = key.rpartition(".")
+    tree = {"obstacles": [], **({section: {name: value}} if section else {name: value})}
+    sc = load_scenario(yaml.safe_dump(tree))
+    return asked[key] if key in asked else getattr(getattr(sc, section) if section else sc, name)
+
+
+@pytest.mark.parametrize("key,side,end", TABLE_ENDS, ids=[f"{k}-{s}" for k, s, _ in TABLE_ENDS])
+def test_bounds_table_ends_load_and_one_step_past_is_rejected(monkeypatch, key, side, end):
+    assert _load_with(monkeypatch, key, end) == end
+    with pytest.raises(ValidationError, match=re.escape(f"{key}: at {'least' if side == 'low' else 'most'}")):
+        _load_with(monkeypatch, key, _past(end, side))
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,8 @@ from skygrid import sim
 from skygrid.adsb import OccupancyReport, PositionReport, SuddenObstacleAlert
 from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
-from skygrid.pso import NoFeasibleSeed, feasibility_penalty
-from skygrid.replan import RepairFailed
-from skygrid.sampling import flatten_obstacles, segment_free
+from skygrid.pso import feasibility_penalty
+from skygrid.sampling import PlanningFailed, flatten_obstacles, segment_free
 from skygrid.scenario import ValidationError, load_scenario, single_cell_scenario
 from skygrid.sim import Mode, UavPhase, World, run_scenario
 from test_golden import SUDDEN_LOSSY
@@ -456,7 +455,7 @@ def test_an_escalated_replan_keeps_the_flown_part_of_the_cell(monkeypatch):
     recorded route still starts with the waypoints already flown."""
 
     def fail(*args, **kwargs):
-        raise RepairFailed("no bracket")
+        raise PlanningFailed("no bracket")
 
     monkeypatch.setattr(sim, "repair", fail)
     world = World(empty_single_cell(seed=1), Mode.SSP)
@@ -575,12 +574,13 @@ def test_no_feasible_seed_is_recorded_as_fine_plan_failure(monkeypatch):
 
     def optimize(*args, **kwargs):
         calls.append(1)
-        raise NoFeasibleSeed("no particle reached a finite penalized cost")
+        raise PlanningFailed("no particle reached a finite penalized cost")
 
     monkeypatch.setattr(sim, "optimize", optimize)
     metrics = run_scenario(single_cell_scenario(seed=0), Mode.SSP)
     assert metrics.failed == ["uav0"]
     assert [e["kind"] for e in metrics.events] == ["fine_plan_failed"]
+    assert metrics.events[0]["reason"].endswith("no particle reached a finite penalized cost")
     assert len(calls) == sim.FINE_PLAN_ATTEMPTS
 
 
@@ -591,7 +591,7 @@ def test_fine_plan_retries_after_no_feasible_seed(monkeypatch):
     def flaky(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            raise NoFeasibleSeed("no particle reached a finite penalized cost")
+            raise PlanningFailed("no particle reached a finite penalized cost")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sim, "optimize", flaky)

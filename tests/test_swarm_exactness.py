@@ -21,8 +21,8 @@ import reference_kernels as ref
 from conftest import path_length
 from skygrid import pso
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3, obstacle_arrays
-from skygrid.pso import ConstraintParams, CostParams, NoFeasibleSeed, SwarmParams, build_seed_population
-from skygrid.sampling import Waypath, straight_points
+from skygrid.pso import ConstraintParams, CostParams, SwarmParams, build_seed_population
+from skygrid.sampling import PlanningFailed, Waypath, straight_points
 from skygrid.scenario import single_cell_scenario
 
 # Few distinct values, so that boxes share planes and waypoints land on them.
@@ -180,7 +180,7 @@ def _run_both(seeds, obstacles, cp, constraints, swarm, seed):
         try:
             best, history = fn(seeds, obstacles, cp, constraints, swarm, rng)
             out.append((best.tobytes(), np.array(history).tobytes()))
-        except NoFeasibleSeed as exc:
+        except PlanningFailed as exc:
             out.append(str(exc))
         rngs.append(rng)
     assert out[0] == out[1]
@@ -207,7 +207,7 @@ def test_optimize_matches_frozen_swarm_on_vertical_seeds(count, seed):
 
 def test_optimize_matches_frozen_swarm_when_no_particle_is_finite():
     """A two-point climb inside the cube has no waypoint to move and a
-    summed clearance of 0: both raise NoFeasibleSeed."""
+    summed clearance of 0: both raise PlanningFailed."""
     climb = straight_points(Point3(100.0, 100.0, 6.0), Point3(100.0, 100.0, 14.0), 2)
     assert _run_both(np.array([climb, climb]), [CUBE], CostParams(), CELL, SMALL_SWARM, 0) == (
         "no particle reached a finite penalized cost"
