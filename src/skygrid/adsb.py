@@ -64,9 +64,13 @@ class AdsbBus:
     def subscribe(self, callback: Callable[[AdsbMessage], None]) -> None:
         self.subscribers.append(callback)
 
-    def publish(self, msg: AdsbMessage) -> None:
-        self.log.append(msg)
-        for sub in self.subscribers:
-            if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-                continue
-            sub(msg)
+    def publish(self, *messages: AdsbMessage) -> None:
+        """For each message in order: log it, then offer it to each subscriber
+        in turn. With loss_rate > 0 every (message, subscriber) delivery takes
+        one draw, so one call with N messages is N calls with one."""
+        for msg in messages:
+            self.log.append(msg)
+            for sub in self.subscribers:
+                if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+                    continue
+                sub(msg)

@@ -160,8 +160,9 @@ def cmd_replan_demo(args) -> int:
     )
     conflicts = detect_conflicts(committed, ob)
     world.inject_sudden_obstacle(ob, world.tick)
-    if any(e["kind"] == "repair_failed" for e in world.metrics.events):
-        print("repair failed", file=sys.stderr)
+    failed = [e for e in world.metrics.events if e["kind"] == "repair_failed"]
+    if failed:
+        print(f"repair failed: {failed[0]['reason']}", file=sys.stderr)
         return 1
     repaired = uav.route
     metrics = SimMetrics(n_cells=1)

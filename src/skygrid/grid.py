@@ -30,6 +30,8 @@ class AirspaceGrid:
     obstacles: list[CuboidObstacle] = field(default_factory=list)
 
     cell_size: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    # coords[cell]: the cell's (ix, iy, iz); index 0 is unused.
+    coords: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # adjacency[cell]: the face-adjacent cells in ascending id order; index 0 is unused.
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
@@ -39,6 +41,10 @@ class AirspaceGrid:
         if any(c < 1 or int(c) != c for c in self.counts):
             raise ValueError("cell counts must be positive integers")
         self.cell_size = tuple(self.extent[i] / self.counts[i] for i in range(3))
+        ax, ay, az = self.counts
+        self.coords = ((),) + tuple(
+            (ix, iy, iz) for iz in range(az) for iy in range(ay) for ix in range(ax)
+        )
         self.adjacency = ((),) + tuple(
             self._face_neighbors(cell) for cell in range(1, self.n_cells + 1)
         )
@@ -53,11 +59,10 @@ class AirspaceGrid:
         return 1 + ix + iy * ax + iz * ax * ay
 
     def cell_coords(self, cell: int) -> tuple[int, int, int]:
-        if not 1 <= cell <= self.n_cells:
+        coords = self.coords
+        if not 1 <= cell < len(coords):
             raise ValueError(f"cell id {cell} out of range [1, {self.n_cells}]")
-        ax, ay, _ = self.counts
-        k = cell - 1
-        return k % ax, (k // ax) % ay, k // (ax * ay)
+        return coords[cell]
 
     def cell_bounds(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners of the cell box."""

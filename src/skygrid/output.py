@@ -10,42 +10,52 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .adsb import OccupancyReport, PositionReport
 from .sim import SimMetrics
 
 
 def write_table(path: str, header: list[str], rows: Iterable[Sequence], fmt: str) -> None:
-    """Write one table, streaming its rows to the file.
-
-    CSV values are written as csv.writer writes them after formatting each
-    float with six decimals. A row is joined with commas directly unless its
-    text holds a quote, CR or LF, or a comma inside a value; only such a row
-    needs quoting, so it goes through csv.writer.
-    """
+    """Write one table, streaming its rows to the file."""
     if fmt == "csv":
         with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            write, eol = fh.write, writer.dialect.lineterminator
+            write_row = _csv_row_writer(fh)
+            write_row(header)
             for row in rows:
-                fields = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
-                line = ",".join(fields)
-                # csv quotes a lone empty value, the one row that joins to "" besides [].
-                if (
-                    not line or line.count(",") != len(fields) - 1
-                    or '"' in line or "\r" in line or "\n" in line
-                ):
-                    writer.writerow(fields)
-                else:
-                    write(line + eol)
+                write_row(row)
     elif fmt == "jsonl":
         with open(path + ".jsonl", "w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
+
+
+def _csv_row_writer(fh) -> Callable[[Sequence], None]:
+    """A function that writes one row to the CSV file fh as csv.writer writes
+    it after formatting each float with six decimals.
+
+    A row is joined with commas directly unless its text holds a quote, CR or
+    LF, or a comma inside a value; only such a row needs quoting, so it goes
+    through csv.writer.
+    """
+    writer = csv.writer(fh)
+    write, eol = fh.write, writer.dialect.lineterminator
+
+    def write_row(row: Sequence) -> None:
+        fields = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
+        line = ",".join(fields)
+        # csv quotes a lone empty value, the one row that joins to "" besides [].
+        if (
+            not line or line.count(",") != len(fields) - 1
+            or '"' in line or "\r" in line or "\n" in line
+        ):
+            writer.writerow(fields)
+        else:
+            write(line + eol)
+
+    return write_row
 
 
 def waypoint_rows(metrics: SimMetrics) -> list[list]:
@@ -73,21 +83,67 @@ def waypoint_rows(metrics: SimMetrics) -> list[list]:
     return rows
 
 
+ADSB_HEADER = ["tick", "sender", "payload_kind", "detail"]
+POSITION_DETAIL = "uav=%s;x=%.6f;y=%.6f;z=%.6f"  # % a PositionReport's (uav_id, x, y, z)
+ADSB_CHUNK_LINES = 4096
+
+
 def adsb_rows(bus_log) -> Iterator[tuple]:
     """One row per bus message, in log order, made as the writer asks for it."""
-    for msg in bus_log:
-        p = msg.payload
-        if type(p) is PositionReport:
-            yield msg.tick, msg.sender, "position", "uav=%s;x=%.6f;y=%.6f;z=%.6f" % p  # (uav_id, x, y, z)
-        elif type(p) is OccupancyReport:
-            yield msg.tick, msg.sender, "occupancy", "counts=" + "|".join(map(str, p.counts))
-        else:  # SuddenObstacleAlert, the last of the three Payload types
-            ob = p.obstacle
-            detail = (
-                f"cell={p.sub_airspace};anchor={ob.anchor.x:.3f},{ob.anchor.y:.3f},"
-                f"{ob.anchor.z:.3f};lengths={ob.len_x:.3f},{ob.len_y:.3f},{ob.len_z:.3f}"
-            )
-            yield msg.tick, msg.sender, "sudden_obstacle", detail
+    return map(_adsb_row, bus_log)
+
+
+def _adsb_row(msg) -> tuple:
+    p = msg.payload
+    if type(p) is PositionReport:
+        return msg.tick, msg.sender, "position", POSITION_DETAIL % p
+    if type(p) is OccupancyReport:
+        return msg.tick, msg.sender, "occupancy", "counts=" + "|".join(map(str, p.counts))
+    # SuddenObstacleAlert, the last of the three Payload types
+    ob = p.obstacle
+    detail = (
+        f"cell={p.sub_airspace};anchor={ob.anchor.x:.3f},{ob.anchor.y:.3f},"
+        f"{ob.anchor.z:.3f};lengths={ob.len_x:.3f},{ob.len_y:.3f},{ob.len_z:.3f}"
+    )
+    return msg.tick, msg.sender, "sudden_obstacle", detail
+
+
+class _Unquoted(dict):
+    """value -> whether csv.writer writes it as is: a str with no comma,
+    quote, CR or LF. Each distinct value is tested once."""
+
+    def __missing__(self, value) -> bool:
+        plain = self[value] = type(value) is str and not any(c in value for c in ',"\r\n')
+        return plain
+
+
+def _write_adsb_csv(path: str, bus_log) -> None:
+    """`write_table(path, ADSB_HEADER, adsb_rows(bus_log), "csv")`, with a
+    position row formatted in one step when no value of it needs quoting (an
+    int tick, and a sender and UAV id that `_Unquoted` passes). Those lines
+    are written in chunks of at most ADSB_CHUNK_LINES; every other row goes
+    through the table's row writer."""
+    with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
+        write_row = _csv_row_writer(fh)
+        write_row(ADSB_HEADER)
+        line = "%d,%s,position," + POSITION_DETAIL + csv.excel.lineterminator
+        unquoted = _Unquoted()
+        chunk: list[str] = []
+        for msg in bus_log:
+            sender, tick, p = msg
+            if (
+                type(p) is PositionReport and type(tick) is int
+                and unquoted[sender] and unquoted[p.uav_id]
+            ):
+                chunk.append(line % (tick, sender, *p))
+                if len(chunk) >= ADSB_CHUNK_LINES:
+                    fh.write("".join(chunk))
+                    chunk.clear()
+            else:
+                fh.write("".join(chunk))
+                chunk.clear()
+                write_row(_adsb_row(msg))
+        fh.write("".join(chunk))
 
 
 def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=None) -> None:
@@ -125,12 +181,11 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
     )
 
     if bus_log is not None:
-        write_table(
-            os.path.join(out_dir, "adsb_log"),
-            ["tick", "sender", "payload_kind", "detail"],
-            adsb_rows(bus_log),
-            fmt,
-        )
+        path = os.path.join(out_dir, "adsb_log")
+        if fmt == "csv":
+            _write_adsb_csv(path, bus_log)
+        else:
+            write_table(path, ADSB_HEADER, adsb_rows(bus_log), fmt)
 
     write_table(
         os.path.join(out_dir, "events"),

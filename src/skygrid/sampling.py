@@ -458,13 +458,14 @@ def resample_points(pts: Sequence[Sequence[float]], count: int) -> list[tuple[fl
     if n_seg > count - 1:
         raise ValueError(f"cannot keep {len(pts)} vertices with only {count} points")
     # Float arithmetic in the order numpy's norm(diff(path), axis=1) and the
-    # elementwise forms use; only the total keeps numpy's pairwise sum.
+    # elementwise forms use; only the total keeps numpy's pairwise sum, which
+    # for one segment is its length.
     segments = list(zip(pts, pts[1:]))
     lengths = []
     for (ax, ay, az), (bx, by, bz) in segments:
         dx, dy, dz = bx - ax, by - ay, bz - az
         lengths.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
-    total = float(np.sum(lengths))
+    total = lengths[0] if n_seg == 1 else float(np.sum(lengths))
     extra = count - 1 - n_seg
     shares = [1] * n_seg
     if extra > 0:

@@ -94,11 +94,6 @@ class UavState:
         installed in; None before the first plan."""
         return Waypath(np.array(self.route), self.current_cell) if self.route else None
 
-    def leg(self) -> Xyz:
-        """From the position to the next waypoint."""
-        (tx, ty, tz), (x, y, z) = self.route[self.next_waypoint_index], self.xyz
-        return tx - x, ty - y, tz - z
-
 
 @dataclass
 class ExecutedPath:
@@ -266,7 +261,7 @@ class World:
         # No path of `count` waypoints within the length limits spans more
         # than `reach`; the slack keeps rounding from deciding.
         reach = min((count - 1) * constraints.l_max, constraints.L_max)
-        distance = math.dist(entry.as_array(), target.as_array())
+        distance = math.dist((entry.x, entry.y, entry.z), (target.x, target.y, target.z))
         if distance > reach * (1.0 + 1e-9):
             raise PlanningFailed(
                 f"entry to target is {distance:.3f} m, more than {count} waypoints span ({reach:.3f} m)"
@@ -357,9 +352,9 @@ class World:
                     self._cell(cell).constraints, uav.rng, self.scenario.rrt, self.scenario.smooth_window,
                 )
                 event = "repair"
-            except PlanningFailed:
+            except PlanningFailed as exc:
                 # Escalate: re-plan the rest of the cell from the current position.
-                self._log("repair_failed", uav.id, cell=cell)
+                self._log("repair_failed", uav.id, cell=cell, reason=str(exc))
                 try:
                     route = self._fine_plan(uav, cell, Point3(*uav.xyz), Point3(*wp[-1]))
                 except PlanningFailed as exc:
@@ -405,15 +400,16 @@ class World:
         """Fly `distance` along the route."""
         remaining = distance
         while remaining > 1e-9 and uav.phase is UavPhase.FLYING:
-            dx, dy, dz = uav.leg()
+            target = uav.route[uav.next_waypoint_index]
+            (tx, ty, tz), (x, y, z) = target, uav.xyz
+            dx, dy, dz = tx - x, ty - y, tz - z
             gap = math.sqrt((dx * dx + dy * dy) + dz * dz)
             if gap > remaining:
                 s = remaining / gap
-                x, y, z = uav.xyz
                 uav.xyz = (x + dx * s, y + dy * s, z + dz * s)
                 uav.flown_length += remaining
                 return
-            uav.xyz = uav.route[uav.next_waypoint_index]
+            uav.xyz = target
             uav.flown_length += gap
             remaining -= gap
             if uav.next_waypoint_index < len(uav.route) - 1:
@@ -442,19 +438,21 @@ class World:
 
     def _record_tick(self) -> None:
         """Every flying UAV, in order, broadcasts its position; then the
-        ground station broadcasts the counts it received."""
+        ground station broadcasts the counts it received. The reports are
+        checked before any is published, so a non-finite position publishes
+        nothing of the tick."""
         self._counts = [0] * self.grid.n_cells
-        tick, publish = self.tick, self.bus.publish
+        tick, flying, isfinite = self.tick, UavPhase.FLYING, math.isfinite
+        reports = []
         for uav in self.uavs:
-            if uav.phase is UavPhase.FLYING:
+            if uav.phase is flying:
                 x, y, z = uav.xyz
-                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                if not (isfinite(x) and isfinite(y) and isfinite(z)):
                     raise ValueError(f"{uav.id}: non-finite position {(x, y, z)}")
-                publish(AdsbMessage(uav.id, tick, PositionReport(uav.id, x, y, z)))
+                reports.append(AdsbMessage(uav.id, tick, PositionReport(uav.id, x, y, z)))
+        self.bus.publish(*reports)
         self.occupancy = tuple(self._counts)
-        self.bus.publish(
-            AdsbMessage(sender="ground-station", tick=self.tick, payload=OccupancyReport(self.occupancy))
-        )
+        self.bus.publish(AdsbMessage("ground-station", tick, OccupancyReport(self.occupancy)))
         # `_peaks` mirrors `metrics.max_occupancy` as Python ints; both start
         # at zero and this loop is the only writer of either, so they stay equal.
         peaks = self._peaks

@@ -52,3 +52,27 @@ def test_occupancy_report_payload_roundtrip():
     report = OccupancyReport(counts=(0, 2, 1))
     m = msg(payload=report, sender="ground-station")
     assert m.payload.counts == (0, 2, 1)
+
+
+def test_a_batch_is_the_same_as_one_call_per_message():
+    """One call with N messages logs, delivers and draws as N calls with one:
+    each message is logged, then offered to each subscriber in turn, with one
+    loss draw per (message, subscriber) pair."""
+    messages = [msg(tick=t, sender=f"uav{t % 3}") for t in range(60)]
+
+    def bus_with_two_subscribers():
+        bus = AdsbBus(loss_rate=0.3, rng=np.random.default_rng(11))
+        got = []
+        bus.subscribe(lambda m: got.append(("a", m, len(bus.log))))
+        bus.subscribe(lambda m: got.append(("b", m, len(bus.log))))
+        return bus, got
+
+    batched, got_batched = bus_with_two_subscribers()
+    batched.publish(*messages)
+    single, got_single = bus_with_two_subscribers()
+    for m in messages:
+        single.publish(m)
+    assert got_batched == got_single
+    assert 0 < len(got_batched) < 2 * len(messages)  # some deliveries were lost
+    assert batched.log == single.log == messages
+    assert batched.rng.bit_generator.state == single.rng.bit_generator.state

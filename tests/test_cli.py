@@ -327,7 +327,7 @@ def test_replan_demo_exit_1_when_repair_fails(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(sim, "repair", repair)
     assert main(["replan-demo", "--seed", "0", "--out", str(tmp_path / "o")]) == 1
-    assert "repair failed" in capsys.readouterr().err
+    assert "repair failed: no collision-free bracketing waypoints remain" in capsys.readouterr().err
 
 
 # -- determinism -------------------------------------------------------------

@@ -37,6 +37,13 @@ def test_id_formula_roundtrip():
         assert cell == 1 + ix + iy * 5 + iz * 25
 
 
+@pytest.mark.parametrize("cell", [0, -1, 126])
+def test_cell_coords_rejects_ids_out_of_range(cell):
+    # The table's unused index 0 and Python's negative indices must not answer.
+    with pytest.raises(ValueError, match="out of range"):
+        make_grid().cell_coords(cell)
+
+
 def test_locate_reference_points():
     g = make_grid()
     assert g.locate(Point3(0, 0, 0)) == 1

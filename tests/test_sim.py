@@ -165,6 +165,17 @@ def test_a_non_finite_position_raises_before_it_is_published():
     with pytest.raises(ValueError, match="non-finite position"):
         world._record_tick()
     assert len(world.bus.log) == logged
+    # The tick's reports are all checked before any is published: a finite
+    # report ahead of the non-finite one is not logged either.
+    world = World(load_scenario(OPEN_SKY_FLEET), Mode.SSP)
+    while sum(u.phase is UavPhase.FLYING for u in world.uavs) < 2:
+        world.step()
+    second = [u for u in world.uavs if u.phase is UavPhase.FLYING][1]
+    second.position = np.array([1.0, 1.0, np.inf])
+    logged = len(world.bus.log)
+    with pytest.raises(ValueError, match=f"{second.id}: non-finite position"):
+        world._record_tick()
+    assert len(world.bus.log) == logged
 
 
 def test_position_is_a_fresh_array_of_the_stored_floats():
@@ -466,6 +477,7 @@ def test_an_escalated_replan_keeps_the_flown_part_of_the_cell(monkeypatch):
     assert not np.array_equal(uav.position, wp[nxt - 1])
     world.inject_sudden_obstacle(make_sudden(wp[nxt + 1], side=2.0), world.tick)
     assert [e["kind"] for e in world.metrics.events[-2:]] == ["repair_failed", "cell_replanned"]
+    assert world.metrics.events[-2]["reason"] == "no bracket"
     new = uav.active_waypath.waypoints
     assert np.array_equal(new[:nxt], wp[:nxt])
     assert np.array_equal(new[nxt], uav.position) and uav.next_waypoint_index == nxt + 1

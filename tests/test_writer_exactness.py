@@ -1,22 +1,28 @@
 """Exactness of the CSV result writer.
 
 `output.write_table` joins a row's values with commas and hands only a row
-that needs quoting to `csv.writer`. It must write the same bytes as the
+that needs quoting to `csv.writer`; the ADS-B log formats a position row
+that needs no quoting in one step. They must write the same bytes as the
 frozen writer in `reference_kernels.py`, which passes every row through
 `csv.writer`: for values with commas, quotes, CR and LF, empty strings,
-bools, ints, numpy scalars, -0.0, infinities and NaN, and for every table of
-a `simulate` run whose UAV id holds a comma and a quote.
+bools, ints, numpy scalars, -0.0, infinities and NaN, for a hand-built bus
+log, and for every table of a `simulate` run whose UAV id holds a comma and
+a quote.
 """
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from skygrid import output
+from skygrid.adsb import AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert
 from skygrid.cli import main
+from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
+from skygrid.sim import SimMetrics
 
 value = st.one_of(
     st.text(alphabet=',"\r\n ;|=a', max_size=6),
@@ -50,6 +56,50 @@ def test_csv_bytes_match_the_reference_writer(table):
             assert a.read() == b.read()
 
 
+def _position(sender, uav_id, tick=3, xyz=(1.0, 2.5, 3.0)):
+    return AdsbMessage(sender, tick, PositionReport(uav_id, *xyz))
+
+
+HAND_BUILT_LOG = [
+    _position("uav0", "uav0"),
+    _position("a,b", "a,b"),
+    _position('say "hi"', 'say "hi"', xyz=(-0.0, float("inf"), float("nan"))),
+    _position("line\nbreak", "line\nbreak"),
+    _position("cr\r", "cr\r"),
+    _position("relay", "uav0"),  # a sender that is not the reported UAV
+    _position("uav0", "x,y"),
+    _position('q"', "uav0"),
+    _position("", "uav0", xyz=(1e-7, 123456789.123456789, -2.0)),
+    _position("uav0", "uav0", tick=np.int64(4)),
+    _position("uav0", "uav0", tick=True),
+    _position("uav0", 7),
+    _position(7.5, "uav0"),
+    AdsbMessage("ground-station", 3, OccupancyReport((0, 2, 1))),
+    AdsbMessage(
+        "ground-station", 3,
+        SuddenObstacleAlert(
+            CuboidObstacle(Point3(1.0, 2.0, 0.0), 4.0, 5.0, 6.0, ObstacleKind.SUDDEN, "s,1"), 2
+        ),
+    ),
+    _position("uav0", "uav0", tick=4),
+    _position("a,b", "a,b", tick=4),
+    _position("uav1", "uav1", tick=4),
+    _position("relay", "uav1", tick=4),
+    _position("uav2", "uav2", tick=4, xyz=(0.5, 0.25, 0.125)),
+]
+
+
+@pytest.mark.parametrize("chunk_lines", [output.ADSB_CHUNK_LINES, 1, 2])
+def test_adsb_log_matches_the_reference_writer(tmp_path, monkeypatch, chunk_lines):
+    monkeypatch.setattr(output, "ADSB_CHUNK_LINES", chunk_lines)
+    output.emit_results(SimMetrics(n_cells=1), str(tmp_path / "new"), "csv", bus_log=HAND_BUILT_LOG)
+    ref.write_table(str(tmp_path / "old"), output.ADSB_HEADER, output.adsb_rows(HAND_BUILT_LOG), "csv")
+    written = (tmp_path / "new" / "adsb_log.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    assert written.count(b"\r\n") > len(HAND_BUILT_LOG)  # some values hold line breaks
+    assert b'\r\n3,"a,b",position,"uav=a,b;x=1.000000;' in written
+
+
 # The first UAV's id needs quoting in every table that names it.
 QUOTED_ID_SCENARIO = """\
 airspace: {extent: [200, 200, 50], cells: [1, 1, 1]}
@@ -67,6 +117,10 @@ def test_simulate_tables_match_the_reference_writer(tmp_path, monkeypatch):
     new, old = tmp_path / "new", tmp_path / "old"
     assert main(argv + [str(new)]) == 0
     monkeypatch.setattr(output, "write_table", ref.write_table)
+    monkeypatch.setattr(
+        output, "_write_adsb_csv",
+        lambda path, log: ref.write_table(path, output.ADSB_HEADER, output.adsb_rows(log), "csv"),
+    )
     assert main(argv + [str(old)]) == 0
     names = sorted(os.listdir(new))
     assert names == sorted(os.listdir(old)) and len(names) == 6
