@@ -16,7 +16,6 @@ import numpy as np
 
 from .geometry import CuboidObstacle, ObstacleKind, Point3, box_distances, obstacle_arrays, slab_planes, slab_test
 from .sampling import (
-    DEFAULT_SMOOTH_WINDOW,
     DEFAULT_WAYPOINT_COUNT,
     PlanningFailed,
     RrtParams,
@@ -370,7 +369,6 @@ def build_seed_population(
     rrt_params: Optional[RrtParams] = None,
     swarm: Optional[SwarmParams] = None,
     count: int = DEFAULT_WAYPOINT_COUNT,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> np.ndarray:
     """RRT + Bi-RRT seed paths plus the straight-line connection, as a
     (P, count, 3) array.
@@ -389,7 +387,7 @@ def build_seed_population(
         for _ in range(n):
             try:
                 raw = planner(bounds, obstacles, start, goal, rrt_params, rng)
-                seeds.append(smooth_and_resample(raw, obstacles, count, smooth_window))
+                seeds.append(smooth_and_resample(raw, obstacles, count))
             except PlanningFailed:
                 failures += 1
     if failures == swarm.n_rrt + swarm.n_birrt and failures > 0:

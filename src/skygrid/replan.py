@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .pso import ConstraintParams
 from .sampling import (
-    DEFAULT_SMOOTH_WINDOW,
     PlanningFailed,
     RrtParams,
     _smooth,
@@ -57,7 +56,6 @@ def repair(
     constraints: ConstraintParams,
     rng: np.random.Generator,
     rrt_params: Optional[RrtParams] = None,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> Optional[np.ndarray]:
     """The (J, 3) path with the conflicting stretch replaced by a smoothed
     Bi-RRT detour, or None when nothing conflicts.
@@ -88,5 +86,5 @@ def repair(
     bounds = (constraints.bounds_lo, constraints.bounds_hi)
     raw = birrt_plan(bounds, full, Point3.from_array(path[lo]), Point3.from_array(path[hi]), rrt_params, rng)
 
-    detour = np.array(_smooth(raw, boxes, smooth_window), dtype=float)
+    detour = np.array(_smooth(raw, boxes), dtype=float)
     return np.vstack([path[: lo + 1], detour[1:-1], path[hi:]])

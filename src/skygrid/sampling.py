@@ -18,7 +18,8 @@ import numpy as np
 from .geometry import CuboidObstacle, Point3
 
 DEFAULT_WAYPOINT_COUNT = 10
-DEFAULT_SMOOTH_WINDOW = 5
+# The moving-average window of every smoothing pass, in vertices.
+SMOOTH_WINDOW = 5
 
 
 class PlanningFailed(Exception):
@@ -490,11 +491,11 @@ def resample_points(pts: Sequence[Sequence[float]], count: int) -> list[tuple[fl
     return out
 
 
-def _smooth(raw, boxes: Boxes, window: int) -> list:
+def _smooth(raw, boxes: Boxes) -> list:
     """Shortcut, moving-average smooth, and shortcut again a raw planner path;
     float triples in the returned list."""
     path = shortcut(np.asarray(raw, dtype=float).tolist(), boxes)
-    path = moving_average_smooth(path, boxes, window)
+    path = moving_average_smooth(path, boxes, SMOOTH_WINDOW)
     return shortcut(path, boxes)
 
 
@@ -502,7 +503,6 @@ def smooth_and_resample(
     raw: np.ndarray,
     obstacles: Iterable[CuboidObstacle],
     count: int = DEFAULT_WAYPOINT_COUNT,
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW,
 ) -> np.ndarray:
     """Shortcut, smooth, and resample a raw polyline to exactly `count` points.
 
@@ -511,7 +511,7 @@ def smooth_and_resample(
     has checked. Raises PlanningFailed when the smoothed path has more than
     `count` vertices.
     """
-    path = _smooth(raw, flatten_obstacles(obstacles), smooth_window)
+    path = _smooth(raw, flatten_obstacles(obstacles))
     if len(path) > count:
         raise PlanningFailed(f"smoothed path keeps {len(path)} vertices, more than {count} waypoints")
     return resample_polyline(path, count)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -22,7 +22,7 @@ from .coarse import SspParams
 from .geometry import CuboidObstacle, ObstacleKind, Point3
 from .grid import AirspaceGrid, OutOfAirspace
 from .pso import ConstraintParams, CostParams, SwarmParams
-from .sampling import DEFAULT_SMOOTH_WINDOW, DEFAULT_WAYPOINT_COUNT, RrtParams, flatten_obstacles, point_free
+from .sampling import DEFAULT_WAYPOINT_COUNT, RrtParams, flatten_obstacles, point_free
 
 DEFAULT_EXTENT = (1000.0, 1000.0, 250.0)
 DEFAULT_COUNTS = (5, 5, 5)
@@ -48,7 +48,6 @@ BOUNDS = {
     "stagger": (0, None),
     "loss_rate": (0.0, 1.0),
     "waypoints_per_cell": (3, 1000),
-    "smooth_window": (0, 1000),
     "max_ticks": (1, 20_000),
     "rrt.max_iterations": (None, 20_000),
     "swarm.max_iterations": (None, 10_000),
@@ -76,7 +75,7 @@ CELL_OBSTACLES = (
 PARAM_SECTIONS = {"ssp": SspParams, "rrt": RrtParams, "cost": CostParams, "swarm": SwarmParams}
 # Top-level scalars; their defaults and types are those of the Scenario fields.
 SCALAR_KEYS = (
-    "waypoints_per_cell", "smooth_window", "seed", "mode", "max_ticks", "stagger", "loss_rate", "dt",
+    "waypoints_per_cell", "seed", "mode", "max_ticks", "stagger", "loss_rate", "dt",
 )
 
 
@@ -131,47 +130,12 @@ class Scenario:
     swarm: SwarmParams = field(default_factory=SwarmParams)
     constraint_limits: dict[str, float] = field(default_factory=_default_limits)
     waypoints_per_cell: int = DEFAULT_WAYPOINT_COUNT
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW
     seed: int = 0
     mode: str = "SSP"
     max_ticks: int = 5000
     stagger: int = 0
     loss_rate: float = 0.0
     dt: float = 1.0
-
-    def to_dict(self) -> dict:
-        """Canonical fully-materialized form (no random-generation blocks)."""
-
-        def ob_dict(ob: CuboidObstacle) -> dict:
-            return {
-                "anchor": [ob.anchor.x, ob.anchor.y, ob.anchor.z],
-                "lengths": [ob.len_x, ob.len_y, ob.len_z],
-                "kind": ob.kind.value,
-                "id": ob.id,
-            }
-
-        return {
-            "airspace": {"extent": list(self.extent), "cells": list(self.counts)},
-            "obstacles": [ob_dict(ob) for ob in self.obstacles],
-            "uavs": [
-                {
-                    "id": u.id,
-                    "start": [u.start.x, u.start.y, u.start.z],
-                    "goal": [u.goal.x, u.goal.y, u.goal.z],
-                    "speed": u.speed,
-                }
-                for u in self.uavs
-            ],
-            "injections": [
-                {"tick": t, "obstacle": ob_dict(ob)} for t, ob in self.injections
-            ],
-            **{name: asdict(getattr(self, name)) for name in PARAM_SECTIONS},
-            "constraints": dict(self.constraint_limits),
-            **{key: getattr(self, key) for key in SCALAR_KEYS},
-        }
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
 
 
 def _scalar(value, cast, name: str):

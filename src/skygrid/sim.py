@@ -251,12 +251,11 @@ class World:
         constraints = self._cell(cell).constraints
         bounds = (constraints.bounds_lo, constraints.bounds_hi)
         count = self.scenario.waypoints_per_cell
-        smooth_window = self.scenario.smooth_window
 
         if self.mode in (Mode.RRT_ONLY, Mode.BIRRT_ONLY):
             planner = rrt_plan if self.mode is Mode.RRT_ONLY else birrt_plan
             raw = planner(bounds, obstacles, entry, target, self.scenario.rrt, uav.rng)
-            return smooth_and_resample(raw, obstacles, count, smooth_window)
+            return smooth_and_resample(raw, obstacles, count)
 
         # No path of `count` waypoints within the length limits spans more
         # than `reach`; the slack keeps rounding from deciding.
@@ -280,7 +279,7 @@ class World:
             try:
                 seeds = build_seed_population(
                     bounds, obstacles, entry, target, uav.rng,
-                    self.scenario.rrt, self.scenario.swarm, count, smooth_window,
+                    self.scenario.rrt, self.scenario.swarm, count,
                 )
                 best, history = optimize(
                     seeds, obstacles, self.scenario.cost, constraints,
@@ -349,14 +348,21 @@ class World:
             try:
                 route = repair(
                     np.array((uav.xyz,) + wp[nxt:]), ob, obstacles,
-                    self._cell(cell).constraints, uav.rng, self.scenario.rrt, self.scenario.smooth_window,
+                    self._cell(cell).constraints, uav.rng, self.scenario.rrt,
                 )
                 event = "repair"
             except PlanningFailed as exc:
-                # Escalate: re-plan the rest of the cell from the current position.
+                # Escalate: re-plan the rest of the cell from the current
+                # position. An exit point the cell's obstacles now cover is
+                # drawn afresh, as on a cell entry; the goal cannot be.
                 self._log("repair_failed", uav.id, cell=cell, reason=str(exc))
+                here = Point3(*uav.xyz)
                 try:
-                    route = self._fine_plan(uav, cell, Point3(*uav.xyz), Point3(*wp[-1]))
+                    target = Point3(*wp[-1])
+                    boxes = flatten_obstacles(self._cell_obstacles(cell))
+                    if cell != uav.goal_cell and not point_free(wp[-1], boxes):
+                        target = self._exit_point(uav, uav.coarse_plan, cell, here)
+                    route = self._fine_plan(uav, cell, here, target)
                 except PlanningFailed as exc:
                     uav.phase = UavPhase.FAILED
                     self._log("replan_failed", uav.id, cell=cell, reason=str(exc))

@@ -1,6 +1,7 @@
 """Shared fixtures and the independent oracles the tests check the planner
-against: angles and lengths, clamp distance, dense-sampling collision and
-exhaustive coarse search. They share no code with the planner's kernels."""
+against: angles and lengths, clamp distance, dense-sampling collision,
+exhaustive coarse search and UAV-to-UAV separation. They share no code with
+the planner's kernels."""
 
 import math
 from dataclasses import dataclass
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from skygrid.adsb import PositionReport
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 
 
@@ -131,6 +133,45 @@ def exhaustive_min_cost(grid, cost_of, start, goal):
 
     dfs(start, {start}, cost_of(start))
     return best[0]
+
+
+# -- UAV separation oracle ------------------------------------------------------
+
+
+def separation_minima(log, speeds, dt):
+    """Independent UAV-to-UAV separation oracle over an ADS-B bus log.
+
+    Returns (the smallest separation of two UAVs reported at the same tick,
+    the smallest lower bound on their separation between two consecutive
+    ticks). Two UAVs at speeds v_i and v_j, d0 apart at one tick and d1 at the
+    next, close by at most (v_i + v_j) * s in time s, so during that tick of
+    length dt they stay at least (d0 + d1 - (v_i + v_j) * dt) / 2 apart. A
+    pair is bounded over the ticks where both report at both ends. `speeds`
+    maps each UAV id to its speed.
+    """
+    ticks: dict[int, dict[str, tuple]] = {}
+    for msg in log:
+        p = msg.payload
+        if isinstance(p, PositionReport):
+            ticks.setdefault(msg.tick, {})[p.uav_id] = (p.x, p.y, p.z)
+
+    def pair_distances(ids, at):
+        xyz = np.array([at[k] for k in ids], dtype=float).reshape(-1, 3)
+        i, j = np.triu_indices(len(ids), 1)
+        return np.linalg.norm(xyz[i] - xyz[j], axis=1), i, j
+
+    sampled = bound = math.inf
+    for tick, at in ticks.items():
+        ids = sorted(at)
+        d, _, _ = pair_distances(ids, at)
+        sampled = min(sampled, d.min(initial=math.inf))
+        before = ticks.get(tick - 1, {})
+        both = [k for k in ids if k in before]
+        d1, i, j = pair_distances(both, at)
+        d0, _, _ = pair_distances(both, before)
+        v = np.array([speeds[k] for k in both])
+        bound = min(bound, ((d0 + d1 - (v[i] + v[j]) * dt) / 2).min(initial=math.inf))
+    return float(sampled), float(bound)
 
 
 def make_sudden(center, side=6.0):

@@ -45,8 +45,10 @@ def segment_free(a, b, boxes) -> bool:
                     hit = False
                     break
             else:
-                t0 = (lo - start) / delta
-                t1 = (hi - start) / delta
+                # numpy scalars warn on an overflow to inf; the values stay as they were.
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    t0 = (lo - start) / delta
+                    t1 = (hi - start) / delta
                 if t0 > t1:
                     t0, t1 = t1, t0
                 if t0 > t_enter:
@@ -68,7 +70,7 @@ def segments_intersect_cuboids(starts, ends, lo, hi, margin=0.0):
     hi_m = hi + margin
     a = starts[:, None, :]
     d = ends[:, None, :] - a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t0 = (lo_m[None, :, :] - a) / d
         t1 = (hi_m[None, :, :] - a) / d
     t_near = np.minimum(t0, t1)

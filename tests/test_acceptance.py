@@ -22,8 +22,10 @@ from conftest import (
     exhaustive_min_cost,
     make_sudden,
     pitch_angle,
+    separation_minima,
     turn_angle,
 )
+from skygrid.adsb import AdsbMessage, OccupancyReport, PositionReport
 from skygrid.cli import main as cli_main
 from skygrid.coarse import node_costs, plan_coarse, SspParams
 from skygrid.grid import AirspaceGrid
@@ -98,7 +100,7 @@ def reference_cell_runs():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        seeds = build_seed_population(bounds, obstacles, start, goal, rng, rp, sp, 10, 5)
+        seeds = build_seed_population(bounds, obstacles, start, goal, rng, rp, sp, 10)
         seed_costs = [penalized_cost(Waypath(s), obstacles, cp, constraints) for s in seeds]
         best, history = optimize(seeds, obstacles, cp, constraints, sp, rng)
         final = penalized_cost(Waypath(best), obstacles, cp, constraints)
@@ -133,6 +135,10 @@ def occupancy_comparison():
                 "obstacles": list(sc.obstacles),
                 "grid": world.grid,
                 "n_uavs": len(sc.uavs),
+                # The separation oracle's input: every position report of the run.
+                "log": world.bus.log,
+                "speeds": {u.id: u.speed for u in sc.uavs},
+                "dt": sc.dt,
             }
         sets.append(pair)
     return {"sets": sets, "elapsed": time.perf_counter() - t0}
@@ -305,6 +311,51 @@ def test_criterion_5_sliding_window_reduces_peak_occupancy(occupancy_comparison)
     assert wins >= 4, f"SSP peak occupancy higher in {5 - wins}/5 sets"
     assert np.mean(ssp_peaks) < np.mean(base_peaks), (ssp_peaks, base_peaks)
     assert occupancy_comparison["elapsed"] < 600.0
+
+
+# The separation below which two UAVs may touch. The sim flies points; a
+# multirotor of the paper's class spans up to about 1.5 m rotor tip to rotor
+# tip (a DJI Matrice 300 RTK: 895 mm diagonal wheelbase, 533 mm propellers),
+# so two centres closer than 1.5 m cannot be called collision-free. It is a
+# contact threshold, the literal reading of the claim; a separation standard
+# for traffic would be larger.
+CONTACT_SEPARATION_M = 1.5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the sim does not deconflict UAVs from each other; --runxfail prints the per-seed minima",
+)
+def test_ssp_runs_keep_uav_pairs_apart(occupancy_comparison):
+    """The paper's multi-UAV "collision-free" claim, checked on the criterion 5
+    SSP runs (seeds 1-5) by an oracle that reads only their ADS-B position
+    reports: between any two ticks, no two UAVs come within the contact
+    separation."""
+    rows = []
+    for seed, pair in zip((1, 2, 3, 4, 5), occupancy_comparison["sets"]):
+        info = pair[Mode.SSP]
+        rows.append((seed, *separation_minima(info["log"], info["speeds"], info["dt"])))
+    table = "\n".join(f"seed {s}: sampled {a:.2f} m, lower bound {b:.2f} m" for s, a, b in rows)
+    assert min(b for _, _, b in rows) >= CONTACT_SEPARATION_M, table
+
+
+def test_separation_oracle_bounds_a_pass_between_ticks():
+    """Two UAVs at 5 m/s on parallel lines 3 m apart pass each other between
+    ticks 1 and 2: both ticks sample sqrt(34) m, and the bound
+    (2 sqrt(34) - 10) / 2 lies below the true 3 m at mid-tick. A UAV that
+    reports at one tick only counts for the sampled minimum alone."""
+    log = [
+        AdsbMessage("a", 1, PositionReport("a", 0.0, 0.0, 10.0)),
+        AdsbMessage("b", 1, PositionReport("b", 5.0, 3.0, 10.0)),
+        AdsbMessage("ground-station", 1, OccupancyReport((2,))),
+        AdsbMessage("a", 2, PositionReport("a", 5.0, 0.0, 10.0)),
+        AdsbMessage("b", 2, PositionReport("b", 0.0, 3.0, 10.0)),
+        AdsbMessage("c", 2, PositionReport("c", 0.0, 40.0, 10.0)),
+    ]
+    sampled, bound = separation_minima(log, {"a": 5.0, "b": 5.0, "c": 50.0}, 1.0)
+    assert sampled == pytest.approx(math.sqrt(34.0))
+    assert bound == pytest.approx(math.sqrt(34.0) - 5.0)
+    assert bound <= 3.0
 
 
 def test_criterion_6_attraction_shortens_turning_routes_only(attraction_comparison):

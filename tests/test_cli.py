@@ -7,7 +7,6 @@ import pytest
 from skygrid import sim
 from skygrid.cli import main
 from skygrid.sampling import PlanningFailed
-from skygrid.scenario import single_cell_scenario
 
 SMALL_SCENARIO = """\
 airspace: {extent: [200, 200, 50], cells: [1, 1, 1]}
@@ -152,6 +151,8 @@ def test_exit_2_on_invalid_scenario(tmp_path):
         ("mode: Nope\n", "mode"),
         ("cost: {k4: -1.0, k5: -100.0}\n", "cost: k4"),
         ("cost: {k3: .nan}\n", "cost.k3"),
+        # The smoothing window is fixed: no key sets it.
+        ("smooth_window: 5\n", "unknown key(s) ['smooth_window']"),
         pytest.param("uavs: [" + "x, " * 1001 + "]\n", "uavs: at most 1000", id="uavs-1001"),
         pytest.param(
             "airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}\n"
@@ -288,13 +289,24 @@ def test_exit_1_names_the_uavs_that_never_took_off(tmp_path, capsys, command):
     assert "uav1" not in err.split("not launched")[0]
 
 
+# The reference cell (`single_cell_scenario`) at 3 waypoints, RRT only.
+REFERENCE_CELL_3 = """\
+airspace: {extent: [200, 200, 50], cells: [1, 1, 1]}
+obstacles:
+  - {id: ob1, anchor: [40, 50, 0], lengths: [50, 50, 100]}
+  - {id: ob2, anchor: [20, 120, 0], lengths: [30, 30, 100]}
+  - {id: ob3, anchor: [150, 125, 0], lengths: [30, 30, 100]}
+uavs:
+  - {start: [10, 90, 10], goal: [190, 130, 10]}
+waypoints_per_cell: 3
+mode: RrtOnly
+"""
+
+
 def test_exit_1_when_a_smoothed_path_needs_more_waypoints(tmp_path):
-    # The reference cell at 3 waypoints: this seed's RRT path keeps 4 vertices.
-    sc = single_cell_scenario()
-    sc.waypoints_per_cell = 3
-    sc.mode = "RrtOnly"
+    # This seed's RRT path keeps 4 vertices.
     path = tmp_path / "ref3.yaml"
-    path.write_text(sc.to_yaml())
+    path.write_text(REFERENCE_CELL_3)
     out = str(tmp_path / "out")
     assert main(["plan", "--scenario", str(path), "--seed", "1", "--out", out]) == 1
     with open(os.path.join(out, "events.csv")) as fh:

@@ -328,7 +328,7 @@ def test_smoothing_on_floats_matches_the_frozen_array_smoothing(case):
     assert _same_bits(
         np.array(sampling.moving_average_smooth(rows, boxes, window)), ref.moving_average_smooth(path, boxes, window)
     )
-    assert _same_bits(np.array(sampling._smooth(path, boxes, window)), ref.smooth(path, boxes, window))
+    assert _same_bits(np.array(sampling._smooth(path, boxes)), ref.smooth(path, boxes, sampling.SMOOTH_WINDOW))
 
 
 # -- planners against digests recorded before the rewrite ---------------------

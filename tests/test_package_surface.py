@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "skygrid"
 # Defined but referred to only from outside the program, one reason each.
 ALLOWED = {
     "sim.run_scenario": "the library entry point the README documents",
-    "scenario.Scenario.to_yaml": "the canonical round-trip of a loaded scenario",
     "pso.trajectory_cost": "the paper's cost J; the planner scores with _Scorer through optimize, perfbench with penalized_cost",
 }
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import dense_sample_penetrates, path_length
 from skygrid.geometry import CuboidObstacle, Point3
 from skygrid.sampling import (
-    DEFAULT_SMOOTH_WINDOW,
     PlanningFailed,
     RrtParams,
+    SMOOTH_WINDOW,
     Waypath,
     birrt_plan,
     flatten_obstacles,
@@ -187,7 +187,7 @@ def test_smooth_and_resample_contract(seed, count, planner):
     rng = np.random.default_rng(seed)
     raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
     boxes = flatten_obstacles(CELL_OBS)
-    smoothed = moving_average_smooth(shortcut(raw.tolist(), boxes), boxes, DEFAULT_SMOOTH_WINDOW)
+    smoothed = moving_average_smooth(shortcut(raw.tolist(), boxes), boxes, SMOOTH_WINDOW)
     vertices = shortcut(smoothed, boxes)
     if len(vertices) > count:
         with pytest.raises(PlanningFailed, match=f"more than {count} waypoints"):

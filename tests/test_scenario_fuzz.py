@@ -113,7 +113,6 @@ SCENARIO_KEYS = {
     "swarm": section(SwarmParams),
     "mode": mostly(st.sampled_from(["SSP", "NoSlidingWindow", "RrtOnly", "Nope"])),
     "waypoints_per_cell": mostly(st.integers(3, 20)),
-    "smooth_window": mostly(st.integers(1, 10)),
     "seed": mostly(st.integers(0, 100)),
     "max_ticks": mostly(st.integers(1, 100)),
     "stagger": mostly(st.integers(0, 5)),

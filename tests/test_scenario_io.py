@@ -217,6 +217,7 @@ def test_rejects_bad_parameter_values():
         ("rrt: {max_iterations: 20001}\nobstacles: []\n", "rrt.max_iterations"),
         ("swarm: {max_iterations: 10001}\nobstacles: []\n", "swarm.max_iterations"),
         ("waypoints_per_cell: 2000000000\nobstacles: []\n", "waypoints_per_cell"),
+        # Unknown keys: no key sets the smoothing window (`sampling.SMOOTH_WINDOW`).
         ("smooth_window: 1001\nobstacles: []\n", "smooth_window"),
         ("swarm: {n_rrt: 0, n_birrt: 0}\nobstacles: []\n", "swarm: n_rrt + n_birrt"),
         ("swarm: {n_rrt: -3}\nobstacles: []\n", "swarm: n_rrt"),
@@ -296,21 +297,20 @@ def test_swarm_needs_a_seed_path(kwargs):
 def test_inputs_at_their_lower_bounds_load():
     sc = load_scenario(
         "swarm: {max_iterations: 0, stall_iterations: 1, stall_tolerance: 0.0, c1: 0.0, c2: 0.0, inertia: 0.0}\n"
-        "smooth_window: 0\nobstacles: []\n"
+        "obstacles: []\n"
     )
     assert (sc.swarm.max_iterations, sc.swarm.stall_iterations, sc.swarm.stall_tolerance) == (0, 1, 0.0)
     assert (sc.swarm.c1, sc.swarm.c2, sc.swarm.inertia) == (0.0, 0.0, 0.0)
     assert load_scenario("swarm: {inertia: 0.999}\nobstacles: []\n").swarm.inertia == 0.999
-    assert sc.smooth_window == 0
 
 
 def test_inputs_at_their_upper_bounds_load():
     sc = load_scenario(
         "rrt: {max_iterations: 20000}\nswarm: {max_iterations: 10000, n_rrt: 0, n_birrt: 1}\n"
-        "waypoints_per_cell: 1000\nsmooth_window: 1000\nobstacles: []\n"
+        "waypoints_per_cell: 1000\nobstacles: []\n"
     )
     assert (sc.rrt.max_iterations, sc.swarm.max_iterations) == (20000, 10000)
-    assert (sc.waypoints_per_cell, sc.smooth_window) == (1000, 1000)
+    assert sc.waypoints_per_cell == 1000
     assert (sc.swarm.n_rrt, sc.swarm.n_birrt) == (0, 1)
 
 
@@ -508,20 +508,9 @@ def test_seed_and_mode_overrides():
     assert sc.mode == "RrtOnly"
 
 
-def test_yaml_roundtrip_is_stable():
-    sc = load_scenario("", seed_override=6)
-    text = sc.to_yaml()
-    again = load_scenario(text)
-    assert again.to_yaml() == text
-    assert len(again.obstacles) == len(sc.obstacles)
-
-
 def test_swarm_stall_fields_roundtrip():
-    sc = single_cell_scenario(seed=1)
-    sc.swarm = SwarmParams(stall_iterations=7, stall_tolerance=0.5)
-    again = load_scenario(sc.to_yaml())
-    assert again.swarm == sc.swarm
-    assert again.to_dict() == sc.to_dict()
+    sc = load_scenario("swarm: {stall_iterations: 7, stall_tolerance: 0.5}\nobstacles: []\n")
+    assert sc.swarm == SwarmParams(stall_iterations=7, stall_tolerance=0.5)
 
 
 def test_section_values_take_their_field_types():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 from pathlib import Path
 
@@ -282,12 +283,11 @@ def test_mode_string_coercion_and_validation():
 def test_ablations_never_fly_through_a_building(mode):
     """The reference cell at 3 waypoints, where most smoothed paths keep 4 or
     more vertices: a run either arrives on a clear path or fails the cell."""
-    sc = single_cell_scenario()
-    sc.waypoints_per_cell = 3
-    sc.mode = mode
-    text = sc.to_yaml()
+    base = single_cell_scenario()
+    base.waypoints_per_cell = 3
+    base.mode = mode
     for seed in range(30):
-        sc = load_scenario(text, seed_override=seed)
+        sc = dataclasses.replace(base, seed=seed)
         metrics = run_scenario(sc, mode)
         for path in metrics.executed:
             assert not dense_sample_penetrates(path.waypoints, sc.obstacles), seed
@@ -485,6 +485,41 @@ def test_an_escalated_replan_keeps_the_flown_part_of_the_cell(monkeypatch):
     assert metrics.arrived == ["uav0"]
     recorded = np.linalg.norm(np.diff(metrics.executed[-1].waypoints, axis=0), axis=1).sum()
     assert recorded == pytest.approx(metrics.per_uav_length["uav0"], abs=1e-6)
+
+
+TWO_CELLS = """\
+airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}
+obstacles: []
+uavs:
+  - {start: [10, 100, 10], goal: [390, 100, 10]}
+"""
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_a_sudden_obstacle_over_the_exit_point_redraws_it(seed):
+    """A cube over the route's last point, the exit point, leaves the repair no
+    bracket; the escalation re-plans to a fresh exit point and the UAV arrives."""
+    world = World(load_scenario(TWO_CELLS, seed_override=seed), Mode.SSP)
+    world.step()
+    uav = world.uavs[0]
+    exit_point = uav.route[-1]
+    assert exit_point[0] == 200.0 and uav.current_cell != uav.goal_cell
+    world.inject_sudden_obstacle(make_sudden(exit_point, side=10.0), world.tick)
+    assert [e["kind"] for e in world.metrics.events[-2:]] == ["repair_failed", "cell_replanned"]
+    assert world.metrics.events[-2]["reason"] == "no collision-free bracketing waypoints remain"
+    new_exit = uav.route[-1]
+    assert new_exit[0] == 200.0 and new_exit != exit_point
+    assert world.run().arrived == ["uav0"]
+
+
+def test_a_sudden_obstacle_over_the_goal_fails_the_uav():
+    """The goal cannot be redrawn: a cube over it fails the UAV."""
+    world = World(empty_single_cell(seed=1), Mode.SSP)
+    world.step()
+    uav = world.uavs[0]
+    world.inject_sudden_obstacle(make_sudden(uav.route[-1], side=10.0), world.tick)
+    assert [e["kind"] for e in world.metrics.events[-2:]] == ["repair_failed", "replan_failed"]
+    assert uav.phase is UavPhase.FAILED
 
 
 def test_the_route_is_the_installed_path_after_every_tick():
