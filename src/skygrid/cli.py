@@ -158,7 +158,7 @@ def cmd_replan_demo(args) -> int:
         kind=ObstacleKind.SUDDEN,
         id="demo-sudden",
     )
-    conflicts = detect_conflicts(committed, ob)
+    conflicts = detect_conflicts(uav.route, ob)
     world.inject_sudden_obstacle(ob, world.tick)
     failed = [e for e in world.metrics.events if e["kind"] == "repair_failed"]
     if failed:

@@ -14,6 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+# A position as a float triple, the form routes are kept in.
+Xyz = tuple[float, float, float]
+
+
 class ObstacleKind(Enum):
     STATIC = "static"
     SUDDEN = "sudden"
@@ -33,10 +37,6 @@ class Point3:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Point3":
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3
+from .geometry import CuboidObstacle, ObstacleKind, Point3, Xyz
 from .pso import ConstraintParams
 from .sampling import (
     PlanningFailed,
@@ -26,8 +26,9 @@ from .sampling import (
 )
 
 
-def detect_conflicts(path: np.ndarray, ob: CuboidObstacle) -> set[int]:
-    """Indices of the (J, 3) path's waypoints in conflict with the obstacle.
+def detect_conflicts(path: Sequence[Xyz], ob: CuboidObstacle) -> set[int]:
+    """Indices of the path's waypoints (float triples) in conflict with the
+    obstacle.
 
     A waypoint inside the obstacle conflicts directly. A segment crossing the
     obstacle with both endpoints clear flags both its endpoints (the crossing
@@ -37,28 +38,27 @@ def detect_conflicts(path: np.ndarray, ob: CuboidObstacle) -> set[int]:
     if ob.kind is not ObstacleKind.SUDDEN:
         raise ValueError("conflict detection applies to sudden obstacles")
     boxes = flatten_obstacles([ob])
-    pts = path.tolist()
-    contained = {j for j in range(len(pts)) if not point_free(pts[j], boxes)}
+    contained = {j for j in range(len(path)) if not point_free(path[j], boxes)}
     conflicts = set(contained)
-    for j in range(len(pts) - 1):
+    for j in range(len(path) - 1):
         if j in contained or j + 1 in contained:
             continue
-        if not segment_free(pts[j], pts[j + 1], boxes):
+        if not segment_free(path[j], path[j + 1], boxes):
             conflicts.add(j)
             conflicts.add(j + 1)
     return conflicts
 
 
 def repair(
-    path: np.ndarray,
+    path: Sequence[Xyz],
     ob: CuboidObstacle,
     obstacles: Sequence[CuboidObstacle],
     constraints: ConstraintParams,
     rng: np.random.Generator,
     rrt_params: Optional[RrtParams] = None,
-) -> Optional[np.ndarray]:
-    """The (J, 3) path with the conflicting stretch replaced by a smoothed
-    Bi-RRT detour, or None when nothing conflicts.
+) -> Optional[list[Xyz]]:
+    """The path (float triples) with the conflicting stretch replaced by a
+    smoothed Bi-RRT detour, as float triples, or None when nothing conflicts.
 
     The resulting waypoint count may differ from the original. Raises
     PlanningFailed when no collision-free bracket exists or Bi-RRT cannot
@@ -84,7 +84,6 @@ def repair(
         raise PlanningFailed("no collision-free bracketing waypoints remain")
 
     bounds = (constraints.bounds_lo, constraints.bounds_hi)
-    raw = birrt_plan(bounds, full, Point3.from_array(path[lo]), Point3.from_array(path[hi]), rrt_params, rng)
-
-    detour = np.array(_smooth(raw, boxes), dtype=float)
-    return np.vstack([path[: lo + 1], detour[1:-1], path[hi:]])
+    raw = birrt_plan(bounds, full, Point3(*path[lo]), Point3(*path[hi]), rrt_params, rng)
+    detour = _smooth(raw, boxes)[1:-1]
+    return [*path[: lo + 1], *map(tuple, detour), *path[hi:]]

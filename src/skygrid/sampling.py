@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -186,7 +186,7 @@ def rrt_plan(
                 continue
             if _dist(new, g) <= step and segment_free(new, g, boxes):
                 tree.add(g, len(tree.pts) - 1)
-                return tree.trace()
+                return np.array(tree.trace())
     finally:
         draws.rewind()
     raise PlanningFailed(f"RRT failed to connect within {params.max_iterations} iterations")
@@ -221,22 +221,9 @@ def birrt_plan(
             ux, uy, uz = draws.three()
             target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
             new = trees[a].extend(target, step, boxes)
-            if new is not None:
-                # Greedy connect: march the other tree toward the new node until
-                # blocked or joined.
-                other = trees[1 - a]
-                while len(other.pts) < cap - 1:
-                    jnew = other.extend(new, step, boxes)
-                    if jnew is None:
-                        break
-                    if _dist(jnew, new) <= 1e-9:
-                        path_a = trees[a].trace()
-                        path_b = other.trace()
-                        if a == 0:
-                            joined = np.vstack([path_a, path_b[::-1][1:]])
-                        else:
-                            joined = np.vstack([path_b, path_a[::-1][1:]])
-                        return joined
+            if new is not None and trees[1 - a].connect(new, step, boxes, cap - 1):
+                head, tail = trees[0].trace(), trees[1].trace()
+                return np.array(head + tail[-2::-1])
             a = 1 - a
     finally:
         draws.rewind()
@@ -302,33 +289,42 @@ _MIRROR_CHUNK = 64
 class _Tree:
     """Search tree of one planner: nodes as float tuples and their parents.
 
-    The nearest node to a target minimises (dx*dx + dz*dz) + dy*dy, where d
-    is node minus target, and the first minimum wins ties. Each operation is
-    one IEEE rounding, so the Python scan of small trees and the numpy path
-    of large ones pick the same node on any numpy build. The numpy path works
-    on an axis-major (3, capacity) mirror of the nodes, filled lazily from
-    the tuples; its spare columns hold +inf, which never wins.
+    The nearest node to a target minimises the key (dx*dx + dz*dz) + dy*dy,
+    where d is node minus target, and the first minimum wins ties. Each
+    operation is one IEEE rounding, so the Python scan of small trees and the
+    numpy path of large ones pick the same node on any numpy build. The numpy
+    path works on an axis-major (3, capacity) mirror of the nodes, built on
+    the first numpy query and filled lazily from the tuples; its spare
+    columns hold +inf, which never wins.
     """
 
     def __init__(self, root):
         self.pts = [tuple(float(v) for v in root)]
         self.parents = [-1]
-        self._mirror = self._sq = np.empty((3, 0))  # nodes; squared gaps
-        self._sq_rows = tuple(self._sq)
+        self._capacity = 0  # columns of the mirror; none until a numpy query
         self._synced = 0  # nodes copied into the mirror
-        self._target = np.empty((3, 1))
 
     def add(self, p, parent: int) -> None:
         self.pts.append(p)
         self.parents.append(parent)
 
     def _grow_mirror(self, n: int) -> None:
-        cap = -(-n // _MIRROR_CHUNK) * _MIRROR_CHUNK
+        cap = self._capacity = -(-n // _MIRROR_CHUNK) * _MIRROR_CHUNK
         mirror = np.full((3, cap), np.inf)
-        mirror[:, : self._synced] = self._mirror[:, : self._synced]
+        if self._synced:
+            mirror[:, : self._synced] = self._mirror[:, : self._synced]
         self._mirror = mirror
-        self._sq = np.empty((3, cap))
+        self._sq = np.empty((3, cap))  # squared gaps
         self._sq_rows = tuple(self._sq)
+        self._target = np.empty((3, 1))
+
+    @staticmethod
+    def _key(p, target) -> float:
+        """The nearest-node key of node p, as `nearest` computes it."""
+        dx = p[0] - target[0]
+        dy = p[1] - target[1]
+        dz = p[2] - target[2]
+        return dx * dx + dz * dz + dy * dy
 
     def nearest(self, target) -> int:
         """Index of the node nearest to target (the first one on ties)."""
@@ -348,7 +344,7 @@ class _Tree:
                     idx = i
                 i += 1
             return idx
-        if n > self._mirror.shape[1]:
+        if n > self._capacity:
             self._grow_mirror(n)
         mirror = self._mirror
         for k in range(self._synced, n):
@@ -363,13 +359,15 @@ class _Tree:
         np.add(sx, sy, out=sx)
         return int(sx.argmin())
 
-    def extend(self, target, step: float, boxes: Boxes):
-        """One collision-checked step from the nearest node toward target.
+    def extend(self, target, step: float, boxes: Boxes, idx: Optional[int] = None):
+        """One collision-checked step toward target from node idx, by default
+        the nearest node.
 
         Adds and returns the new point, or returns None when blocked or
         degenerate.
         """
-        idx = self.nearest(target)
+        if idx is None:
+            idx = self.nearest(target)
         near = self.pts[idx]
         dist = _dist(near, target)
         if dist <= 1e-12:
@@ -383,14 +381,36 @@ class _Tree:
         self.add(new, idx)
         return new
 
-    def trace(self) -> np.ndarray:
-        """Root-to-newest-node path."""
+    def connect(self, target, step: float, boxes: Boxes, limit: int) -> bool:
+        """Greedy connect: extend toward target again and again while the tree
+        has fewer than `limit` nodes; True once a new node reaches target,
+        False when blocked.
+
+        Each step grows from the node `nearest` returns. After the first, that
+        is the node just added when its key is strictly below its parent's:
+        the parent was the first minimum over the older nodes, so the new node
+        is the only minimum. Otherwise the tree is scanned again.
+        """
+        idx = None
+        while len(self.pts) < limit:
+            new = self.extend(target, step, boxes, idx)
+            if new is None:
+                return False
+            if _dist(new, target) <= 1e-9:
+                return True
+            idx = len(self.pts) - 1
+            if not self._key(new, target) < self._key(self.pts[self.parents[idx]], target):
+                idx = None
+        return False
+
+    def trace(self) -> list[tuple[float, float, float]]:
+        """Root-to-newest-node path, as float triples."""
         order = []
         i = len(self.pts) - 1
         while i >= 0:
             order.append(i)
             i = self.parents[i]
-        return np.array([self.pts[i] for i in reversed(order)], dtype=float)
+        return [self.pts[i] for i in reversed(order)]
 
 
 def shortcut(path: Sequence[Sequence[float]], boxes: Boxes) -> list:

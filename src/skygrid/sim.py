@@ -25,7 +25,7 @@ from .coarse import (
     select_exit_point,
     sliding_window_replan,
 )
-from .geometry import CuboidObstacle, ObstacleKind, Point3
+from .geometry import CuboidObstacle, ObstacleKind, Point3, Xyz
 from .grid import AirspaceGrid, OutOfAirspace
 from .pso import (
     ConstraintParams,
@@ -50,8 +50,6 @@ from .scenario import Mode, Scenario, ValidationError, parse_mode
 
 FINE_PLAN_ATTEMPTS = 5
 EXIT_DRAWS = 3
-
-Xyz = tuple[float, float, float]
 
 
 class UavPhase(Enum):
@@ -347,7 +345,7 @@ class World:
             obstacles = [o for o in self._cell_obstacles(cell) if o is not ob]
             try:
                 route = repair(
-                    np.array((uav.xyz,) + wp[nxt:]), ob, obstacles,
+                    (uav.xyz,) + wp[nxt:], ob, obstacles,
                     self._cell(cell).constraints, uav.rng, self.scenario.rrt,
                 )
                 event = "repair"
@@ -362,7 +360,7 @@ class World:
                     boxes = flatten_obstacles(self._cell_obstacles(cell))
                     if cell != uav.goal_cell and not point_free(wp[-1], boxes):
                         target = self._exit_point(uav, uav.coarse_plan, cell, here)
-                    route = self._fine_plan(uav, cell, here, target)
+                    route = list(map(tuple, self._fine_plan(uav, cell, here, target).tolist()))
                 except PlanningFailed as exc:
                     uav.phase = UavPhase.FAILED
                     self._log("replan_failed", uav.id, cell=cell, reason=str(exc))
@@ -370,15 +368,16 @@ class World:
                 event = "cell_replanned"
             if route is None:
                 continue  # the route ahead is clear of the obstacle
-            # A repair and a re-plan both start at the position; the flown part is kept.
-            if np.array_equal(route[1], wp[nxt]):
+            # A repair and a re-plan both start at the position and are float
+            # triples like the route; the flown part is kept.
+            if route[1] == wp[nxt]:
                 # The detour leaves after the position, a point of the leg being flown.
                 head, route, target = wp[:nxt], route[1:], nxt
             else:
                 # The detour leaves from the position, which becomes a vertex (held once).
                 keep = nxt - 1 if uav.xyz == wp[nxt - 1] else nxt
                 head, target = wp[:keep], keep + 1
-            self._commit(uav, np.vstack([*head, route]), target, event)
+            self._commit(uav, np.array([*head, *route]), target, event)
 
     # -- time stepping ------------------------------------------------------
 

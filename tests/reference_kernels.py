@@ -10,12 +10,14 @@ simulation's tick `World.step`/`_advance`/`_record_tick` (each UAV's position
 a (3,) array, each gap its own `dot`), the swarm's scoring `_segments`,
 `_batch_cost`, `_batch_penalty` and `optimize` (per-call numpy over
 particle-major (P, J, 3) paths), the result writer `write_table` (every
-row through `csv.writer`) and the smoothing `shortcut`/`moving_average_smooth`/
-`_smooth` (numpy rows and `mean(axis=0)`) were rewritten to give the same
-results with less per-call overhead. `test_kernel_exactness.py`, `test_coarse_exactness.py`,
-`test_bookkeeping_exactness.py`, `test_swarm_exactness.py` and
-`test_writer_exactness.py` compare them with these copies, which must stay
-as they are.
+row through `csv.writer`), the smoothing `shortcut`/`moving_average_smooth`/
+`_smooth` (numpy rows and `mean(axis=0)`) and the sudden-obstacle `repair`
+with the splice of `World.inject_sudden_obstacle` ((J, 3) arrays,
+`np.array_equal` and `np.vstack`) were rewritten to give the same results
+with less per-call overhead. `test_kernel_exactness.py`, `test_coarse_exactness.py`,
+`test_bookkeeping_exactness.py`, `test_swarm_exactness.py`,
+`test_writer_exactness.py` and `test_repair_exactness.py` compare them with
+these copies, which must stay as they are.
 """
 
 import csv
@@ -400,8 +402,8 @@ def step(world, dt=1.0):
 
     for uav in world.uavs:
         if uav.phase is UavPhase.PLANNING and world.tick >= uav.takeoff_tick:
-            cell = world.grid.locate(Point3.from_array(uav.position))
-            world._enter_cell(uav, cell, Point3.from_array(uav.position))
+            cell = world.grid.locate(Point3(*uav.xyz))
+            world._enter_cell(uav, cell, Point3(*uav.xyz))
             if uav.phase is not UavPhase.FAILED:
                 uav.phase = UavPhase.FLYING
         if uav.phase is UavPhase.FLYING:
@@ -444,7 +446,7 @@ def advance(world, uav, distance):
             uav.phase = UavPhase.FAILED
             world._log("plan_exhausted", uav.id, cell=uav.current_cell)
             return
-        world._enter_cell(uav, plan.cells[idx + 1], Point3.from_array(uav.position))
+        world._enter_cell(uav, plan.cells[idx + 1], Point3(*uav.xyz))
 
 
 def record_tick(world):
@@ -502,6 +504,103 @@ def smooth(raw, boxes, window):
     path = shortcut(np.asarray(raw, dtype=float), boxes)
     path = moving_average_smooth(path, boxes, window)
     return shortcut(path, boxes)
+
+
+# -- the sudden-obstacle repair and its splice, on (J, 3) arrays --------------
+
+
+def repair(path, ob, obstacles, constraints, rng, rrt_params=None):
+    """`replan.repair` on a (J, 3) array: the conflicts from its rows, the
+    detour from the frozen per-draw `birrt_plan` above, the path rebuilt with
+    `np.vstack`. Returns a (J', 3) array or None."""
+    from skygrid.geometry import Point3
+    from skygrid.sampling import RrtParams, _smooth
+
+    boxes = flatten_obstacles([ob])
+    pts = path.tolist()
+    contained = {j for j in range(len(pts)) if not point_free(pts[j], boxes)}
+    conflicts = set(contained)
+    for j in range(len(pts) - 1):
+        if j in contained or j + 1 in contained:
+            continue
+        if not segment_free(pts[j], pts[j + 1], boxes):
+            conflicts.add(j)
+            conflicts.add(j + 1)
+    if not conflicts:
+        return None
+    rrt_params = rrt_params or RrtParams()
+
+    full = list(obstacles) + [ob]
+    boxes = flatten_obstacles(full)
+    lo = min(conflicts)
+    hi = max(conflicts)
+    while lo >= 0 and not point_free(path[lo], boxes):
+        lo -= 1
+    while hi <= len(path) - 1 and not point_free(path[hi], boxes):
+        hi += 1
+    if lo < 0 or hi > len(path) - 1:
+        raise PlanningFailed("no collision-free bracketing waypoints remain")
+
+    bounds = (constraints.bounds_lo, constraints.bounds_hi)
+    start, goal = Point3(*path[lo].tolist()), Point3(*path[hi].tolist())
+    raw = birrt_plan(bounds, full, start, goal, rrt_params, rng)
+
+    detour = np.array(_smooth(raw, boxes), dtype=float)
+    return np.vstack([path[: lo + 1], detour[1:-1], path[hi:]])
+
+
+def inject_sudden_obstacle(world, ob, tick):
+    """`World.inject_sudden_obstacle`, to be bound to a World with
+    types.MethodType: the route ahead goes to the frozen array `repair` above
+    as a (J, 3) array, and the splice compares with `np.array_equal` and
+    stacks with `np.vstack`."""
+    from skygrid.adsb import AdsbMessage, SuddenObstacleAlert
+    from skygrid.geometry import Point3
+    from skygrid.scenario import ValidationError
+    from skygrid.sim import UavPhase
+
+    if ob.kind is not ObstacleKind.SUDDEN:
+        raise ValidationError("injected obstacles must be sudden")
+    try:
+        alert = SuddenObstacleAlert(obstacle=ob, sub_airspace=world.grid.locate(ob.center))
+    except OutOfAirspace as exc:
+        raise ValidationError(f"injected obstacle's centre outside the airspace: {exc}") from exc
+    world.bus.publish(AdsbMessage(sender="ground-station", tick=tick, payload=alert))
+    world.injected.append(ob)
+    world._log("sudden_obstacle", "ground-station", cell=alert.sub_airspace)
+    for uav in world.uavs:
+        if uav.phase is not UavPhase.FLYING:
+            continue
+        wp, nxt, cell = uav.route, uav.next_waypoint_index, uav.current_cell
+        obstacles = [o for o in world._cell_obstacles(cell) if o is not ob]
+        try:
+            route = repair(
+                np.array((uav.xyz,) + wp[nxt:]), ob, obstacles,
+                world._cell(cell).constraints, uav.rng, world.scenario.rrt,
+            )
+            event = "repair"
+        except PlanningFailed as exc:
+            world._log("repair_failed", uav.id, cell=cell, reason=str(exc))
+            here = Point3(*uav.xyz)
+            try:
+                target = Point3(*wp[-1])
+                boxes = flatten_obstacles(world._cell_obstacles(cell))
+                if cell != uav.goal_cell and not point_free(wp[-1], boxes):
+                    target = world._exit_point(uav, uav.coarse_plan, cell, here)
+                route = world._fine_plan(uav, cell, here, target)
+            except PlanningFailed as exc:
+                uav.phase = UavPhase.FAILED
+                world._log("replan_failed", uav.id, cell=cell, reason=str(exc))
+                continue
+            event = "cell_replanned"
+        if route is None:
+            continue
+        if np.array_equal(route[1], wp[nxt]):
+            head, route, target = wp[:nxt], route[1:], nxt
+        else:
+            keep = nxt - 1 if uav.xyz == wp[nxt - 1] else nxt
+            head, target = wp[:keep], keep + 1
+        world._commit(uav, np.vstack([*head, route]), target, event)
 
 
 # -- the swarm's scoring; geometry goes through the frozen kernels above ------

@@ -154,7 +154,7 @@ def test_batched_distance_agrees_with_scalar(rng, reference_obstacle):
     lo, hi = obstacle_arrays([reference_obstacle])
     batched = points_to_cuboids_distance(pts, lo, hi)[:, 0]
     for p, d in zip(pts, batched):
-        assert d == pytest.approx(point_to_cuboid_distance(Point3.from_array(p), reference_obstacle))
+        assert d == pytest.approx(point_to_cuboid_distance(Point3(*p.tolist()), reference_obstacle))
 
 
 # -- segment-cuboid intersection ---------------------------------------------
@@ -204,7 +204,7 @@ def test_segment_intersection_matches_dense_sampling(ax, ay, az, bx, by, bz):
         n = max(2, int(np.ceil(np.linalg.norm(bv - av) / step)) + 1)
         t = np.linspace(0, 1, n)[:, None]
         pts = av * (1 - t) + bv * t
-        dists = [point_to_cuboid_distance(Point3.from_array(p), REF_OB) for p in pts]
+        dists = [point_to_cuboid_distance(Point3(*p.tolist()), REF_OB) for p in pts]
         assert min(dists) <= step / 2 + 1e-9
 
 

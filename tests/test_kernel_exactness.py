@@ -436,7 +436,7 @@ EXITS = {
 }
 
 
-def _run_both(planner, obstacles, start, goal, params, rngs):
+def _run_both(planner, obstacles, start, goal, params, rngs, bounds=BOUNDS):
     """Results of the planner and of its frozen per-draw copy (the array
     bytes, or the PlanningFailed message). The frozen copy measures its
     distances with `sampling._dist`: `_dist` left `**` for multiplication on
@@ -446,7 +446,7 @@ def _run_both(planner, obstacles, start, goal, params, rngs):
         mp.setattr(ref, "_dist", sampling._dist)
         for fn, rng in ((getattr(sampling, planner), rngs[0]), (getattr(ref, planner), rngs[1])):
             try:
-                out.append(fn(BOUNDS, obstacles, start, goal, params, rng).tobytes())
+                out.append(fn(bounds, obstacles, start, goal, params, rng).tobytes())
             except PlanningFailed as exc:
                 out.append(str(exc))
     return out
@@ -511,3 +511,98 @@ def test_planners_match_per_draw_reference(seed, planner, step, goal_bias, max_i
     got, want = _run_both(planner, obstacles, start, goal, params, rngs)
     assert got == want
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+# -- the connect march's pick of the node to grow from -------------------------
+
+
+def _counting_trees(counts, trees):
+    """A `_Tree` that records its instances in `trees` and counts the marches
+    (`connect` calls) and the `nearest` scans made inside them."""
+
+    class Counting(sampling._Tree):
+        _marching = False
+
+        def __init__(self, root):
+            super().__init__(root)
+            trees.append(self)
+
+        def nearest(self, target):
+            counts["scans"] += self._marching
+            return super().nearest(target)
+
+        def connect(self, *args):
+            counts["marches"] += 1
+            self._marching = True
+            try:
+                return super().connect(*args)
+            finally:
+                self._marching = False
+
+    return Counting
+
+
+def _recording_ref_trees(trees):
+    class Recording(ref._Tree):
+        def __init__(self, root, cap):
+            super().__init__(root, cap)
+            trees.append(self)
+
+    return Recording
+
+
+# Steps of 1e-13 m: at x near 9.9e4 m one ulp is 1.5e-11 m, so x never moves,
+# and a move of y or z changes the nearest-node key far below one of its ulps.
+# Each march step adds a node whose key equals its parent's, and the older
+# node must win the next pick. The march fills the tree to its node cap.
+TINY_BOUNDS = (np.zeros(3), np.full(3, 1.0e5))
+TINY_ENDS = {
+    "x far, y and z move": (Point3(9.9e4, 50.0, 20.0), Point3(9.95e4, 80.0, 40.0)),
+    "nothing moves": (Point3(9.9e4, 9.9e4, 9.9e4), Point3(9.92e4, 9.91e4, 9.93e4)),
+}
+
+
+@pytest.mark.parametrize("ends", TINY_ENDS)
+@pytest.mark.parametrize("max_iterations", [1, 7, 50])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_connect_march_falls_back_to_the_scan_on_a_key_tie(ends, max_iterations, seed):
+    start, goal = TINY_ENDS[ends]
+    params = RrtParams(step_size=1e-13, max_iterations=max_iterations)
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    counts = {"scans": 0, "marches": 0}
+    trees, ref_trees = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_Tree", _counting_trees(counts, trees))
+        mp.setattr(ref, "_Tree", _recording_ref_trees(ref_trees))
+        got, want = _run_both("birrt_plan", [], start, goal, params, rngs, TINY_BOUNDS)
+    assert got == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    # The same nodes grown from the same parents.
+    assert [(t.pts, t.parents) for t in trees] == [(t.pts, t.parents) for t in ref_trees]
+    # Every march step after the first scanned the tree again.
+    nodes_marched = sum(len(t.pts) for t in trees) - len(trees) - counts["marches"]
+    assert counts["marches"] >= 1
+    assert counts["scans"] > counts["marches"]
+    assert counts["scans"] == nodes_marched
+
+
+def test_reference_cell_marches_scan_once_each():
+    """On the reference cell every step after a march's first grows from the
+    node just added: the 15 Bi-RRT seeds of a seed population scan their tree
+    once per march."""
+    counts = {"scans": 0, "marches": 0}
+    trees = []
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_Tree", _counting_trees(counts, trees))
+        birrt = sampling.birrt_plan
+
+        def counted_birrt(*args):
+            calls.append(1)
+            return birrt(*args)
+
+        mp.setattr("skygrid.pso.birrt_plan", counted_birrt)
+        build_seed_population(BOUNDS, CELL_OBS, START, GOAL, np.random.default_rng(0))
+    assert len(calls) == SwarmParams().n_birrt == 15
+    assert counts["marches"] > len(calls)
+    assert counts["scans"] == counts["marches"]

@@ -51,10 +51,10 @@ def test_cost_adds_clearance_terms_per_obstacle_kind():
         )
     ]
     d_static = sum(
-        point_to_cuboid_distance(Point3.from_array(p), static[0]) for p in wp
+        point_to_cuboid_distance(Point3(*p.tolist()), static[0]) for p in wp
     )
     d_sudden = sum(
-        point_to_cuboid_distance(Point3.from_array(p), sudden[0]) for p in wp
+        point_to_cuboid_distance(Point3(*p.tolist()), sudden[0]) for p in wp
     )
     expected = cp.k3 * (cp.k5 / d_static + cp.k6 / d_sudden) + cp.k4 * path_length(wp)
     assert trajectory_cost(wp, static, sudden, cp) == pytest.approx(expected)

@@ -13,7 +13,12 @@ CONSTRAINTS = ConstraintParams()
 
 
 def level_path(n=10, y=20.0, z=10.0, x_max=180.0):
-    return np.array(straight_points(Point3(0.0, y, z), Point3(x_max, y, z), n))
+    """A straight level route as float triples, the form routes are kept in."""
+    return straight_points(Point3(0.0, y, z), Point3(x_max, y, z), n)
+
+
+def midpoint(a, b):
+    return tuple((p + q) / 2 for p, q in zip(a, b))
 
 
 # -- conflict detection ------------------------------------------------------
@@ -35,8 +40,7 @@ def test_crossing_segment_flags_both_endpoints():
     # Obstacle straddles the midpoint of segment 3-4 without containing
     # either waypoint (segment length 20 m, cube side 6 m).
     path = level_path()
-    mid = (path[3] + path[4]) / 2
-    ob = make_sudden(mid)
+    ob = make_sudden(midpoint(path[3], path[4]))
     assert detect_conflicts(path, ob) == {3, 4}
 
 
@@ -60,10 +64,11 @@ def test_repair_preserves_outside_bracket_bitwise(rng):
     path = level_path()
     ob = make_sudden(path[5])
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert isinstance(repaired, np.ndarray) and repaired.shape[1] == 3
-    assert np.array_equal(repaired[:5], path[:5])
+    assert all(type(p) is tuple and len(p) == 3 for p in repaired)
+    assert all(type(v) is float for p in repaired for v in p)
+    assert repaired[:5] == path[:5]
     tail = path[6:]
-    assert np.array_equal(repaired[-len(tail):], tail)
+    assert repaired[-len(tail):] == tail
 
 
 def test_repair_result_collision_free(rng):
@@ -78,12 +83,11 @@ def test_repair_result_collision_free(rng):
 
 def test_repair_crossing_segment_brackets_with_flagged_endpoints(rng):
     path = level_path()
-    mid = (path[3] + path[4]) / 2
-    ob = make_sudden(mid)
+    ob = make_sudden(midpoint(path[3], path[4]))
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired[:4], path[:4])
+    assert repaired[:4] == path[:4]
     tail = path[4:]
-    assert np.array_equal(repaired[-len(tail):], tail)
+    assert repaired[-len(tail):] == tail
     assert detect_conflicts(repaired, ob) == set()
 
 
@@ -94,9 +98,9 @@ def test_repair_widens_bracket_past_contained_neighbors(rng):
     conflicts = detect_conflicts(path, ob)
     assert {4, 5, 6} <= conflicts
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert np.array_equal(repaired[:4], path[:4])
+    assert repaired[:4] == path[:4]
     tail = path[7:]
-    assert np.array_equal(repaired[-len(tail):], tail)
+    assert repaired[-len(tail):] == tail
     assert detect_conflicts(repaired, ob) == set()
 
 
@@ -112,7 +116,7 @@ def test_repair_fails_in_sealed_corridor(rng):
     # A corridor cell 20 m tall, obstacle slab sealing it wall to wall between
     # the bracket points: Bi-RRT cannot connect.
     slab_cell = ConstraintParams(bounds_lo=np.zeros(3), bounds_hi=np.array([100.0, 20.0, 20.0]))
-    path = np.array(straight_points(Point3(0, 10, 10), Point3(100, 10, 10), 6))
+    path = straight_points(Point3(0, 10, 10), Point3(100, 10, 10), 6)
     seal = CuboidObstacle(
         anchor=Point3(45.0, 0.0, 0.0), len_x=10.0, len_y=20.0, len_z=20.0,
         kind=ObstacleKind.SUDDEN, id="seal",
@@ -130,4 +134,4 @@ def test_repair_deterministic_per_seed():
     def run():
         return repair(path, ob, CELL_OBS, CONSTRAINTS, np.random.default_rng(9))
 
-    assert np.array_equal(run(), run())
+    assert run() == run()
