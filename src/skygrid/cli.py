@@ -148,10 +148,10 @@ def cmd_replan_demo(args) -> int:
         print("initial planning failed", file=sys.stderr)
         return 1
     committed = np.array(uav.route)
-    target = committed[5]
+    x, y, z = uav.route[5]
     side = 10.0
     ob = CuboidObstacle(
-        anchor=Point3(target[0] - side / 2, target[1] - side / 2, max(0.0, target[2] - side / 2)),
+        anchor=Point3(x - side / 2, y - side / 2, max(0.0, z - side / 2)),
         len_x=side,
         len_y=side,
         len_z=side,

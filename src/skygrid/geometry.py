@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,20 +23,23 @@ class ObstacleKind(Enum):
     SUDDEN = "sudden"
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A position in airspace-local coordinates."""
-
+class _Xyz(NamedTuple):
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite coordinate in {(self.x, self.y, self.z)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+class Point3(_Xyz):
+    """A position in airspace-local coordinates: a finite float triple, so an
+    `Xyz` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, z):
+        x, y, z = float(x), float(y), float(z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"non-finite coordinate in {(x, y, z)}")
+        return super().__new__(cls, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,12 @@ class CuboidObstacle:
             raise ValueError("static obstacle must be grounded (anchor.z == 0)")
         if self.anchor.z < 0:
             raise ValueError("obstacle anchor.z must be >= 0")
-        x0, y0, z0 = float(self.anchor.x), float(self.anchor.y), float(self.anchor.z)
-        object.__setattr__(
-            self,
-            "box",
-            (x0, y0, z0, x0 + float(self.len_x), y0 + float(self.len_y), z0 + float(self.len_z)),
-        )
+        x0, y0, z0 = self.anchor
+        box = (x0, y0, z0, x0 + float(self.len_x), y0 + float(self.len_y), z0 + float(self.len_z))
+        # An edge sum or a corner sum past the float range overflows to inf.
+        if not all(math.isfinite(v) for v in box + tuple(a + b for a, b in zip(box[:3], box[3:]))):
+            raise ValueError(f"obstacle box corners and centre must be finite, got corners {box}")
+        object.__setattr__(self, "box", box)
 
     def overlaps(self, lo: Sequence[float], hi: Sequence[float]) -> bool:
         """True iff the volume overlaps the box [lo, hi] (open-interval overlap)."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3
+from .geometry import CuboidObstacle, ObstacleKind, Point3, Xyz
 
 
 class OutOfAirspace(Exception):
@@ -64,12 +64,12 @@ class AirspaceGrid:
             raise ValueError(f"cell id {cell} out of range [1, {self.n_cells}]")
         return coords[cell]
 
-    def cell_bounds(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) corners of the cell box."""
+    def cell_bounds(self, cell: int) -> tuple[Xyz, Xyz]:
+        """(lo, hi) corners of the cell box, as float triples."""
         coords = self.cell_coords(cell)
         size = self.cell_size
-        lo = np.array([coords[i] * size[i] for i in range(3)])
-        hi = np.array([(coords[i] + 1) * size[i] for i in range(3)])
+        lo = tuple(coords[i] * size[i] for i in range(3))
+        hi = tuple((coords[i] + 1) * size[i] for i in range(3))
         return lo, hi
 
     def locate(self, p: Point3) -> int:
@@ -124,11 +124,11 @@ class AirspaceGrid:
         static = [ob for ob in self.obstacles if ob.kind is ObstacleKind.STATIC]
         counts = []
         for cell in range(1, self.n_cells + 1):
-            lo, hi = (b.tolist() for b in self.cell_bounds(cell))
+            lo, hi = self.cell_bounds(cell)
             counts.append(sum(1 for ob in static if ob.overlaps(lo, hi)))
         return np.array(counts)
 
     def obstacles_in_cell(self, cell: int) -> list[CuboidObstacle]:
         """Obstacles (any kind) overlapping the cell box (open-interval overlap)."""
-        lo, hi = (b.tolist() for b in self.cell_bounds(cell))
+        lo, hi = self.cell_bounds(cell)
         return [ob for ob in self.obstacles if ob.overlaps(lo, hi)]

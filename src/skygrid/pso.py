@@ -325,8 +325,7 @@ def optimize(
     stall = 0
 
     for _ in range(params.max_iterations):
-        r1 = rng.random(x.shape)
-        r2 = rng.random(x.shape)
+        r1, r2 = rng.random((2,) + x.shape)
         v = params.inertia * v + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
         np.maximum(v, -params.v_max, out=v)
         np.minimum(v, params.v_max, out=v)

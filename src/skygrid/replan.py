@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3, Xyz
+from .geometry import CuboidObstacle, ObstacleKind, Xyz
 from .pso import ConstraintParams
 from .sampling import (
     PlanningFailed,
@@ -84,6 +84,5 @@ def repair(
         raise PlanningFailed("no collision-free bracketing waypoints remain")
 
     bounds = (constraints.bounds_lo, constraints.bounds_hi)
-    raw = birrt_plan(bounds, full, Point3(*path[lo]), Point3(*path[hi]), rrt_params, rng)
-    detour = _smooth(raw, boxes)[1:-1]
-    return [*path[: lo + 1], *map(tuple, detour), *path[hi:]]
+    raw = birrt_plan(bounds, full, path[lo], path[hi], rrt_params, rng)
+    return [*path[: lo + 1], *_smooth(raw, boxes)[1:-1], *path[hi:]]

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CuboidObstacle, Point3
+from .geometry import CuboidObstacle, Xyz
 
 DEFAULT_WAYPOINT_COUNT = 10
 # The moving-average window of every smoothing pass, in vertices.
@@ -45,8 +45,8 @@ class RrtParams:
 class Waypath:
     """A UAV's installed route viewed as a (J, 3) array with its cell.
 
-    The planners pass plain arrays: a path is (J, 3) and a seed population
-    (P, J, 3).
+    The planners pass routes as lists of float triples; this array view is
+    what the batch kernels score.
     """
 
     waypoints: np.ndarray  # (J, 3)
@@ -134,35 +134,36 @@ def point_free(p: Sequence[float], boxes: Boxes) -> bool:
     return True
 
 
-def _endpoints(obstacles: Iterable[CuboidObstacle], start: Point3, goal: Point3, step: float):
-    """Shared prologue of the tree planners: (boxes, start, goal, trivial path).
+def _endpoints(obstacles: Iterable[CuboidObstacle], start: Xyz, goal: Xyz, step: float):
+    """Shared prologue of the tree planners: (boxes, start, goal, trivial path),
+    the endpoints as plain float triples.
 
     The trivial path is the whole answer when the endpoints coincide or see
     each other within one step, and None otherwise.
     """
     boxes = flatten_obstacles(obstacles)
-    s = (start.x, start.y, start.z)
-    g = (goal.x, goal.y, goal.z)
+    s, g = tuple(start), tuple(goal)
     if not point_free(s, boxes):
         raise PlanningFailed(f"start point {start} lies inside an obstacle")
     if not point_free(g, boxes):
         raise PlanningFailed(f"goal point {goal} lies inside an obstacle")
     if s == g:
-        return boxes, s, g, np.array([s])
+        return boxes, s, g, [s]
     if _dist(s, g) <= step and segment_free(s, g, boxes):
-        return boxes, s, g, np.array([s, g])
+        return boxes, s, g, [s, g]
     return boxes, s, g, None
 
 
 def rrt_plan(
     bounds: tuple[np.ndarray, np.ndarray],
     obstacles: Iterable[CuboidObstacle],
-    start: Point3,
-    goal: Point3,
+    start: Xyz,
+    goal: Xyz,
     params: RrtParams,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Grow a tree from start until it can reach goal; return the raw polyline."""
+) -> list[Xyz]:
+    """Grow a tree from start until it can reach goal; return the raw polyline
+    as float triples."""
     boxes, s, g, trivial = _endpoints(obstacles, start, goal, params.step_size)
     if trivial is not None:
         return trivial
@@ -186,7 +187,7 @@ def rrt_plan(
                 continue
             if _dist(new, g) <= step and segment_free(new, g, boxes):
                 tree.add(g, len(tree.pts) - 1)
-                return np.array(tree.trace())
+                return tree.trace()
     finally:
         draws.rewind()
     raise PlanningFailed(f"RRT failed to connect within {params.max_iterations} iterations")
@@ -195,12 +196,13 @@ def rrt_plan(
 def birrt_plan(
     bounds: tuple[np.ndarray, np.ndarray],
     obstacles: Iterable[CuboidObstacle],
-    start: Point3,
-    goal: Point3,
+    start: Xyz,
+    goal: Xyz,
     params: RrtParams,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Bi-RRT: trees from both endpoints with a greedy connect step each iteration."""
+) -> list[Xyz]:
+    """Bi-RRT: trees from both endpoints with a greedy connect step each
+    iteration; returns the raw polyline as float triples."""
     boxes, s, g, trivial = _endpoints(obstacles, start, goal, params.step_size)
     if trivial is not None:
         return trivial
@@ -222,8 +224,7 @@ def birrt_plan(
             target = (lx + ux * wx, ly + uy * wy, lz + uz * wz)
             new = trees[a].extend(target, step, boxes)
             if new is not None and trees[1 - a].connect(new, step, boxes, cap - 1):
-                head, tail = trees[0].trace(), trees[1].trace()
-                return np.array(head + tail[-2::-1])
+                return trees[0].trace() + trees[1].trace()[-2::-1]
             a = 1 - a
     finally:
         draws.rewind()
@@ -298,8 +299,8 @@ class _Tree:
     columns hold +inf, which never wins.
     """
 
-    def __init__(self, root):
-        self.pts = [tuple(float(v) for v in root)]
+    def __init__(self, root: Xyz):
+        self.pts = [root]
         self.parents = [-1]
         self._capacity = 0  # columns of the mirror; none until a numpy query
         self._synced = 0  # nodes copied into the mirror
@@ -403,7 +404,7 @@ class _Tree:
                 idx = None
         return False
 
-    def trace(self) -> list[tuple[float, float, float]]:
+    def trace(self) -> list[Xyz]:
         """Root-to-newest-node path, as float triples."""
         order = []
         i = len(self.pts) - 1
@@ -458,30 +459,25 @@ def moving_average_smooth(path: Sequence[Sequence[float]], boxes: Boxes, window:
     return out
 
 
-def resample_polyline(path: np.ndarray | Sequence[Sequence[float]], count: int) -> np.ndarray:
-    """Exactly `count` points along the polyline, preserving every vertex.
+def resample_polyline(path: Sequence[Xyz], count: int) -> list[Xyz]:
+    """Exactly `count` points along the polyline of float triples, preserving
+    every vertex, as float triples.
 
     The count-1 intervals are shared among segments proportionally to length
     (each segment keeps at least one), and points are equally spaced within
-    each segment, so the geometry is unchanged.
+    each segment, so the geometry is unchanged. A single point is repeated.
     """
-    if len(path) < 2 and count >= 2:
-        return np.repeat(path, count, axis=0)[:count]
-    return np.array(resample_points(np.asarray(path, dtype=float).tolist(), count))
-
-
-def resample_points(pts: Sequence[Sequence[float]], count: int) -> list[tuple[float, float, float]]:
-    """`resample_polyline` of a polyline of at least two float triples, on
-    floats: its points as float triples."""
     if count < 2:
         raise ValueError("count must be >= 2")
-    n_seg = len(pts) - 1
+    if len(path) < 2:
+        return [tuple(p) for p in path] * count
+    n_seg = len(path) - 1
     if n_seg > count - 1:
-        raise ValueError(f"cannot keep {len(pts)} vertices with only {count} points")
+        raise ValueError(f"cannot keep {len(path)} vertices with only {count} points")
     # Float arithmetic in the order numpy's norm(diff(path), axis=1) and the
     # elementwise forms use; only the total keeps numpy's pairwise sum, which
     # for one segment is its length.
-    segments = list(zip(pts, pts[1:]))
+    segments = list(zip(path, path[1:]))
     lengths = []
     for (ax, ay, az), (bx, by, bz) in segments:
         dx, dy, dz = bx - ax, by - ay, bz - az
@@ -502,7 +498,7 @@ def resample_points(pts: Sequence[Sequence[float]], count: int) -> list[tuple[fl
             order = sorted(range(n_seg), key=lambda k: -(quota[k] - base[k]))
             for k in order[:remainder]:
                 shares[k] += 1
-    out = [tuple(pts[0])]
+    out = [tuple(path[0])]
     for ((ax, ay, az), (bx, by, bz)), share in zip(segments, shares):
         for k in range(1, share + 1):
             t = k / share
@@ -511,20 +507,21 @@ def resample_points(pts: Sequence[Sequence[float]], count: int) -> list[tuple[fl
     return out
 
 
-def _smooth(raw, boxes: Boxes) -> list:
-    """Shortcut, moving-average smooth, and shortcut again a raw planner path;
-    float triples in the returned list."""
-    path = shortcut(np.asarray(raw, dtype=float).tolist(), boxes)
+def _smooth(raw: Sequence[Xyz], boxes: Boxes) -> list[Xyz]:
+    """Shortcut, moving-average smooth, and shortcut again a raw planner path
+    of float triples; float triples in the returned list."""
+    path = shortcut(raw, boxes)
     path = moving_average_smooth(path, boxes, SMOOTH_WINDOW)
     return shortcut(path, boxes)
 
 
 def smooth_and_resample(
-    raw: np.ndarray,
+    raw: Sequence[Xyz],
     obstacles: Iterable[CuboidObstacle],
     count: int = DEFAULT_WAYPOINT_COUNT,
-) -> np.ndarray:
-    """Shortcut, smooth, and resample a raw polyline to exactly `count` points.
+) -> list[Xyz]:
+    """Shortcut, smooth, and resample a raw polyline of float triples to
+    exactly `count` float triples.
 
     Endpoints and every vertex of the smoothed path are kept, and the result
     stays collision-free: each step only replaces subchains with segments it
@@ -537,10 +534,8 @@ def smooth_and_resample(
     return resample_polyline(path, count)
 
 
-def straight_points(
-    start: Point3, goal: Point3, count: int = DEFAULT_WAYPOINT_COUNT
-) -> list[tuple[float, float, float]]:
+def straight_points(start: Xyz, goal: Xyz, count: int = DEFAULT_WAYPOINT_COUNT) -> list[Xyz]:
     """Straight-line connection resampled to `count` points, as float triples
     (collisions allowed)."""
-    return resample_points([(start.x, start.y, start.z), (goal.x, goal.y, goal.z)], count)
+    return resample_polyline((start, goal), count)
 

@@ -249,7 +249,6 @@ def generate_obstacles(
 ) -> list[CuboidObstacle]:
     """Seeded uniform placement of grounded cuboids avoiding the given points."""
     out: list[CuboidObstacle] = []
-    clear = [(p.x, p.y, p.z) for p in keep_clear]
     # One budget for the whole field. The default field, the golden cases and
     # the benchmark's scenarios place `count` buildings in at most count + 5.
     attempts = 0
@@ -266,7 +265,7 @@ def generate_obstacles(
             anchor=Point3(x, y, 0.0), len_x=sx, len_y=sy, len_z=h, id=f"rob{len(out)}"
         )
         boxes = flatten_obstacles([ob], margin=5.0)
-        if all(point_free(p, boxes) for p in clear):
+        if all(point_free(p, boxes) for p in keep_clear):
             out.append(ob)
     return out
 
@@ -480,7 +479,7 @@ def load_scenario(
                 grid.locate(p)
             except OutOfAirspace as exc:
                 raise ValidationError(f"uav {u.id} {name}: {exc}") from exc
-            if not point_free((p.x, p.y, p.z), boxes):
+            if not point_free(p, boxes):
                 raise ValidationError(f"uav {u.id} {name} lies inside an obstacle")
 
     scenario = Scenario(

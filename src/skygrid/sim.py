@@ -77,14 +77,9 @@ class UavState:
 
     @property
     def position(self) -> np.ndarray:
-        """A fresh (3,) float64 copy of `xyz`: an edit in place is lost, so
-        assign a new position instead."""
+        """A fresh (3,) float64 copy of `xyz`: an edit in place is lost.
+        `World._advance` is the one writer of `xyz`."""
         return np.array(self.xyz)
-
-    @position.setter
-    def position(self, p) -> None:
-        x, y, z = np.asarray(p, dtype=float).tolist()
-        self.xyz = (x, y, z)
 
     @property
     def active_waypath(self) -> Optional[Waypath]:
@@ -121,8 +116,8 @@ class CellContext(NamedTuple):
     changes the grid's obstacles or a ConstraintParams after construction."""
 
     obstacles: list[CuboidObstacle]  # scenario obstacles overlapping the cell
-    lo: list[float]
-    hi: list[float]
+    lo: Xyz
+    hi: Xyz
     constraints: ConstraintParams
 
 
@@ -162,7 +157,7 @@ class World:
             self.uavs.append(
                 UavState(
                     id=spec.id,
-                    xyz=tuple(spec.start.as_array().tolist()),
+                    xyz=tuple(spec.start),
                     goal=spec.goal,
                     goal_cell=self.grid.locate(spec.goal),
                     speed=spec.speed,
@@ -178,7 +173,7 @@ class World:
         if context is None:
             lo, hi = self.grid.cell_bounds(cell)
             context = self._cells[cell] = CellContext(
-                self.grid.obstacles_in_cell(cell), lo.tolist(), hi.tolist(),
+                self.grid.obstacles_in_cell(cell), lo, hi,
                 ConstraintParams(**self.scenario.constraint_limits, bounds_lo=lo, bounds_hi=hi),
             )
         return context
@@ -234,7 +229,7 @@ class World:
             boxes = flatten_obstacles(obstacles, margin)
             for _ in range(100):
                 p = select_exit_point(face, uav.rng)
-                if not point_free((p.x, p.y, p.z), boxes):
+                if not point_free(p, boxes):
                     continue
                 if check_pitch and (
                     too_steep(entry, p) or (goal_next is not None and too_steep(p, goal_next))
@@ -243,8 +238,9 @@ class World:
                 return p
         raise PlanningFailed(f"no collision-free exit point on face {cell}->{nxt}")
 
-    def _fine_plan(self, uav: UavState, cell: int, entry: Point3, target: Point3) -> np.ndarray:
-        """Plan the in-cell (J, 3) trajectory; retries with fresh draws before failing."""
+    def _fine_plan(self, uav: UavState, cell: int, entry: Point3, target: Point3) -> list[Xyz]:
+        """Plan the in-cell trajectory as float triples; retries with fresh
+        draws before failing."""
         obstacles = self._cell_obstacles(cell)
         constraints = self._cell(cell).constraints
         bounds = (constraints.bounds_lo, constraints.bounds_hi)
@@ -258,7 +254,7 @@ class World:
         # No path of `count` waypoints within the length limits spans more
         # than `reach`; the slack keeps rounding from deciding.
         reach = min((count - 1) * constraints.l_max, constraints.L_max)
-        distance = math.dist((entry.x, entry.y, entry.z), (target.x, target.y, target.z))
+        distance = math.dist(entry, target)
         if distance > reach * (1.0 + 1e-9):
             raise PlanningFailed(
                 f"entry to target is {distance:.3f} m, more than {count} waypoints span ({reach:.3f} m)"
@@ -270,7 +266,7 @@ class World:
         if not obstacles:
             straight = straight_points(entry, target, count)
             if _obstacle_free_feasible(straight, constraints):
-                return np.array(straight)
+                return straight
 
         last_error: Optional[Exception] = None
         for _ in range(FINE_PLAN_ATTEMPTS):
@@ -291,7 +287,7 @@ class World:
             self.metrics.convergence.append((run_id, history))
             # The penalty counts colliding segments too.
             if feasibility_penalty(best, constraints, obstacles) == 0.0:
-                return best
+                return [tuple(p) for p in best.tolist()]
             last_error = PlanningFailed("optimizer result violated constraints")
         raise PlanningFailed(f"fine planning failed in cell {cell}: {last_error}")
 
@@ -317,12 +313,12 @@ class World:
         uav.current_cell = cell
         self._commit(uav, waypoints, 1, "cell_entered")
 
-    def _commit(self, uav: UavState, waypoints: np.ndarray, next_index: int, event: str) -> None:
-        """Install a fresh (J, 3) array as the route in the UAV's current
-        cell, record it (the array itself) and log why."""
-        uav.route = tuple(map(tuple, waypoints.tolist()))
+    def _commit(self, uav: UavState, waypoints: list[Xyz], next_index: int, event: str) -> None:
+        """Install float triples as the route in the UAV's current cell,
+        record them as a (J, 3) array and log why."""
+        uav.route = tuple(waypoints)
         uav.next_waypoint_index = next_index
-        self.metrics.executed.append(ExecutedPath(uav.id, uav.current_cell, waypoints))
+        self.metrics.executed.append(ExecutedPath(uav.id, uav.current_cell, np.array(waypoints)))
         self._log(event, uav.id, cell=uav.current_cell)
 
     # -- sudden obstacles ---------------------------------------------------
@@ -360,7 +356,7 @@ class World:
                     boxes = flatten_obstacles(self._cell_obstacles(cell))
                     if cell != uav.goal_cell and not point_free(wp[-1], boxes):
                         target = self._exit_point(uav, uav.coarse_plan, cell, here)
-                    route = list(map(tuple, self._fine_plan(uav, cell, here, target).tolist()))
+                    route = self._fine_plan(uav, cell, here, target)
                 except PlanningFailed as exc:
                     uav.phase = UavPhase.FAILED
                     self._log("replan_failed", uav.id, cell=cell, reason=str(exc))
@@ -377,7 +373,7 @@ class World:
                 # The detour leaves from the position, which becomes a vertex (held once).
                 keep = nxt - 1 if uav.xyz == wp[nxt - 1] else nxt
                 head, target = wp[:keep], keep + 1
-            self._commit(uav, np.array([*head, *route]), target, event)
+            self._commit(uav, [*head, *route], target, event)
 
     # -- time stepping ------------------------------------------------------
 
@@ -421,9 +417,8 @@ class World:
                 uav.next_waypoint_index += 1
                 continue
             # End of the cell's route: either arrived or crossing a face.
-            goal = uav.goal
             if uav.current_cell == uav.goal_cell and all(  # np.allclose, on floats
-                abs(p - g) <= 1e-8 + 1e-5 * abs(g) for p, g in zip(uav.xyz, (goal.x, goal.y, goal.z))
+                abs(p - g) <= 1e-8 + 1e-5 * abs(g) for p, g in zip(uav.xyz, uav.goal)
             ):
                 uav.phase = UavPhase.ARRIVED
                 self._log("arrived", uav.id, cell=uav.current_cell)

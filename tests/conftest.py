@@ -88,7 +88,7 @@ def point_to_cuboid_distance(p: Point3, ob: CuboidObstacle) -> float:
     Clamping the point to the box collapses the per-region case analysis into
     one formula.
     """
-    q = p.as_array()
+    q = np.array(p)
     clamped = np.clip(q, ob.box[:3], ob.box[3:])
     return float(np.linalg.norm(q - clamped))
 
@@ -186,3 +186,11 @@ def make_sudden(center, side=6.0):
         kind=ObstacleKind.SUDDEN,
         id="sudden",
     )
+
+
+def assert_float_triples(path):
+    """A route in the one coordinate form: a non-empty tuple or list of plain
+    tuples of three Python floats (no `Point3`, no `np.float64`)."""
+    assert type(path) in (tuple, list) and len(path) > 0
+    assert all(type(p) is tuple and len(p) == 3 for p in path)
+    assert all(type(v) is float for p in path for v in p)

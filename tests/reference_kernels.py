@@ -385,7 +385,7 @@ def resample_polyline(path, count):
 
 
 def straight_waypath(start, goal, count, sub_airspace=0):
-    return resample_polyline(np.array([start.as_array(), goal.as_array()]), count)
+    return resample_polyline(np.array([np.array(start), np.array(goal)]), count)
 
 
 def step(world, dt=1.0):
@@ -414,7 +414,8 @@ def step(world, dt=1.0):
 
 
 def advance(world, uav, distance):
-    """`World._advance` on (3,) arrays: `uav.position` is read and assigned."""
+    """`World._advance` on (3,) arrays: `uav.position` is read, and `uav.xyz`
+    assigned from an array's floats."""
     from skygrid.geometry import Point3
     from skygrid.sim import UavPhase
 
@@ -426,17 +427,17 @@ def advance(world, uav, distance):
         # np.linalg.norm of a 1-D array is exactly this.
         gap = math.sqrt(d.dot(d))
         if gap > remaining:
-            uav.position = uav.position + d * (remaining / gap)
+            uav.xyz = tuple((uav.position + d * (remaining / gap)).tolist())
             uav.flown_length += remaining
             return
-        uav.position = target.copy()
+        uav.xyz = tuple(target.tolist())
         uav.flown_length += gap
         remaining -= gap
         if uav.next_waypoint_index < len(wp) - 1:
             uav.next_waypoint_index += 1
             continue
         # End of the cell's waypath: either arrived or crossing a face.
-        if uav.current_cell == uav.goal_cell and np.allclose(uav.position, uav.goal.as_array()):
+        if uav.current_cell == uav.goal_cell and np.allclose(uav.position, np.array(uav.goal)):
             uav.phase = UavPhase.ARRIVED
             world._log("arrived", uav.id, cell=uav.current_cell)
             return
@@ -545,7 +546,7 @@ def repair(path, ob, obstacles, constraints, rng, rrt_params=None):
     start, goal = Point3(*path[lo].tolist()), Point3(*path[hi].tolist())
     raw = birrt_plan(bounds, full, start, goal, rrt_params, rng)
 
-    detour = np.array(_smooth(raw, boxes), dtype=float)
+    detour = np.array(_smooth([tuple(p) for p in raw.tolist()], boxes), dtype=float)
     return np.vstack([path[: lo + 1], detour[1:-1], path[hi:]])
 
 
@@ -600,7 +601,7 @@ def inject_sudden_obstacle(world, ob, tick):
         else:
             keep = nxt - 1 if uav.xyz == wp[nxt - 1] else nxt
             head, target = wp[:keep], keep + 1
-        world._commit(uav, np.vstack([*head, route]), target, event)
+        world._commit(uav, [tuple(p) for p in np.vstack([*head, route]).tolist()], target, event)
 
 
 # -- the swarm's scoring; geometry goes through the frozen kernels above ------

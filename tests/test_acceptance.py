@@ -292,7 +292,7 @@ def test_criterion_4_accepted_waypaths_satisfy_all_constraints(
     ]
     for info in run_infos:
         for wp, _, cell, grid in accepted_paths(info):
-            cell_lo, cell_hi = grid.cell_bounds(cell)
+            cell_lo, cell_hi = map(np.array, grid.cell_bounds(cell))
             problems = constraint_violations(wp, cell_lo, cell_hi)
             assert problems == [], f"cell {cell}: {problems}"
 

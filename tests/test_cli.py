@@ -165,6 +165,20 @@ def test_exit_2_on_invalid_scenario(tmp_path):
             "injections[0].obstacle", id="injection-beyond-x",
         ),
         pytest.param(
+            # The box centre, (x0 + x1) / 2, overflows to inf.
+            "airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}\n"
+            "uavs: [{start: [10, 100, 10], goal: [390, 100, 10]}]\n"
+            "injections: [{tick: 1, obstacle: {anchor: [1.0e308, 0, 0], lengths: [10, 10, 10], kind: sudden}}]\n",
+            "injections[0].obstacle", id="injection-centre-overflows",
+        ),
+        pytest.param(
+            # The far box corner, anchor + length, overflows to inf.
+            "airspace: {extent: [400, 200, 50], cells: [2, 1, 1]}\n"
+            "obstacles: [{anchor: [1.0e308, 0, 0], lengths: [1.0e308, 10, 10]}]\n"
+            "uavs: [{start: [10, 100, 10], goal: [390, 100, 10]}]\n",
+            "obstacles[0]", id="obstacle-corner-overflows",
+        ),
+        pytest.param(
             # Beyond the bound, the planners' squares of coordinate differences overflow.
             "airspace: {extent: [1.0e200, 1.0e200, 1.0e200], cells: [1, 1, 1]}\n"
             "obstacles: [{anchor: [50, 0, 0], lengths: [10, 1.0e200, 1.0e200]}]\n"

@@ -21,7 +21,7 @@ from skygrid.geometry import (
     points_to_cuboids_distance,
     segments_intersect_cuboids,
 )
-from skygrid.sampling import flatten_obstacles, segment_free
+from skygrid.sampling import flatten_obstacles, point_free, segment_free
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -38,6 +38,17 @@ def test_point_rejects_non_finite_coordinates():
         Point3(math.nan, 0.0, 0.0)
     with pytest.raises(ValueError):
         Point3(0.0, math.inf, 0.0)
+
+
+def test_point_is_a_float_triple():
+    p = Point3(1.0, 2.0, 3.0)
+    assert p == (1.0, 2.0, 3.0) and tuple(p) == (1.0, 2.0, 3.0)
+    assert repr(p) == "Point3(x=1.0, y=2.0, z=3.0)"
+    assert all(type(v) is float for v in Point3(1, 2, np.float64(3.0)))
+    boxes = flatten_obstacles([REF_OB])
+    assert not point_free(Point3(3.0, 3.0, 1.0), boxes) and point_free(p, boxes)
+    assert not segment_free(p, Point3(5.0, 4.0, 2.0), boxes)
+    assert segment_free(p, Point3(1.0, 9.0, 3.0), boxes)
 
 
 def test_segment_delta_identity():
@@ -112,7 +123,7 @@ def test_pitch_antisymmetric_under_horizontal_mirror(qx, qy, qz):
 def brute_force_cuboid_distance(p, ob, n=12):
     """Oracle: minimum distance over a dense grid of surface points (zero if
     the query point is inside)."""
-    q = p.as_array()
+    q = np.array(p)
     lo, hi = np.array(ob.box[:3]), np.array(ob.box[3:])
     if np.all(q >= lo) and np.all(q <= hi):
         return 0.0
@@ -162,7 +173,7 @@ def test_batched_distance_agrees_with_scalar(rng, reference_obstacle):
 
 def dense_segment_hits(a, b, ob, step=0.01):
     """Oracle: sample the segment densely and test containment (closed box)."""
-    av, bv = a.as_array(), b.as_array()
+    av, bv = np.array(a), np.array(b)
     n = max(2, int(np.ceil(np.linalg.norm(bv - av) / step)) + 1)
     t = np.linspace(0, 1, n)[:, None]
     pts = av * (1 - t) + bv * t
@@ -175,7 +186,7 @@ def slab_hits(a, b, ob, margin=0.0):
     lo, hi = obstacle_arrays([ob])
     return (
         not segment_free((a.x, a.y, a.z), (b.x, b.y, b.z), flatten_obstacles([ob], margin)),
-        bool(segments_intersect_cuboids(a.as_array()[None], b.as_array()[None], lo, hi, margin)[0]),
+        bool(segments_intersect_cuboids(np.array(a)[None], np.array(b)[None], lo, hi, margin)[0]),
     )
 
 
@@ -200,7 +211,7 @@ def test_segment_intersection_matches_dense_sampling(ax, ay, az, bx, by, bz):
         # The sampling stepped over the crossing; the clamp distance is
         # 1-Lipschitz along the segment, so the nearest sample must still be
         # within half a step of the box.
-        av, bv = a.as_array(), b.as_array()
+        av, bv = np.array(a), np.array(b)
         n = max(2, int(np.ceil(np.linalg.norm(bv - av) / step)) + 1)
         t = np.linspace(0, 1, n)[:, None]
         pts = av * (1 - t) + bv * t
@@ -245,6 +256,16 @@ def test_static_obstacle_must_be_grounded():
 def test_obstacle_edge_lengths_positive():
     with pytest.raises(ValueError):
         CuboidObstacle(anchor=Point3(0, 0, 0), len_x=0, len_y=1, len_z=1)
+
+
+def test_obstacle_box_corners_and_centre_must_be_finite():
+    # The far corner overflows, or the corner sum the centre halves does.
+    with pytest.raises(ValueError, match="finite"):
+        CuboidObstacle(anchor=Point3(1e308, 0, 0), len_x=1e308, len_y=1, len_z=1)
+    with pytest.raises(ValueError, match="finite"):
+        CuboidObstacle(anchor=Point3(1e308, 0, 0), len_x=10, len_y=10, len_z=10, kind=ObstacleKind.SUDDEN)
+    with pytest.raises(ValueError, match="finite"):
+        CuboidObstacle(anchor=Point3(0, 0, 0), len_x=math.nan, len_y=1, len_z=1)
 
 
 def test_obstacle_corner_properties(reference_obstacle):

@@ -69,7 +69,7 @@ def test_locate_boundary_belongs_to_upper_cell_except_max_face():
 def test_locate_is_consistent_with_cell_bounds(x, y, z):
     g = make_grid()
     cell = g.locate(Point3(x, y, z))
-    lo, hi = g.cell_bounds(cell)
+    lo, hi = map(np.array, g.cell_bounds(cell))
     p = np.array([x, y, z])
     assert np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9)
 

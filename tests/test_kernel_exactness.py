@@ -328,7 +328,7 @@ def test_smoothing_on_floats_matches_the_frozen_array_smoothing(case):
     assert _same_bits(
         np.array(sampling.moving_average_smooth(rows, boxes, window)), ref.moving_average_smooth(path, boxes, window)
     )
-    assert _same_bits(np.array(sampling._smooth(path, boxes)), ref.smooth(path, boxes, sampling.SMOOTH_WINDOW))
+    assert _same_bits(np.array(sampling._smooth(rows, boxes)), ref.smooth(path, boxes, sampling.SMOOTH_WINDOW))
 
 
 # -- planners against digests recorded before the rewrite ---------------------
@@ -446,7 +446,7 @@ def _run_both(planner, obstacles, start, goal, params, rngs, bounds=BOUNDS):
         mp.setattr(ref, "_dist", sampling._dist)
         for fn, rng in ((getattr(sampling, planner), rngs[0]), (getattr(ref, planner), rngs[1])):
             try:
-                out.append(fn(bounds, obstacles, start, goal, params, rng).tobytes())
+                out.append(np.array(fn(bounds, obstacles, start, goal, params, rng)).tobytes())
             except PlanningFailed as exc:
                 out.append(str(exc))
     return out

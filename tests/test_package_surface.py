@@ -7,7 +7,7 @@ count) or in `perfbench/`, whose span table looks functions up by name. A
 method is reached only as an attribute (`.name`) or by name in a string, so
 a local variable of the same name does not count for it. Code
 that only tests call belongs with the tests (`conftest.py` holds the
-independent oracles).
+independent oracles). Every name a module imports is used in that module.
 """
 
 import ast
@@ -97,3 +97,26 @@ def test_every_definition_in_the_package_is_used_by_the_program():
 
 def test_every_allowlist_entry_is_still_defined_and_still_unreferenced():
     assert sorted(unreferenced()) == sorted(ALLOWED)
+
+
+def unused_imports() -> list[str]:
+    """`module.name` for each name a package module imports and never uses.
+    The `__init__` re-exports and `__future__` features are not uses to find."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return found
+
+
+def test_every_import_in_the_package_is_used():
+    assert unused_imports() == []

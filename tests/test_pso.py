@@ -171,8 +171,8 @@ def test_optimize_history_monotone_and_endpoints_fixed(rng):
     best, history = optimize(seeds, CELL_OBS, CostParams(), CONSTRAINTS, SwarmParams(), rng)
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
     assert best.shape == (10, 3)
-    assert np.array_equal(best[0], START.as_array())
-    assert np.array_equal(best[-1], GOAL.as_array())
+    assert np.array_equal(best[0], np.array(START))
+    assert np.array_equal(best[-1], np.array(GOAL))
 
 
 def test_optimize_deterministic_per_seed():
@@ -203,8 +203,8 @@ def test_seed_population_composition(rng):
     sp = SwarmParams()
     assert seeds.shape == (sp.n_rrt + sp.n_birrt + 1, 10, 3)
     for s in seeds:
-        assert np.allclose(s[0], START.as_array())
-        assert np.allclose(s[-1], GOAL.as_array())
+        assert np.allclose(s[0], np.array(START))
+        assert np.allclose(s[-1], np.array(GOAL))
 
 
 def test_straight_seed_included_even_when_colliding(rng):

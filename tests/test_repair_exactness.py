@@ -15,7 +15,7 @@ import types
 import pytest
 
 import reference_kernels as ref
-from conftest import make_sudden
+from conftest import assert_float_triples, make_sudden
 from skygrid import sampling
 from skygrid.scenario import Mode, single_cell_scenario
 from skygrid.sim import UavPhase, World
@@ -142,8 +142,8 @@ def test_the_installed_route_is_float_triples(outcomes):
     (got, _), _, branches, _ = outcomes[("middle", 0)]
     route = got[0]
     assert branches == ["after"]
-    assert type(route) is tuple and all(type(p) is tuple and len(p) == 3 for p in route)
-    assert all(type(v) is float for p in route for v in p)
+    assert type(route) is tuple
+    assert_float_triples(route)
 
 
 def test_every_splice_branch_runs(outcomes):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_sample_penetrates, make_sudden
+from conftest import assert_float_triples, dense_sample_penetrates, make_sudden
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.pso import ConstraintParams
 from skygrid.replan import detect_conflicts, repair
@@ -64,8 +64,7 @@ def test_repair_preserves_outside_bracket_bitwise(rng):
     path = level_path()
     ob = make_sudden(path[5])
     repaired = repair(path, ob, CELL_OBS, CONSTRAINTS, rng)
-    assert all(type(p) is tuple and len(p) == 3 for p in repaired)
-    assert all(type(v) is float for p in repaired for v in p)
+    assert_float_triples(repaired)
     assert repaired[:5] == path[:5]
     tail = path[6:]
     assert repaired[-len(tail):] == tail

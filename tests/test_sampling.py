@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_sample_penetrates, path_length
+from conftest import assert_float_triples, dense_sample_penetrates, path_length
 from skygrid.geometry import CuboidObstacle, Point3
 from skygrid.sampling import (
     PlanningFailed,
@@ -85,8 +85,8 @@ def test_straight_points_equally_spaced():
 @pytest.mark.parametrize("planner", [rrt_plan, birrt_plan])
 def test_planner_connects_and_avoids_obstacles(planner, rng):
     raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
-    assert np.allclose(raw[0], START.as_array())
-    assert np.allclose(raw[-1], GOAL.as_array())
+    assert np.allclose(raw[0], np.array(START))
+    assert np.allclose(raw[-1], np.array(GOAL))
     assert misses_cell_obstacles(raw)
     assert not dense_sample_penetrates(raw, CELL_OBS)
 
@@ -119,6 +119,23 @@ def test_planner_short_hop_is_direct(rng):
     assert len(raw) == 2
 
 
+@pytest.mark.parametrize("planner", [rrt_plan, birrt_plan])
+def test_planner_outputs_are_float_triples(planner, rng):
+    """Every planner output is a list of plain tuples of Python floats, so no
+    `np.float64` and no `Point3` reaches a route."""
+    raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
+    assert_float_triples(raw)
+    assert_float_triples(smooth_and_resample(raw, CELL_OBS, count=20))
+    # The trivial paths: a short hop, and coinciding endpoints.
+    assert_float_triples(planner(BOUNDS, CELL_OBS, START, Point3(15.0, 90.0, 10.0), RrtParams(), rng))
+    assert planner(BOUNDS, CELL_OBS, START, START, RrtParams(), rng) == [(10.0, 90.0, 10.0)]
+    assert_float_triples(straight_points(START, GOAL, 7))
+    assert_float_triples(resample_polyline([(0.0, 0.0, 0.0), (1.0, 2.0, 3.0)], 4))
+    one = resample_polyline([START], 3)
+    assert one == [(10.0, 90.0, 10.0)] * 3
+    assert_float_triples(one)
+
+
 def test_rrt_params_validation():
     with pytest.raises(ValueError):
         RrtParams(step_size=0)
@@ -139,7 +156,7 @@ def test_shortcut_straightens_collinear_chain():
 def test_shortcut_preserves_collision_freedom(rng):
     boxes = flatten_obstacles(CELL_OBS)
     raw = rrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
-    cut = shortcut(raw.tolist(), boxes)
+    cut = shortcut(raw, boxes)
     assert len(cut) <= len(raw)
     assert misses_cell_obstacles(cut)
     assert np.allclose(cut[0], raw[0]) and np.allclose(cut[-1], raw[-1])
@@ -147,13 +164,13 @@ def test_shortcut_preserves_collision_freedom(rng):
 
 def test_moving_average_keeps_endpoints_and_freedom(rng):
     raw = rrt_plan(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
-    smoothed = moving_average_smooth(raw.tolist(), flatten_obstacles(CELL_OBS), 5)
+    smoothed = moving_average_smooth(raw, flatten_obstacles(CELL_OBS), 5)
     assert np.allclose(smoothed[0], raw[0]) and np.allclose(smoothed[-1], raw[-1])
     assert misses_cell_obstacles(smoothed)
 
 
 def test_resample_two_point_line_equally_spaced():
-    out = resample_polyline(np.array([[0.0, 0, 0], [90.0, 0, 0]]), 10)
+    out = np.array(resample_polyline([(0.0, 0.0, 0.0), (90.0, 0.0, 0.0)], 10))
     assert np.allclose(out[:, 0], np.arange(10) * 10.0)
 
 
@@ -187,16 +204,16 @@ def test_smooth_and_resample_contract(seed, count, planner):
     rng = np.random.default_rng(seed)
     raw = planner(BOUNDS, CELL_OBS, START, GOAL, RrtParams(), rng)
     boxes = flatten_obstacles(CELL_OBS)
-    smoothed = moving_average_smooth(shortcut(raw.tolist(), boxes), boxes, SMOOTH_WINDOW)
+    smoothed = moving_average_smooth(shortcut(raw, boxes), boxes, SMOOTH_WINDOW)
     vertices = shortcut(smoothed, boxes)
     if len(vertices) > count:
         with pytest.raises(PlanningFailed, match=f"more than {count} waypoints"):
             smooth_and_resample(raw, CELL_OBS, count=count)
         return
-    wp = smooth_and_resample(raw, CELL_OBS, count=count)
+    wp = np.array(smooth_and_resample(raw, CELL_OBS, count=count))
     assert wp.shape == (count, 3)
-    assert np.allclose(wp[0], START.as_array())
-    assert np.allclose(wp[-1], GOAL.as_array())
+    assert np.allclose(wp[0], np.array(START))
+    assert np.allclose(wp[-1], np.array(GOAL))
     for v in vertices:
         assert (np.linalg.norm(wp - v, axis=1) < 1e-9).any()
     assert misses_cell_obstacles(wp)

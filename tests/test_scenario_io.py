@@ -543,4 +543,4 @@ def test_single_cell_scenario_layout():
     from skygrid.sampling import flatten_obstacles, segment_free
 
     u = sc.uavs[0]
-    assert not segment_free(u.start.as_array(), u.goal.as_array(), flatten_obstacles(sc.obstacles))
+    assert not segment_free(u.start, u.goal, flatten_obstacles(sc.obstacles))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import dense_sample_penetrates, make_sudden
+from conftest import assert_float_triples, dense_sample_penetrates, make_sudden
 from skygrid import sim
 from skygrid.adsb import OccupancyReport, PositionReport, SuddenObstacleAlert
 from skygrid import pso
@@ -33,7 +34,7 @@ def test_uav_advances_speed_dt_per_tick():
     world = World(sc, Mode.SSP)
     world.step()
     uav = world.uavs[0]
-    start = sc.uavs[0].start.as_array()
+    start = np.array(sc.uavs[0].start)
     assert uav.phase is UavPhase.FLYING
     assert np.linalg.norm(uav.position - start) == pytest.approx(5.0)
 
@@ -52,7 +53,7 @@ def test_arrival_at_goal_is_fixpoint():
     metrics = world.run()
     assert metrics.arrived == ["uav0"]
     uav = world.uavs[0]
-    assert np.allclose(uav.position, sc.uavs[0].goal.as_array())
+    assert np.allclose(uav.position, np.array(sc.uavs[0].goal))
     snapshot = uav.position.copy()
     world.step()
     assert np.array_equal(uav.position, snapshot)
@@ -62,7 +63,7 @@ def test_straight_path_in_empty_cell_is_exact_line():
     sc = empty_single_cell()
     metrics = run_scenario(sc, Mode.SSP)
     direct = np.linalg.norm(
-        sc.uavs[0].goal.as_array() - sc.uavs[0].start.as_array()
+        np.array(sc.uavs[0].goal) - np.array(sc.uavs[0].start)
     )
     assert metrics.per_uav_length["uav0"] == pytest.approx(direct, abs=1e-6)
 
@@ -161,7 +162,7 @@ def test_a_non_finite_position_raises_before_it_is_published():
     world.step()
     uav = world.uavs[0]
     assert uav.phase is UavPhase.FLYING
-    uav.position = np.array([1.0, np.nan, 1.0])
+    uav.xyz = (1.0, math.nan, 1.0)
     logged = len(world.bus.log)
     with pytest.raises(ValueError, match="non-finite position"):
         world._record_tick()
@@ -172,7 +173,7 @@ def test_a_non_finite_position_raises_before_it_is_published():
     while sum(u.phase is UavPhase.FLYING for u in world.uavs) < 2:
         world.step()
     second = [u for u in world.uavs if u.phase is UavPhase.FLYING][1]
-    second.position = np.array([1.0, 1.0, np.inf])
+    second.xyz = (1.0, 1.0, math.inf)
     logged = len(world.bus.log)
     with pytest.raises(ValueError, match=f"{second.id}: non-finite position"):
         world._record_tick()
@@ -190,13 +191,12 @@ def test_position_is_a_fresh_array_of_the_stored_floats():
     p[0] += 1.0  # an edit in place is lost
     assert uav.position[0] == uav.xyz[0] != p[0]
     assert "lost" in sim.UavState.position.__doc__
-    # Assigning sets the floats, to the bit.
-    uav.position = np.array([1.0, -0.0, 2.5])
-    assert uav.xyz == (1.0, -0.0, 2.5) and str(uav.xyz[1]) == "-0.0"
-    assert all(type(v) is float for v in uav.xyz)
+    # Read-only: `World._advance` is the one writer of `xyz`.
+    with pytest.raises(AttributeError):
+        uav.position = np.array([1.0, -0.0, 2.5])
     # What perfbench's oracle reads.
-    goal = np.array([uav.goal.x, uav.goal.y, uav.goal.z])
-    uav.position = goal
+    uav.xyz = tuple(uav.goal)
+    goal = np.array(uav.goal)
     assert np.array_equal(uav.position, goal) and uav.position.tolist() == goal.tolist()
 
 
@@ -522,6 +522,18 @@ def test_a_sudden_obstacle_over_the_goal_fails_the_uav():
     assert uav.phase is UavPhase.FAILED
 
 
+def test_a_replan_from_inside_the_cube_names_the_position_as_a_point():
+    """The escalation hands the planner the position as a `Point3`, so the
+    failure text names it in the `Point3(x=…, y=…, z=…)` form."""
+    world = World(single_cell_scenario(seed=3), Mode.RRT_ONLY)
+    world.step()
+    uav = world.uavs[0]
+    world.inject_sudden_obstacle(make_sudden(uav.xyz, side=10.0), world.tick)
+    assert world.metrics.events[-1]["kind"] == "replan_failed"
+    assert world.metrics.events[-1]["reason"] == f"start point {Point3(*uav.xyz)} lies inside an obstacle"
+    assert world.metrics.events[-1]["reason"].startswith("start point Point3(x=")
+
+
 def test_the_route_is_the_installed_path_after_every_tick():
     """The sudden-obstacle golden run: after every tick each UAV's route is
     the array last recorded for it, bit for bit, and `active_waypath` is
@@ -543,6 +555,60 @@ def test_the_route_is_the_installed_path_after_every_tick():
             assert view.waypoints.tobytes() == route.tobytes()
             assert view.sub_airspace == uav.current_cell == recorded.cell
     assert {"repair", "cell_entered"} <= {e["kind"] for e in world.metrics.events}
+
+
+class TripleCheckingWorld(World):
+    """A World that checks every route it installs: the waypoints handed to
+    `_commit` and the stored route are float triples."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.commits = []
+
+    def _commit(self, uav, waypoints, next_index, event):
+        assert_float_triples(waypoints)
+        super()._commit(uav, waypoints, next_index, event)
+        assert type(uav.route) is tuple
+        assert_float_triples(uav.route)
+        self.commits.append(event)
+
+
+def _cube_ahead(world):
+    for _ in range(3):
+        world.step()
+    uav = world.uavs[0]
+    d = np.subtract(uav.route[uav.next_waypoint_index], uav.route[uav.next_waypoint_index - 1])
+    world.inject_sudden_obstacle(make_sudden(uav.position + 4.0 * d / np.linalg.norm(d), side=4.0), world.tick)
+
+
+def _cube_over_the_exit_point(world):
+    world.step()
+    world.inject_sudden_obstacle(make_sudden(world.uavs[0].route[-1], side=10.0), world.tick)
+
+
+# name -> (scenario, mode, what to do before the run, the commit it must see)
+ROUTE_CASES = {
+    "cell entry": (lambda: single_cell_scenario(seed=0), Mode.SSP, None, "cell_entered"),
+    "straight line": (empty_single_cell, Mode.SSP, None, "cell_entered"),
+    "RrtOnly": (lambda: single_cell_scenario(seed=0), Mode.RRT_ONLY, None, "cell_entered"),
+    "BirrtOnly": (lambda: single_cell_scenario(seed=0), Mode.BIRRT_ONLY, None, "cell_entered"),
+    "repair": (lambda: single_cell_scenario(seed=2), Mode.SSP, _cube_ahead, "repair"),
+    "escalation": (
+        lambda: load_scenario(TWO_CELLS, seed_override=1), Mode.SSP, _cube_over_the_exit_point, "cell_replanned",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_every_committed_route_is_float_triples(case):
+    make, mode, before, event = ROUTE_CASES[case]
+    world = TripleCheckingWorld(make(), mode)
+    if before is not None:
+        before(world)
+    metrics = world.run()
+    assert event in world.commits and metrics.arrived == ["uav0"]
+    # The straight line skips the swarm; the reference cell's entry runs it.
+    assert (metrics.convergence == []) == (case in ("straight line", "RrtOnly", "BirrtOnly"))
 
 
 def test_obstacle_behind_uav_is_ignored():
