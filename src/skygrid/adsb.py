@@ -21,8 +21,8 @@ from .geometry import CuboidObstacle
 
 
 class PositionReport(NamedTuple):
-    """A UAV's position as finite airspace-local coordinates; it has the
-    .x/.y/.z that AirspaceGrid.locate reads."""
+    """A UAV's position as finite airspace-local coordinates. The coordinates
+    are its last three items, which is where AirspaceGrid.locate reads them."""
 
     uav_id: str
     x: float

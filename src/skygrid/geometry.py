@@ -93,26 +93,34 @@ def points_to_cuboids_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarra
     points: (..., 3); lo, hi: (K, 3) stacked cuboid corners.
     Returns distances of shape (..., K); see `box_distances`.
     """
-    shape = (3,) + (1,) * (points.ndim - 1) + (len(lo),)
-    return box_distances(np.moveaxis(points, -1, 0), lo.T.reshape(shape), hi.T.reshape(shape))
+    shape = (3, len(lo)) + (1,) * (points.ndim - 1)
+    lo, hi = (np.ascontiguousarray(c.T).reshape(shape) for c in (lo, hi))
+    return box_distances(np.moveaxis(points, -1, 0), lo, hi)
 
 
 def box_distances(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Clamp-to-box distances of axis-major points.
 
-    points: (3, ...); lo, hi: (3, 1, ..., 1, K), the box corners per axis
+    points: (3, ...); lo, hi: (3, K, 1, ..., 1), the box corners per axis
     with one axis of length 1 for each trailing axis of points. Returns a
     C-contiguous (..., K) array: sqrt((x² + y²) + z²) of the per-axis gaps
     to the clamped point, 0 inside a box.
+
+    The gaps are box-major, (3, K, ...), so each pass runs over whole rows
+    of points; only the square root writes through a (K, ...) view of the
+    (..., K) result, whose memory order is what numpy's reductions over it
+    follow.
     """
-    p = points[..., None]
+    p = points[:, None]
     gap = np.maximum(p, lo)
     np.minimum(gap, hi, out=gap)
     np.subtract(gap, p, out=gap)
     np.multiply(gap, gap, out=gap)
     total = gap[0] + gap[1]
     np.add(total, gap[2], out=total)
-    return np.sqrt(total, out=total)
+    out = np.empty(total.shape[1:] + total.shape[:1])
+    np.sqrt(total, out=out.transpose(-1, *range(out.ndim - 1)))
+    return out
 
 
 # Not called by the planner; perfbench's span table (tracing.SPANS) looks it up by name.

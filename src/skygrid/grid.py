@@ -7,10 +7,11 @@ in z: id = 1 + ix + iy*A_x + iz*A_x*A_y.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3, Xyz
+from .geometry import CuboidObstacle, ObstacleKind, Xyz
 
 
 class OutOfAirspace(Exception):
@@ -72,11 +73,12 @@ class AirspaceGrid:
         hi = tuple((coords[i] + 1) * size[i] for i in range(3))
         return lo, hi
 
-    def locate(self, p: Point3) -> int:
-        """Cell containing p, which may be anything with float .x/.y/.z (an
-        ADS-B PositionReport too). Cells are half-open [lo, hi) except at the
-        global maximum face, which belongs to the last cell."""
-        x, y, z = p.x, p.y, p.z
+    def locate(self, p: Sequence[float]) -> int:
+        """Cell containing p, a sequence whose last three items are its x, y
+        and z: a float triple, a Point3 or an ADS-B PositionReport. Cells are
+        half-open [lo, hi) except at the global maximum face, which belongs
+        to the last cell."""
+        x, y, z = p[-3], p[-2], p[-1]
         ex, ey, ez = self.extent
         if 0 <= x <= ex and 0 <= y <= ey and 0 <= z <= ez:
             sx, sy, sz = self.cell_size

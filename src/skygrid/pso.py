@@ -4,6 +4,13 @@ A population of RRT, Bi-RRT, and straight-line seed paths is optimized under
 a cost that trades obstacle clearance against trajectory length, subject to
 segment-length, turn/pitch-angle, and cell-bound constraints handled by an
 additive large penalty. Endpoints are fixed boundary conditions.
+
+Every batch is scored by one kernel, `_Scorer`, on axis-major (3, P, J)
+paths. The swarm keeps its state in that layout, so its positions are the
+interior columns of the scored buffer; the clearance gaps run box-major and
+the violation counts go into one integer buffer. None of this changes a bit
+of the result: each value is the same IEEE operation on the same operands,
+and every float reduction runs over the same memory order as before.
 """
 
 from __future__ import annotations
@@ -14,7 +21,16 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import CuboidObstacle, ObstacleKind, Point3, box_distances, obstacle_arrays, slab_planes, slab_test
+from .geometry import (
+    CuboidObstacle,
+    ObstacleKind,
+    Point3,
+    Xyz,
+    box_distances,
+    obstacle_arrays,
+    slab_planes,
+    slab_test,
+)
 from .sampling import (
     DEFAULT_WAYPOINT_COUNT,
     PlanningFailed,
@@ -44,24 +60,41 @@ class CostParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass
+def _triple(name: str, value: Sequence[float]) -> Xyz:
+    try:
+        x, y, z = value
+        return float(x), float(y), float(z)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be three numbers, got {value!r}") from exc
+
+
+@dataclass(frozen=True)
 class ConstraintParams:
-    """Kinematic and containment limits for one sub-airspace trajectory."""
+    """Kinematic and containment limits for one sub-airspace trajectory.
+
+    The cell box is held as two float triples, the form the tree planners
+    sample in; `bounds` is the (lo, hi) pair they take.
+    """
 
     l_max: float = 40.0
     L_max: float = 400.0
     ta_max: float = 60.0
     pa_max: float = 45.0
-    bounds_lo: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    bounds_hi: np.ndarray = field(default_factory=lambda: np.array([200.0, 200.0, 50.0]))
+    bounds_lo: Xyz = field(default_factory=lambda: (0.0, 0.0, 0.0))
+    bounds_hi: Xyz = field(default_factory=lambda: (200.0, 200.0, 50.0))
 
     def __post_init__(self):
-        self.bounds_lo = np.asarray(self.bounds_lo, dtype=float)
-        self.bounds_hi = np.asarray(self.bounds_hi, dtype=float)
+        lo, hi = _triple("bounds_lo", self.bounds_lo), _triple("bounds_hi", self.bounds_hi)
+        object.__setattr__(self, "bounds_lo", lo)
+        object.__setattr__(self, "bounds_hi", hi)
         if not all(0 < v < math.inf for v in (self.l_max, self.L_max, self.ta_max, self.pa_max)):
             raise ValueError("constraint limits must be finite and positive")
-        if not np.all(self.bounds_hi > self.bounds_lo):
+        if not all(b > a for a, b in zip(lo, hi)):
             raise ValueError("bounds_hi must exceed bounds_lo on every axis")
+
+    @property
+    def bounds(self) -> tuple[Xyz, Xyz]:
+        return self.bounds_lo, self.bounds_hi
 
 
 @dataclass(frozen=True)
@@ -128,19 +161,20 @@ class _Scorer:
         constraints: Optional[ConstraintParams],
     ):
         self.k4 = cp.k4 if cp is not None else None
-        # (lo, hi, k3·k) of each obstacle kind whose clearance term is on;
-        # with no obstacles of a kind its weight is forced to 0.
+        # (lo, hi, k3·k) of each obstacle kind whose clearance term is on,
+        # the corners box-major (3, K, 1, 1); with no obstacles of a kind its
+        # weight is forced to 0.
         self.clearance = []
         if cp is not None:
             for kind, k in ((static, cp.k5), (sudden, cp.k6)):
                 if kind and k != 0:
-                    lo, hi = obstacle_arrays(kind)
-                    shape = (3, 1, 1, len(kind))
-                    self.clearance.append((lo.T.reshape(shape), hi.T.reshape(shape), cp.k3 * k))
+                    lo, hi = (np.ascontiguousarray(c.T).reshape(3, -1, 1, 1) for c in obstacle_arrays(kind))
+                    self.clearance.append((lo, hi, cp.k3 * k))
         self.constraints = constraints
         if constraints is not None:
-            self.bounds_lo = constraints.bounds_lo.reshape(3, 1, 1)
-            self.bounds_hi = constraints.bounds_hi.reshape(3, 1, 1)
+            # The cell box as (3, 1, 1) arrays, against axis-major waypoints.
+            self.lo = np.array(constraints.bounds_lo).reshape(3, 1, 1)
+            self.hi = np.array(constraints.bounds_hi).reshape(3, 1, 1)
             self.sin_pa, self.cos_ta = _angle_limits(constraints)
             lo, hi = obstacle_arrays([*static, *sudden])
             self.planes = slab_planes(lo, hi, 2) if len(lo) else None
@@ -150,7 +184,10 @@ class _Scorer:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return self._score(paths)
 
-    def _score(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _score(self, paths: np.ndarray, clamped: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """`__call__` without the errstate. `clamped` says that every interior
+        waypoint was just clamped to the cell box, so the box rule is skipped:
+        a clamped coordinate is inside, or NaN, which compares false."""
         d = paths[:, :, 1:] - paths[:, :, :-1]  # (3, P, J-1) segment vectors
         sq = d * d
         h2 = sq[0] + sq[1]
@@ -172,31 +209,39 @@ class _Scorer:
         c = self.constraints
         if c is None:
             return cost, 0.0
-        # Per-segment violations: C1, the segment length limit; C4, the pitch
-        # angle, where a zero-length segment is a violation; a collision.
-        # Per-turn violations: C3, the angle between consecutive horizontal
-        # headings, where a purely vertical segment is a violation; C5-C7,
-        # an interior waypoint outside the cell box (endpoints are fixed
-        # boundary conditions on the cell faces). Counts are integers, so
-        # their sum does not depend on the order of the terms.
+        # One integer count per segment, per turn and per path, summed once;
+        # integer sums do not depend on the order of the terms. A sum of two
+        # bool arrays names dtype=np.intp: bool `add` is a logical or.
+        n_seg, n_turn = d.shape[2], max(d.shape[2] - 1, 0)
+        counts = np.empty((len(total_len), n_seg + n_turn + 1), np.intp)
+        per_segment, per_turn = counts[:, :n_seg], counts[:, n_seg:-1]
+        # Per segment: C1, the segment length limit; C4, the pitch angle,
+        # where a zero-length segment is a violation; a collision.
         steep = np.abs(d[2]) > self.sin_pa * lengths
-        per_segment = np.add(lengths > c.l_max, steep | (lengths == 0.0), dtype=np.intp)
+        np.add(lengths > c.l_max, steep | (lengths == 0.0), out=per_segment, dtype=np.intp)
         if self.planes is not None:
             per_segment += slab_test(paths[:, :, :-1], d, self.planes)
 
+        # Per turn: C3, the angle between consecutive horizontal headings,
+        # where a purely vertical segment is a violation; C5-C7, an interior
+        # waypoint outside the cell box (endpoints are fixed boundary
+        # conditions on the cell faces).
         hx, hy = d[0], d[1]
         hn = np.sqrt(h2)
         dot = hx[:, :-1] * hx[:, 1:] + hy[:, :-1] * hy[:, 1:]
         denom = hn[:, :-1] * hn[:, 1:]
         sharp = dot < self.cos_ta * denom
-        interior = paths[:, :, 1:-1]
-        outside = np.logical_or.reduce((interior < self.bounds_lo) | (interior > self.bounds_hi), 0)
-        per_turn = np.add(sharp | (denom == 0.0), outside, dtype=np.intp)
+        sharp |= denom == 0.0
+        if clamped:
+            per_turn[...] = sharp
+        else:
+            interior = paths[:, :, 1:-1]
+            outside = np.logical_or.reduce((interior < self.lo) | (interior > self.hi), 0)
+            np.add(sharp, outside, out=per_turn, dtype=np.intp)
 
-        # C2: the total length limit.
-        violations = np.add.reduce(per_segment, 1) + np.add.reduce(per_turn, 1)
-        violations += total_len > c.L_max
-        return cost, VIOLATION_PENALTY * violations
+        # Per path: C2, the total length limit.
+        counts[:, -1] = total_len > c.L_max
+        return cost, VIOLATION_PENALTY * np.add.reduce(counts, 1)
 
 
 def _obstacle_free_feasible(points: Sequence[Sequence[float]], constraints: ConstraintParams) -> bool:
@@ -223,7 +268,7 @@ def _obstacle_free_feasible(points: Sequence[Sequence[float]], constraints: Cons
                 return False
         prev = dx, dy, hn
         lengths.append(length)
-    lo, hi = c.bounds_lo.tolist(), c.bounds_hi.tolist()
+    lo, hi = c.bounds
     for p in points[1:-1]:  # C5-C7
         if any(v < a or v > b for v, a, b in zip(p, lo, hi)):
             return False
@@ -290,6 +335,11 @@ def optimize(
     Returns the best-ever (J, 3) trajectory and the per-iteration global-best
     cost history (monotone non-increasing). Raises PlanningFailed if every
     particle is still infinitely penalized when the budget runs out.
+
+    Each iteration draws (2, P, J-2, 3) uniforms, the r1 and r2 of the
+    inertia-weight update (Shi & Eberhart 1998), moves and clamps the
+    particles to the cell box, and scores them without the box rule, which a
+    clamped position cannot break.
     """
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 3 or seeds.shape[2] != 3 or 0 in seeds.shape:
@@ -301,53 +351,67 @@ def optimize(
 
     score = _Scorer(*_split_obstacles(obstacles), cp, constraints)
 
-    # The kernel's axis-major (3, P, J) paths: the fixed endpoint columns are
-    # written once, the interior columns from x on every evaluation.
-    x = seeds[:, 1:-1].copy()  # (P, J-2, 3)
+    # The swarm's state lives in the kernel's axis-major layout: x, the
+    # positions, is the interior view of the scored (3, P, J) buffer, whose
+    # endpoint columns never change. best[0] holds each particle's best
+    # position and best[1] the global best repeated for every particle, so
+    # both attractions take one subtraction.
     paths = np.empty((3, p, j))
     paths[:, :, 0] = first[:, None]
     paths[:, :, -1] = last[:, None]
-    interior = paths[:, :, 1:-1]
+    x = paths[:, :, 1:-1]  # (3, P, J-2)
+    x[...] = seeds[:, 1:-1].transpose(2, 0, 1)
+    best = np.empty((2,) + x.shape)
+    pbest = best[0]
+    # c1 and c2 against the two attractions, and buffers for the velocity terms.
+    c = np.array([params.c1, params.c2]).reshape(2, 1, 1, 1)
+    cr = np.empty_like(best)
+    pull = np.empty_like(best)
+    v = np.zeros_like(pbest)
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        np.copyto(interior, x.transpose(2, 0, 1))
-        cost, penalty = score(paths)
-        return cost + penalty
-
-    v = np.zeros_like(x)
-    cost = evaluate(x)
-    pbest = x.copy()
-    pbest_cost = cost.copy()
-    g_idx = int(pbest_cost.argmin())
-    gbest = pbest[g_idx].copy()
-    gbest_cost = float(pbest_cost[g_idx])
-    history = [gbest_cost]
-    stall = 0
-
-    for _ in range(params.max_iterations):
-        r1, r2 = rng.random((2,) + x.shape)
-        v = params.inertia * v + params.c1 * r1 * (pbest - x) + params.c2 * r2 * (gbest - x)
-        np.maximum(v, -params.v_max, out=v)
-        np.minimum(v, params.v_max, out=v)
-        x += v
-        np.maximum(x, constraints.bounds_lo, out=x)
-        np.minimum(x, constraints.bounds_hi, out=x)
-        cost = evaluate(x)
-
-        improved = cost < pbest_cost
-        np.copyto(pbest, x, where=improved[:, None, None])
-        np.copyto(pbest_cost, cost, where=improved)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The seeds may leave the cell box, so their evaluation applies it.
+        cost, penalty = score._score(paths)
+        pbest_cost = cost + penalty
+        pbest[...] = x
         g_idx = int(pbest_cost.argmin())
-        if pbest_cost[g_idx] < gbest_cost - params.stall_tolerance:
-            stall = 0
-        else:
-            stall += 1
-        if pbest_cost[g_idx] < gbest_cost:
-            gbest = pbest[g_idx].copy()
-            gbest_cost = float(pbest_cost[g_idx])
-        history.append(gbest_cost)
-        if stall >= params.stall_iterations:
-            break
+        best[1] = pbest[:, g_idx, None]
+        gbest_cost = float(pbest_cost[g_idx])
+        history = [gbest_cost]
+        stall = 0
+
+        for _ in range(params.max_iterations):
+            # The draws are particle-major (P, J-2, 3) per attraction.
+            r = rng.random((2, p, x.shape[2], 3)).transpose(0, 3, 1, 2)
+            np.multiply(c, r, out=cr)
+            np.subtract(best, x, out=pull)
+            pull *= cr
+            # (inertia·v + c1·r1·(pbest − x)) + c2·r2·(gbest − x)
+            v *= params.inertia
+            v += pull[0]
+            v += pull[1]
+            np.maximum(v, -params.v_max, out=v)
+            np.minimum(v, params.v_max, out=v)
+            x += v
+            np.maximum(x, score.lo, out=x)
+            np.minimum(x, score.hi, out=x)
+            cost, penalty = score._score(paths, clamped=True)
+            cost += penalty
+
+            improved = cost < pbest_cost
+            np.copyto(pbest, x, where=improved[:, None])
+            np.copyto(pbest_cost, cost, where=improved)
+            g_idx = int(pbest_cost.argmin())
+            if pbest_cost[g_idx] < gbest_cost - params.stall_tolerance:
+                stall = 0
+            else:
+                stall += 1
+            if pbest_cost[g_idx] < gbest_cost:
+                best[1] = pbest[:, g_idx, None]
+                gbest_cost = float(pbest_cost[g_idx])
+            history.append(gbest_cost)
+            if stall >= params.stall_iterations:
+                break
 
     if not np.isfinite(gbest_cost):
         raise PlanningFailed("no particle reached a finite penalized cost")
@@ -355,12 +419,12 @@ def optimize(
     best_path = np.empty((j, 3))
     best_path[0] = first
     best_path[-1] = last
-    best_path[1:-1] = gbest
+    best_path[1:-1] = best[1, :, 0].T
     return best_path, history
 
 
 def build_seed_population(
-    bounds: tuple[np.ndarray, np.ndarray],
+    bounds: tuple[Xyz, Xyz],
     obstacles: Sequence[CuboidObstacle],
     start: Point3,
     goal: Point3,

@@ -83,6 +83,5 @@ def repair(
     if lo < 0 or hi > len(path) - 1:
         raise PlanningFailed("no collision-free bracketing waypoints remain")
 
-    bounds = (constraints.bounds_lo, constraints.bounds_hi)
-    raw = birrt_plan(bounds, full, path[lo], path[hi], rrt_params, rng)
+    raw = birrt_plan(constraints.bounds, full, path[lo], path[hi], rrt_params, rng)
     return [*path[: lo + 1], *_smooth(raw, boxes)[1:-1], *path[hi:]]

@@ -155,7 +155,7 @@ def _endpoints(obstacles: Iterable[CuboidObstacle], start: Xyz, goal: Xyz, step:
 
 
 def rrt_plan(
-    bounds: tuple[np.ndarray, np.ndarray],
+    bounds: tuple[Xyz, Xyz],
     obstacles: Iterable[CuboidObstacle],
     start: Xyz,
     goal: Xyz,
@@ -168,8 +168,7 @@ def rrt_plan(
     if trivial is not None:
         return trivial
 
-    lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
-    hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
+    (lx, ly, lz), (hx, hy, hz) = bounds
     wx, wy, wz = hx - lx, hy - ly, hz - lz
     tree = _Tree(s)
     step = params.step_size
@@ -194,7 +193,7 @@ def rrt_plan(
 
 
 def birrt_plan(
-    bounds: tuple[np.ndarray, np.ndarray],
+    bounds: tuple[Xyz, Xyz],
     obstacles: Iterable[CuboidObstacle],
     start: Xyz,
     goal: Xyz,
@@ -207,8 +206,7 @@ def birrt_plan(
     if trivial is not None:
         return trivial
 
-    lx, ly, lz = np.asarray(bounds[0], dtype=float).tolist()
-    hx, hy, hz = np.asarray(bounds[1], dtype=float).tolist()
+    (lx, ly, lz), (hx, hy, hz) = bounds
     wx, wy, wz = hx - lx, hy - ly, hz - lz
     # The greedy connect march can add several nodes per iteration.
     cap = 2 * params.max_iterations + 64

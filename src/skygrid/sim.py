@@ -116,9 +116,7 @@ class CellContext(NamedTuple):
     changes the grid's obstacles or a ConstraintParams after construction."""
 
     obstacles: list[CuboidObstacle]  # scenario obstacles overlapping the cell
-    lo: Xyz
-    hi: Xyz
-    constraints: ConstraintParams
+    constraints: ConstraintParams  # the cell box among them
 
 
 class World:
@@ -173,7 +171,7 @@ class World:
         if context is None:
             lo, hi = self.grid.cell_bounds(cell)
             context = self._cells[cell] = CellContext(
-                self.grid.obstacles_in_cell(cell), lo, hi,
+                self.grid.obstacles_in_cell(cell),
                 ConstraintParams(**self.scenario.constraint_limits, bounds_lo=lo, bounds_hi=hi),
             )
         return context
@@ -181,7 +179,8 @@ class World:
     def _cell_obstacles(self, cell: int) -> list[CuboidObstacle]:
         """Scenario obstacles in the cell, then injected ones in injection order."""
         c = self._cell(cell)
-        return c.obstacles + [ob for ob in self.injected if ob.overlaps(c.lo, c.hi)]
+        lo, hi = c.constraints.bounds
+        return c.obstacles + [ob for ob in self.injected if ob.overlaps(lo, hi)]
 
     def _node_costs(self) -> list[float]:
         """The coarse search's cell costs for the current occupancy, built at
@@ -243,12 +242,11 @@ class World:
         draws before failing."""
         obstacles = self._cell_obstacles(cell)
         constraints = self._cell(cell).constraints
-        bounds = (constraints.bounds_lo, constraints.bounds_hi)
         count = self.scenario.waypoints_per_cell
 
         if self.mode in (Mode.RRT_ONLY, Mode.BIRRT_ONLY):
             planner = rrt_plan if self.mode is Mode.RRT_ONLY else birrt_plan
-            raw = planner(bounds, obstacles, entry, target, self.scenario.rrt, uav.rng)
+            raw = planner(constraints.bounds, obstacles, entry, target, self.scenario.rrt, uav.rng)
             return smooth_and_resample(raw, obstacles, count)
 
         # No path of `count` waypoints within the length limits spans more
@@ -272,7 +270,7 @@ class World:
         for _ in range(FINE_PLAN_ATTEMPTS):
             try:
                 seeds = build_seed_population(
-                    bounds, obstacles, entry, target, uav.rng,
+                    constraints.bounds, obstacles, entry, target, uav.rng,
                     self.scenario.rrt, self.scenario.swarm, count,
                 )
                 best, history = optimize(

@@ -92,8 +92,8 @@ def reference_cell_runs():
     sub-airspace, keeping per-seed costs, results, and timings."""
     sc = single_cell_scenario()
     obstacles = list(sc.obstacles)
-    bounds = (np.zeros(3), np.array(sc.extent))
-    constraints = ConstraintParams(bounds_lo=bounds[0], bounds_hi=bounds[1])
+    constraints = ConstraintParams(bounds_lo=(0.0, 0.0, 0.0), bounds_hi=sc.extent)
+    bounds = constraints.bounds
     cp, sp, rp = CostParams(), SwarmParams(), RrtParams()
     start, goal = sc.uavs[0].start, sc.uavs[0].goal
     runs = []

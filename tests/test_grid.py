@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from skygrid.adsb import PositionReport
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
 from skygrid.grid import AirspaceGrid, NotAdjacent, OutOfAirspace
 
@@ -53,12 +56,14 @@ def test_locate_reference_points():
 
 def test_locate_boundary_belongs_to_upper_cell_except_max_face():
     g = make_grid()
-    assert g.locate(Point3(200, 0, 0)) == 2  # half-open cells
-    assert g.locate(Point3(1000, 1000, 250)) == 125  # global max face
+    assert g.locate(Point3(200, 0, 0)) == g.locate((200.0, 0.0, 0.0)) == 2  # half-open cells
+    assert g.locate(Point3(1000, 1000, 250)) == g.locate((1000.0, 1000.0, 250.0)) == 125  # global max face
     with pytest.raises(OutOfAirspace):
         g.locate(Point3(-0.1, 0, 0))
     with pytest.raises(OutOfAirspace):
         g.locate(Point3(0, 0, 250.1))
+    with pytest.raises(OutOfAirspace, match="axis 2"):
+        g.locate((0.0, 0.0, 250.1))
 
 
 @given(
@@ -72,6 +77,34 @@ def test_locate_is_consistent_with_cell_bounds(x, y, z):
     lo, hi = map(np.array, g.cell_bounds(cell))
     p = np.array([x, y, z])
     assert np.all(p >= lo - 1e-9) and np.all(p <= hi + 1e-9)
+
+
+def _located(locate, p):
+    """The cell, or the type and text of the error."""
+    try:
+        return locate(p)
+    except (OutOfAirspace, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# The extent's faces and the cell planes, their float neighbours, points just
+# outside, and NaN.
+_FACES = [0.0, 200.0, 1000.0, 250.0, 50.0]
+_EDGES = _FACES + [math.nextafter(v, d) for v in _FACES for d in (-math.inf, math.inf)] + [-0.0, 1000.5, math.nan]
+_coordinate = st.one_of(st.sampled_from(_EDGES), st.floats(-10.0, 1010.0))
+
+
+@settings(max_examples=500)
+@given(x=_coordinate, y=_coordinate, z=_coordinate)
+def test_a_triple_a_point_and_a_report_locate_alike(x, y, z):
+    g = make_grid()
+    want = _located(g.locate, (x, y, z))
+    assert _located(g.locate, PositionReport("u", x, y, z)) == want
+    if all(math.isfinite(v) for v in (x, y, z)):
+        assert _located(g.locate, Point3(x, y, z)) == want
+    if isinstance(want, int):
+        lo, hi = g.cell_bounds(want)
+        assert all(a <= v <= b for v, a, b in zip((x, y, z), lo, hi))
 
 
 # -- adjacency ---------------------------------------------------------------

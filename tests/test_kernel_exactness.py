@@ -99,23 +99,19 @@ def segment_on_faces(draw, obstacles, m):
     return a, b
 
 
-# With numpy rows the slab test does numpy-scalar arithmetic, which warns on
-# overflow; the program itself passes float triples.
-@pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), obstacles=cuboids(), m=margin, as_array=st.booleans())
-def test_segment_free_matches_reference(data, obstacles, m, as_array):
+@given(data=st.data(), obstacles=cuboids(), m=margin)
+def test_segment_free_matches_reference(data, obstacles, m):
     a, b = data.draw(segment_on_faces(obstacles, m))
     boxes = flatten_obstacles(obstacles, m)
-    # What flatten_obstacles computed from the lo/hi arrays before the rewrite.
-    lo, hi = obstacle_arrays(obstacles)
+    # What flatten_obstacles computed from the lo/hi arrays before the rewrite,
+    # as Python floats: the program hands segment_free float triples only.
+    lo, hi = (corners.tolist() for corners in obstacle_arrays(obstacles))
     ref_boxes = [
         (x0 - m, y0 - m, z0 - m, x1 + m, y1 + m, z1 + m)
         for (x0, y0, z0), (x1, y1, z1) in zip(lo, hi)
     ]
     assert boxes == ref_boxes
-    if as_array:
-        a, b = np.array(a), np.array(b)
     assert segment_free(a, b, boxes) == ref.segment_free(a, b, ref_boxes)
 
 
@@ -333,7 +329,7 @@ def test_smoothing_on_floats_matches_the_frozen_array_smoothing(case):
 
 # -- planners against digests recorded before the rewrite ---------------------
 
-BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
+BOUNDS = ((0.0, 0.0, 0.0), (200.0, 200.0, 50.0))
 CELL_OBS = list(single_cell_scenario().obstacles)
 START = Point3(10.0, 90.0, 10.0)
 GOAL = Point3(190.0, 130.0, 10.0)
@@ -555,7 +551,7 @@ def _recording_ref_trees(trees):
 # and a move of y or z changes the nearest-node key far below one of its ulps.
 # Each march step adds a node whose key equals its parent's, and the older
 # node must win the next pick. The march fills the tree to its node cap.
-TINY_BOUNDS = (np.zeros(3), np.full(3, 1.0e5))
+TINY_BOUNDS = ((0.0, 0.0, 0.0), (1.0e5, 1.0e5, 1.0e5))
 TINY_ENDS = {
     "x far, y and z move": (Point3(9.9e4, 50.0, 20.0), Point3(9.95e4, 80.0, 40.0)),
     "nothing moves": (Point3(9.9e4, 9.9e4, 9.9e4), Point3(9.92e4, 9.91e4, 9.93e4)),

@@ -22,7 +22,7 @@ from skygrid.sampling import (
 )
 from skygrid.scenario import single_cell_scenario
 
-BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
+BOUNDS = ((0.0, 0.0, 0.0), (200.0, 200.0, 50.0))
 CELL_OBS = list(single_cell_scenario().obstacles)
 START = Point3(10.0, 90.0, 10.0)
 GOAL = Point3(190.0, 130.0, 10.0)

@@ -4,7 +4,8 @@
 costs and penalties are compared bit for bit with the frozen particle-major
 `_batch_cost`/`_batch_penalty` of `reference_kernels.py`, whose clearance and
 slab tests are the frozen geometry kernels, and `optimize` is compared with
-the frozen `optimize`: waypoints, history and the whole generator state.
+the frozen `optimize`: waypoints, history and the whole generator state, in
+the default cell and in a cell box away from the origin, under drawn limits.
 
 The batches are built to hit the degenerate rules: vertical segments (turn
 violations), repeated waypoints (zero-length segments, pitch violations),
@@ -12,6 +13,8 @@ segment starts on a box plane (the slab test's 0/0 rule), waypoints inside
 a box (a zero clearance sum costs +inf) and interior waypoints outside the
 cell.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -139,7 +142,7 @@ def test_trajectory_cost_keeps_the_callers_kinds():
 
 # -- optimize against the frozen swarm ----------------------------------------
 
-BOUNDS = (np.zeros(3), np.array([200.0, 200.0, 50.0]))
+BOUNDS = ((0.0, 0.0, 0.0), (200.0, 200.0, 50.0))
 CELL_OBS = list(single_cell_scenario().obstacles)
 START = Point3(10.0, 90.0, 10.0)
 GOAL = Point3(190.0, 130.0, 10.0)
@@ -214,15 +217,50 @@ def test_optimize_matches_frozen_swarm_when_no_particle_is_finite():
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(batch=batches(max_p=12), cp=cost_params, seed=st.integers(0, 2**32 - 1))
-def test_optimize_matches_frozen_swarm_on_random_seeds(batch, cp, seed):
-    """Random particles that share their endpoints, inside and outside the cell."""
+# A cell box away from the origin: the loop clamps to it without checking it.
+OFF_ORIGIN = {"bounds_lo": (200.0, 0.0, 50.0), "bounds_hi": (400.0, 200.0, 100.0)}
+SHIFT = np.array([200.0, 0.0, 50.0])
+
+
+def _shifted(ob: CuboidObstacle) -> CuboidObstacle:
+    """The box moved with the cell; a static one stays grounded and grows by
+    the cell's height above the ground instead."""
+    x, y, z = ob.anchor
+    if ob.kind is ObstacleKind.STATIC:
+        return CuboidObstacle(Point3(x + 200.0, y, 0.0), ob.len_x, ob.len_y, ob.len_z + 50.0, ob.kind, ob.id)
+    return CuboidObstacle(Point3(x + 200.0, y, z + 50.0), ob.len_x, ob.len_y, ob.len_z, ob.kind, ob.id)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_optimize_matches_frozen_swarm_off_the_origin(seed):
+    cell = ConstraintParams(**OFF_ORIGIN)
+    obstacles = [_shifted(ob) for ob in CELL_OBS + [CUBE]]
+    start, goal = (Point3(*(np.array(p) + SHIFT)) for p in (START, GOAL))
+    rng = np.random.default_rng(seed)
+    seeds = build_seed_population(cell.bounds, obstacles, start, goal, rng, swarm=SMALL_SWARM)
+    _run_both(seeds, obstacles, CostParams(), cell, SMALL_SWARM, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=batches(max_p=12),
+    cp=cost_params,
+    limits=constraint_params,
+    off_origin=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimize_matches_frozen_swarm_on_random_seeds(batch, cp, limits, off_origin, seed):
+    """Random particles that share their endpoints, inside and outside the
+    cell, under drawn limits, in the default cell or moved with it."""
     paths, obstacles = batch
     if paths.shape[1] == 0:
         return
     paths[:, 0] = paths[0, 0]
     paths[:, -1] = paths[0, -1]
+    if off_origin:
+        paths += SHIFT
+        obstacles = [_shifted(ob) for ob in obstacles]
+        limits = dataclasses.replace(limits, **OFF_ORIGIN)
     swarm = SwarmParams(max_iterations=15, stall_iterations=5)
     with np.errstate(all="ignore"):
-        _run_both(paths, obstacles, cp, CELL, swarm, seed)
+        _run_both(paths, obstacles, cp, limits, swarm, seed)
