@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .geometry import CuboidObstacle, ObstacleKind, Point3
-from .output import emit_comparison, emit_results, write_table
+from .output import WAYPOINTS_HEADER, emit_comparison, emit_results, write_table
 from .replan import detect_conflicts
 from .sampling import PlanningFailed
 from .scenario import (
@@ -171,7 +171,7 @@ def cmd_replan_demo(args) -> int:
     emit_results(metrics, args.out, args.format)
     write_table(
         f"{args.out}/waypoints_repaired",
-        ["uav_id", "seq", "x", "y", "z", "cell_id"],
+        WAYPOINTS_HEADER,
         [["repaired", i, x, y, z, 1] for i, (x, y, z) in enumerate(repaired)],
         args.format,
     )

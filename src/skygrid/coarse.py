@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -76,27 +77,47 @@ def plan_coarse(grid: AirspaceGrid, costs: list[float], start: int, goal: int) -
     left unset; they are chosen during execution. costs holds each cell's
     cost by cell id, as `node_costs` builds it.
 
-    Dijkstra over labels (cost, length, path). Cell costs are non-negative,
-    so extending a label makes it strictly larger, (c + cost >= c, length + 1,
-    ...), and popped labels never decrease. A cell's first popped label is
-    therefore the smallest ever pushed for it: the cell is settled, and a
-    later label for it, built from a label popped no earlier, is strictly
-    larger, so a settled neighbour is skipped before its label is built. A
-    label is pushed only when it is smaller than the best label already
-    pushed for its cell; a skipped label could only have been popped after
-    that cell was settled, and discarded. (A later label can be the smaller
-    one: float sums over paths of different lengths can round to the same
-    cost.)
+    A label is (cost, length, path): the float cost summed along the path in
+    path order, its cell count and its cell ids. The search is A* (Hart,
+    Nilsson & Raphael, 1968) over these labels. A heap entry is (cost,
+    length + h, length, cell, path), where h, the Manhattan distance in cells
+    to the goal, is read from `grid.goal_distances(goal)`: cost first, then
+    the fewest cells any completion can have, then the cells so far, then
+    the cell id, so paths are compared only between labels of one cell.
+
+    Every cell settles with the label the label-setting Dijkstra over (cost,
+    length, path) gives it, so the plan and its `total_cost` are the same to
+    the bit:
+    - Extending a label makes its entry strictly larger: fl(c + x) >= c for a
+      cell cost x >= 0; when the cost stays equal, h changes by at most 1
+      across a face, so length + 1 + h' >= length + h, and length + 1 >
+      length. Popped entries therefore never decrease.
+    - Within one cell h is fixed, so the entry order is the label order.
+    - Say every cell settled so far holds Dijkstra's label, and take the next
+      cell to settle. Dijkstra's label for it extends the labels along its
+      path. The first cell on that path not yet settled has its Dijkstra
+      label in the heap: the settled cell before it pushed that label, and no
+      label for it is smaller. That entry is no larger than the next cell's
+      Dijkstra entry, which is smaller than the entry of any other label for
+      that cell, so no other label settles it.
+    - A settled cell is skipped before a label is built for it: every later
+      label for it is at least its settled one. A relaxation is skipped
+      before its path tuple is built when its cost exceeds the best label
+      pushed for the neighbour, or equals it with more cells; otherwise the
+      label is pushed only when it is smaller than that best label (a later
+      label can be the smaller one: float sums over paths of different
+      lengths can round to the same cost). A skipped label could only have
+      been popped after a smaller one for its cell, and discarded.
     """
     adjacency = grid.adjacency
-    label = (costs[start], 1, (start,))
+    h = grid.goal_distances(goal)
+    label = (costs[start], 1 + h[start], 1, start, (start,))
     best: list[Optional[tuple]] = [None] * len(costs)
     best[start] = label
     heap = [label]
     while heap:
         label = heapq.heappop(heap)
-        c, length, path = label
-        cell = path[-1]
+        c, _, length, cell, path = label
         if best[cell] is not label:
             continue  # superseded by a smaller label popped earlier, or settled
         if cell == goal:
@@ -107,7 +128,10 @@ def plan_coarse(grid: AirspaceGrid, costs: list[float], start: int, goal: int) -
             old = best[nb]
             if old is _SETTLED:
                 continue
-            new = (c + costs[nb], length, path + (nb,))
+            cost = c + costs[nb]
+            if old is not None and (cost > old[0] or cost == old[0] and length > old[2]):
+                continue
+            new = (cost, length + h[nb], length, nb, path + (nb,))
             if old is None or new < old:
                 best[nb] = new
                 heapq.heappush(heap, new)
@@ -141,19 +165,25 @@ def attraction_region(
     the window picks the half toward it: moves on both axes pick a quadrant,
     none keeps the whole face. A window of one cell has no moves.
     """
-    coords = [grid.cell_coords(c) for c in window]
-    moves = [tuple(b[i] - a[i] for i in range(3)) for a, b in zip(coords, coords[1:])]
-    lo, hi = list(face[0]), list(face[1])
-    for axis in range(3):
-        if lo[axis] == hi[axis]:
-            continue  # the plane the first move crosses
-        sign = next((move[axis] for move in moves if move[axis] != 0), 0)
-        mid = (lo[axis] + hi[axis]) / 2.0
-        if sign > 0:
-            lo[axis] = mid
-        elif sign < 0:
-            hi[axis] = mid
-    return tuple(lo), tuple(hi)
+    coords = grid.coords
+    sx = sy = sz = 0  # the first non-zero move along each axis
+    for a, b in pairwise(window):
+        (ax, ay, az), (bx, by, bz) = coords[a], coords[b]
+        sx, sy, sz = sx or bx - ax, sy or by - ay, sz or bz - az
+    (lx, ly, lz), (hx, hy, hz) = face
+    lx, hx = _toward(lx, hx, sx)
+    ly, hy = _toward(ly, hy, sy)
+    lz, hz = _toward(lz, hz, sz)
+    return (lx, ly, lz), (hx, hy, hz)
+
+
+def _toward(lo: float, hi: float, move: int) -> tuple[float, float]:
+    """The half of [lo, hi] a move of this sign points toward; all of it for
+    no move, or for the plane the first move crosses (lo == hi)."""
+    if lo == hi or not move:
+        return lo, hi
+    mid = (lo + hi) / 2.0
+    return (mid, hi) if move > 0 else (lo, mid)
 
 
 def select_exit_point(

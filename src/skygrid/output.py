@@ -58,6 +58,9 @@ def _csv_row_writer(fh) -> Callable[[Sequence], None]:
     return write_row
 
 
+WAYPOINTS_HEADER = ["uav_id", "seq", "x", "y", "z", "cell_id"]
+
+
 def waypoint_rows(metrics: SimMetrics) -> list[list]:
     """Per-UAV waypoint table; the shared face point between consecutive cells
     appears once, and re-planned cells replace their earlier entry."""
@@ -146,16 +149,41 @@ def _write_adsb_csv(path: str, bus_log) -> None:
         fh.write("".join(chunk))
 
 
+def _write_waypoints_csv(path: str, rows: Iterable[Sequence]) -> None:
+    """`write_table(path, WAYPOINTS_HEADER, rows, "csv")`, with a row
+    formatted in one step when no value of it needs quoting and each value
+    has the type the step formats as `_csv_row_writer` would: a UAV id that
+    `_Unquoted` passes, an int seq and cell id, and float coordinates. Every
+    other row goes through the table's row writer."""
+    with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
+        write_row = _csv_row_writer(fh)
+        write_row(WAYPOINTS_HEADER)
+        line = "%s,%d,%.6f,%.6f,%.6f,%d" + csv.excel.lineterminator
+        unquoted = _Unquoted()
+        lines: list[str] = []
+        for row in rows:
+            uav_id, seq, x, y, z, cell = row
+            if (
+                unquoted[uav_id] and type(seq) is type(cell) is int
+                and type(x) is type(y) is type(z) is float
+            ):
+                lines.append(line % (uav_id, seq, x, y, z, cell))
+            else:
+                fh.write("".join(lines))
+                lines.clear()
+                write_row(row)
+        fh.write("".join(lines))
+
+
 def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=None) -> None:
     """Write all result tables into out_dir."""
     os.makedirs(out_dir, exist_ok=True)
 
-    write_table(
-        os.path.join(out_dir, "waypoints"),
-        ["uav_id", "seq", "x", "y", "z", "cell_id"],
-        waypoint_rows(metrics),
-        fmt,
-    )
+    path = os.path.join(out_dir, "waypoints")
+    if fmt == "csv":
+        _write_waypoints_csv(path, waypoint_rows(metrics))
+    else:
+        write_table(path, WAYPOINTS_HEADER, waypoint_rows(metrics), fmt)
 
     write_table(
         os.path.join(out_dir, "occupancy"),

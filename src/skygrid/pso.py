@@ -268,9 +268,9 @@ def _obstacle_free_feasible(points: Sequence[Sequence[float]], constraints: Cons
                 return False
         prev = dx, dy, hn
         lengths.append(length)
-    lo, hi = c.bounds
-    for p in points[1:-1]:  # C5-C7
-        if any(v < a or v > b for v, a, b in zip(p, lo, hi)):
+    (lx, ly, lz), (hx, hy, hz) = c.bounds
+    for x, y, z in points[1:-1]:  # C5-C7
+        if x < lx or x > hx or y < ly or y > hy or z < lz or z > hz:
             return False
     return not np.add.reduce(lengths) > c.L_max  # C2
 

@@ -7,7 +7,9 @@ compared with frozen copies of their earlier code (`reference_kernels.py`):
 the same cells, the same total cost to the last bit, the same exception for
 points outside the airspace, and the same exit points and generator states.
 The search takes the cell costs `node_costs` builds; the frozen copy takes
-the counts and builds them itself.
+the counts and builds them itself. The frozen search is the label-setting
+Dijkstra; the live one is A* over the same labels with a Manhattan bound, so
+the cases include walls of costly cells that the bound points through.
 """
 
 import numpy as np
@@ -121,6 +123,65 @@ def test_plan_coarse_matches_reference_when_costs_tie_after_rounding(
     grid = AirspaceGrid(extent=(10.0, 10.0, 10.0), counts=counts)
     params = SspParams(k1=k1, k2=1 - k1)
     _check((grid, params, np.array(occupancy), start, goal, np.array(obstacle_counts)))
+
+
+@st.composite
+def walled_cases(draw, counts):
+    """A plane of high-cost cells across one axis with one gap, and start and
+    goal on either side of it: the Manhattan bound points through the wall,
+    and the cheapest path detours through the gap or pays to cross."""
+    grid = AirspaceGrid(extent=(1600.0, 1600.0, 400.0), counts=counts)
+    n = grid.n_cells
+    axis = draw(st.sampled_from([i for i in range(3) if counts[i] >= 3]))
+    plane = draw(st.integers(1, counts[axis] - 2))
+    gap = [draw(st.integers(0, c - 1)) for c in counts]
+    gap[axis] = plane
+    wall = draw(st.sampled_from([2, 5, 50, 1000]))
+    # Drawn from a seed: a 4096-cell list is too large an example to draw.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupancy = rng.choice([0] * 15 + [1, 2], n)
+    for cell in range(1, n + 1):
+        c = grid.cell_coords(cell)
+        if c[axis] == plane and list(c) != gap:
+            occupancy[cell - 1] = wall
+
+    def side(lo, hi):
+        c = [draw(st.integers(0, k - 1)) for k in counts]
+        c[axis] = draw(st.integers(lo, hi))
+        return grid.cell_id(*c)
+
+    start, goal = side(0, plane - 1), side(plane + 1, counts[axis] - 1)
+    if draw(st.booleans()):
+        start, goal = goal, start
+    k1, k2 = draw(weights)
+    zeros = np.zeros(n, dtype=int)
+    return grid, SspParams(k1=k1, k2=k2), occupancy, start, goal, zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=walled_cases((8, 8, 4)))
+def test_plan_coarse_matches_reference_behind_a_wall_with_one_gap(case):
+    _check(case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=walled_cases((16, 16, 16)))
+def test_plan_coarse_matches_reference_behind_a_wall_on_the_largest_grid(case):
+    _check(case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16)), data=st.data())
+def test_goal_distances_are_a_consistent_manhattan_bound(counts, data):
+    grid = AirspaceGrid(extent=(10.0, 10.0, 10.0), counts=counts)
+    goal = data.draw(st.integers(1, grid.n_cells))
+    table = grid.goal_distances(goal)
+    assert grid.goal_distances(goal) is table  # built once per goal
+    assert len(table) == grid.n_cells + 1 and table[0] == 0 and table[goal] == 0
+    g = grid.coords[goal]
+    for cell in range(1, grid.n_cells + 1):
+        assert table[cell] == sum(abs(u - v) for u, v in zip(grid.coords[cell], g))
+        assert all(abs(table[cell] - table[nb]) <= 1 for nb in grid.adjacency[cell])
 
 
 @settings(max_examples=300, deadline=None)

@@ -28,6 +28,10 @@ GOLDEN_NUMPY = "2.4.6"
 
 TEN_UAVS = "random_uavs: {count: 10, min_cell_separation: 5}\n"
 
+# The open-sky workload's fleet: no buildings, so nearly every cell plan is the
+# straight line, and the coarse search re-plans on zero-cost plateaus.
+OPEN_SKY = "random_uavs: {count: 150, min_cell_separation: 5}\nobstacles: []\n"
+
 # A YAML-listed sudden obstacle, two injections from the scenario file and a
 # lossy bus; at seed 3 one UAV repairs around the first injected cube.
 SUDDEN_LOSSY = """\
@@ -92,6 +96,18 @@ GOLDEN = {
             "lengths": "35226e8929ea052d1f62ee7db1865f9d168d99e2ac4214aa48df64bc9963f14e",
             "occupancy": "c37f3cd084d71d5ecf21bf683ef82c9ef6b77dd2b57b5bbefe401d19431f231e",
             "waypoints": "64d1c984dec129809c60767acbdcd5ed9c61ee460e9d127673e1b9ca8cfcd533",
+        },
+    ),
+    "simulate --seed 1 (150 UAVs, open sky)": (
+        ["simulate", "--seed", "1"],
+        OPEN_SKY,
+        {
+            "adsb_log": "6a3ad8145fc6b69867d0a4a9d40a948251aae33f36fcf317d1a72988e399cf50",
+            "convergence": "4ceea9dd5a9a1dc85fc63bdd9339f3fb379ed0a08490505214b3bb24271bc347",
+            "events": "5fe75757634db2d3f63b42416bbc6337244f43906b65285d897ca6ae296da6ef",
+            "lengths": "60d713964f726276ee2944f29eece1b3ffc11794b323e27cd8cb10e61a1810ac",
+            "occupancy": "eb58c22a9d651c5cabb06d35ab1d4c0c4294bca31f67a6105401a0681a18c45f",
+            "waypoints": "b1987571e0d9f775bfe992919beefc40bf71ccfb752a85ac22b3f70245520407",
         },
     ),
     "simulate --seed 3 (sudden obstacles, loss 0.3)": (

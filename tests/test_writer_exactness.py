@@ -2,12 +2,12 @@
 
 `output.write_table` joins a row's values with commas and hands only a row
 that needs quoting to `csv.writer`; the ADS-B log formats a position row
-that needs no quoting in one step. They must write the same bytes as the
-frozen writer in `reference_kernels.py`, which passes every row through
-`csv.writer`: for values with commas, quotes, CR and LF, empty strings,
-bools, ints, numpy scalars, -0.0, infinities and NaN, for a hand-built bus
-log, and for every table of a `simulate` run whose UAV id holds a comma and
-a quote.
+that needs no quoting in one step, and so does the waypoint table. They
+must write the same bytes as the frozen writer in `reference_kernels.py`,
+which passes every row through `csv.writer`: for values with commas, quotes,
+CR and LF, empty strings, bools, ints, numpy scalars, -0.0, infinities and
+NaN, for a hand-built bus log, for hand-built waypoint paths, and for every
+table of a `simulate` run whose UAV id holds a comma and a quote.
 """
 
 import os
@@ -22,7 +22,7 @@ from skygrid import output
 from skygrid.adsb import AdsbMessage, OccupancyReport, PositionReport, SuddenObstacleAlert
 from skygrid.cli import main
 from skygrid.geometry import CuboidObstacle, ObstacleKind, Point3
-from skygrid.sim import SimMetrics
+from skygrid.sim import ExecutedPath, SimMetrics
 
 value = st.one_of(
     st.text(alphabet=',"\r\n ;|=a', max_size=6),
@@ -100,6 +100,45 @@ def test_adsb_log_matches_the_reference_writer(tmp_path, monkeypatch, chunk_line
     assert b'\r\n3,"a,b",position,"uav=a,b;x=1.000000;' in written
 
 
+# Mostly rows of the table's own types, which take the one-step format.
+waypoint_row = st.tuples(
+    st.one_of(st.text(alphabet=',"\r\n ;|=a', max_size=6), value),
+    st.one_of(st.integers(0, 10**6), value),
+    *[st.one_of(st.floats(), value)] * 3,
+    st.one_of(st.integers(1, 4096), value),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(waypoint_row, max_size=8))
+def test_waypoint_rows_match_the_reference_writer(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new"), os.path.join(tmp, "old")
+        output._write_waypoints_csv(new, rows)
+        ref.write_table(old, output.WAYPOINTS_HEADER, rows, "csv")
+        with open(new + ".csv", "rb") as a, open(old + ".csv", "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_waypoint_table_matches_the_reference_writer(tmp_path):
+    metrics = SimMetrics(n_cells=3)
+    metrics.executed = [
+        ExecutedPath("uav0", 1, np.array([[0.0, 1.0, 2.0], [-0.0, 1e-7, 3.5]])),
+        ExecutedPath('a,"b', 2, np.array([[-0.0, 1e-7, 2.0], [4.0, -1e-7, 6.0]])),
+        ExecutedPath("uav0", 2, np.array([[-0.0, 1e-7, 3.5], [7.0, 8.0, 9.0]])),
+        ExecutedPath("uav1", np.int64(3), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])),
+        ExecutedPath("uav2", 3, np.array([[1, 2, 3], [4, 5, 6]])),  # ints, not floats
+    ]
+    output.emit_results(metrics, str(tmp_path / "new"), "csv")
+    rows = output.waypoint_rows(metrics)
+    ref.write_table(str(tmp_path / "old"), output.WAYPOINTS_HEADER, rows, "csv")
+    written = (tmp_path / "new" / "waypoints.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    assert b'\r\n"a,""b",0,-0.000000,0.000000,2.000000,2\r\n' in written
+    assert b"\r\nuav0,1,-0.000000,0.000000,3.500000,1\r\n" in written
+    assert b"\r\nuav2,0,1,2,3,3\r\n" in written
+
+
 # The first UAV's id needs quoting in every table that names it.
 QUOTED_ID_SCENARIO = """\
 airspace: {extent: [200, 200, 50], cells: [1, 1, 1]}
@@ -117,6 +156,10 @@ def test_simulate_tables_match_the_reference_writer(tmp_path, monkeypatch):
     new, old = tmp_path / "new", tmp_path / "old"
     assert main(argv + [str(new)]) == 0
     monkeypatch.setattr(output, "write_table", ref.write_table)
+    monkeypatch.setattr(
+        output, "_write_waypoints_csv",
+        lambda path, rows: ref.write_table(path, output.WAYPOINTS_HEADER, rows, "csv"),
+    )
     monkeypatch.setattr(
         output, "_write_adsb_csv",
         lambda path, log: ref.write_table(path, output.ADSB_HEADER, output.adsb_rows(log), "csv"),
