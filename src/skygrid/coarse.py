@@ -194,11 +194,13 @@ def select_exit_point(
 
     The inset never exceeds half the region width, so an axis of zero width
     (the face's plane, or a degenerate region) takes its single point without
-    a draw.
+    a draw. A draw is `rng.uniform(a, b)` without its call overhead: numpy
+    computes that as `a + (b - a) * rng.random()`, the same value and the
+    same generator state.
     """
     coords = []
     for lo, hi in zip(*region):
         inset = min(EXIT_INSET, (hi - lo) / 2.0)
         a, b = lo + inset, hi - inset
-        coords.append((lo + hi) / 2.0 if a >= b else float(rng.uniform(a, b)))
+        coords.append((lo + hi) / 2.0 if a >= b else a + (b - a) * rng.random())
     return Point3(*coords)

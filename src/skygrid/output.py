@@ -8,22 +8,54 @@ with the same seed are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .adsb import OccupancyReport, PositionReport
 from .sim import SimMetrics
 
 
-def write_table(path: str, header: list[str], rows: Iterable[Sequence], fmt: str) -> None:
-    """Write one table, streaming its rows to the file."""
+CHUNK_LINES = 4096  # lines of a CSV table joined into one write
+
+
+def write_table(path: str, header: list[str], rows: Iterable[Sequence | str], fmt: str) -> None:
+    """Write one table, streaming its rows to the file.
+
+    A row is a list or tuple of values. A CSV row is written as its values
+    joined with commas, each float with six decimals, unless its text holds a
+    quote, CR or LF, or a comma inside a value; only such a row needs quoting,
+    so it goes through csv.writer, and the bytes are those csv.writer writes.
+    A str item is a CSV line already formatted, line terminator included, and
+    is written as is. Lines are written in chunks of at most CHUNK_LINES.
+    """
     if fmt == "csv":
         with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
-            write_row = _csv_row_writer(fh)
-            write_row(header)
-            for row in rows:
-                write_row(row)
+            writer = csv.writer(fh)
+            write, eol = fh.write, writer.dialect.lineterminator
+            chunk: list[str] = []
+            for row in itertools.chain([header], rows):
+                if isinstance(row, str):
+                    line = row
+                else:
+                    fields = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
+                    line = ",".join(fields)
+                    # csv quotes a lone empty value, the one row that joins to "" besides [].
+                    if (
+                        not line or line.count(",") != len(fields) - 1
+                        or '"' in line or "\r" in line or "\n" in line
+                    ):
+                        write("".join(chunk))
+                        chunk.clear()
+                        writer.writerow(fields)
+                        continue
+                    line += eol
+                chunk.append(line)
+                if len(chunk) >= CHUNK_LINES:
+                    write("".join(chunk))
+                    chunk.clear()
+            write("".join(chunk))
     elif fmt == "jsonl":
         with open(path + ".jsonl", "w", encoding="utf-8") as fh:
             for row in rows:
@@ -32,36 +64,19 @@ def write_table(path: str, header: list[str], rows: Iterable[Sequence], fmt: str
         raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'jsonl')")
 
 
-def _csv_row_writer(fh) -> Callable[[Sequence], None]:
-    """A function that writes one row to the CSV file fh as csv.writer writes
-    it after formatting each float with six decimals.
+class _Unquoted(dict):
+    """value -> whether csv.writer writes it as is: a str with no comma,
+    quote, CR or LF. Each distinct value is tested once."""
 
-    A row is joined with commas directly unless its text holds a quote, CR or
-    LF, or a comma inside a value; only such a row needs quoting, so it goes
-    through csv.writer.
-    """
-    writer = csv.writer(fh)
-    write, eol = fh.write, writer.dialect.lineterminator
-
-    def write_row(row: Sequence) -> None:
-        fields = [f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]
-        line = ",".join(fields)
-        # csv quotes a lone empty value, the one row that joins to "" besides [].
-        if (
-            not line or line.count(",") != len(fields) - 1
-            or '"' in line or "\r" in line or "\n" in line
-        ):
-            writer.writerow(fields)
-        else:
-            write(line + eol)
-
-    return write_row
+    def __missing__(self, value) -> bool:
+        plain = self[value] = type(value) is str and not any(c in value for c in ',"\r\n')
+        return plain
 
 
 WAYPOINTS_HEADER = ["uav_id", "seq", "x", "y", "z", "cell_id"]
 
 
-def waypoint_rows(metrics: SimMetrics) -> list[list]:
+def waypoint_rows(metrics: SimMetrics) -> Iterator[list]:
     """Per-UAV waypoint table; the shared face point between consecutive cells
     appears once, and re-planned cells replace their earlier entry."""
     by_uav: dict[str, list] = {}
@@ -71,7 +86,6 @@ def waypoint_rows(metrics: SimMetrics) -> list[list]:
             paths[-1] = ex  # re-plan/repair of the same cell supersedes
         else:
             paths.append(ex)
-    rows = []
     for uav_id in sorted(by_uav):
         seq = 0
         prev_last = None
@@ -80,15 +94,32 @@ def waypoint_rows(metrics: SimMetrics) -> list[list]:
             for i, (x, y, z) in enumerate(points):
                 if i == 0 and points[0] == prev_last:
                     continue
-                rows.append([uav_id, seq, x, y, z, ex.cell])
+                yield [uav_id, seq, x, y, z, ex.cell]
                 seq += 1
             prev_last = points[-1]
-    return rows
+
+
+def _waypoint_lines(rows: Iterable[Sequence]) -> Iterator[Sequence | str]:
+    """The waypoint rows for write_table, each formatted as its CSV line in
+    one step when no value of it needs quoting and each value has the type
+    the step formats as write_table would: a UAV id that `_Unquoted` passes,
+    an int seq and cell id, and float coordinates. Every other row is
+    yielded as is."""
+    line = "%s,%d,%.6f,%.6f,%.6f,%d" + csv.excel.lineterminator
+    unquoted = _Unquoted()
+    for row in rows:
+        uav_id, seq, x, y, z, cell = row
+        if (
+            unquoted[uav_id] and type(seq) is type(cell) is int
+            and type(x) is type(y) is type(z) is float
+        ):
+            yield line % (uav_id, seq, x, y, z, cell)
+        else:
+            yield row
 
 
 ADSB_HEADER = ["tick", "sender", "payload_kind", "detail"]
 POSITION_DETAIL = "uav=%s;x=%.6f;y=%.6f;z=%.6f"  # % a PositionReport's (uav_id, x, y, z)
-ADSB_CHUNK_LINES = 4096
 
 
 def adsb_rows(bus_log) -> Iterator[tuple]:
@@ -111,114 +142,63 @@ def _adsb_row(msg) -> tuple:
     return msg.tick, msg.sender, "sudden_obstacle", detail
 
 
-class _Unquoted(dict):
-    """value -> whether csv.writer writes it as is: a str with no comma,
-    quote, CR or LF. Each distinct value is tested once."""
-
-    def __missing__(self, value) -> bool:
-        plain = self[value] = type(value) is str and not any(c in value for c in ',"\r\n')
-        return plain
-
-
-def _write_adsb_csv(path: str, bus_log) -> None:
-    """`write_table(path, ADSB_HEADER, adsb_rows(bus_log), "csv")`, with a
-    position row formatted in one step when no value of it needs quoting (an
-    int tick, and a sender and UAV id that `_Unquoted` passes). Those lines
-    are written in chunks of at most ADSB_CHUNK_LINES; every other row goes
-    through the table's row writer."""
-    with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
-        write_row = _csv_row_writer(fh)
-        write_row(ADSB_HEADER)
-        line = "%d,%s,position," + POSITION_DETAIL + csv.excel.lineterminator
-        unquoted = _Unquoted()
-        chunk: list[str] = []
-        for msg in bus_log:
-            sender, tick, p = msg
-            if (
-                type(p) is PositionReport and type(tick) is int
-                and unquoted[sender] and unquoted[p.uav_id]
-            ):
-                chunk.append(line % (tick, sender, *p))
-                if len(chunk) >= ADSB_CHUNK_LINES:
-                    fh.write("".join(chunk))
-                    chunk.clear()
-            else:
-                fh.write("".join(chunk))
-                chunk.clear()
-                write_row(_adsb_row(msg))
-        fh.write("".join(chunk))
-
-
-def _write_waypoints_csv(path: str, rows: Iterable[Sequence]) -> None:
-    """`write_table(path, WAYPOINTS_HEADER, rows, "csv")`, with a row
-    formatted in one step when no value of it needs quoting and each value
-    has the type the step formats as `_csv_row_writer` would: a UAV id that
-    `_Unquoted` passes, an int seq and cell id, and float coordinates. Every
-    other row goes through the table's row writer."""
-    with open(path + ".csv", "w", newline="", encoding="utf-8") as fh:
-        write_row = _csv_row_writer(fh)
-        write_row(WAYPOINTS_HEADER)
-        line = "%s,%d,%.6f,%.6f,%.6f,%d" + csv.excel.lineterminator
-        unquoted = _Unquoted()
-        lines: list[str] = []
-        for row in rows:
-            uav_id, seq, x, y, z, cell = row
-            if (
-                unquoted[uav_id] and type(seq) is type(cell) is int
-                and type(x) is type(y) is type(z) is float
-            ):
-                lines.append(line % (uav_id, seq, x, y, z, cell))
-            else:
-                fh.write("".join(lines))
-                lines.clear()
-                write_row(row)
-        fh.write("".join(lines))
+def _adsb_lines(bus_log) -> Iterator[tuple | str]:
+    """`adsb_rows(bus_log)` for write_table, with a position row formatted
+    as its CSV line in one step when no value of it needs quoting: an int
+    tick, and a sender and UAV id that `_Unquoted` passes."""
+    line = "%d,%s,position," + POSITION_DETAIL + csv.excel.lineterminator
+    unquoted = _Unquoted()
+    for msg in bus_log:
+        sender, tick, p = msg
+        if (
+            type(p) is PositionReport and type(tick) is int
+            and unquoted[sender] and unquoted[p.uav_id]
+        ):
+            yield line % (tick, sender, *p)
+        else:
+            yield _adsb_row(msg)
 
 
 def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=None) -> None:
-    """Write all result tables into out_dir."""
+    """Write all result tables into out_dir, each streamed as it is made."""
     os.makedirs(out_dir, exist_ok=True)
 
-    path = os.path.join(out_dir, "waypoints")
-    if fmt == "csv":
-        _write_waypoints_csv(path, waypoint_rows(metrics))
-    else:
-        write_table(path, WAYPOINTS_HEADER, waypoint_rows(metrics), fmt)
+    rows = waypoint_rows(metrics)
+    rows = _waypoint_lines(rows) if fmt == "csv" else rows
+    write_table(os.path.join(out_dir, "waypoints"), WAYPOINTS_HEADER, rows, fmt)
 
     write_table(
         os.path.join(out_dir, "occupancy"),
         ["cell_id", "max_uavs"],
-        [[i + 1, int(c)] for i, c in enumerate(metrics.max_occupancy)],
+        ([i + 1, int(c)] for i, c in enumerate(metrics.max_occupancy)),
         fmt,
     )
 
-    conv_rows = []
-    for run_id, history in metrics.convergence:
-        for it, cost in enumerate(history):
-            conv_rows.append([run_id, it, float(cost)])
+    conv_rows = (
+        [run_id, it, float(cost)]
+        for run_id, history in metrics.convergence
+        for it, cost in enumerate(history)
+    )
     write_table(
         os.path.join(out_dir, "convergence"), ["run_id", "iteration", "cost"], conv_rows, fmt
     )
 
-    length_rows = [
+    length_rows = (
         [uav_id, float(length), uav_id in metrics.arrived]
         for uav_id, length in sorted(metrics.per_uav_length.items())
-    ]
+    )
     write_table(
         os.path.join(out_dir, "lengths"), ["uav_id", "length_m", "arrived"], length_rows, fmt
     )
 
     if bus_log is not None:
-        path = os.path.join(out_dir, "adsb_log")
-        if fmt == "csv":
-            _write_adsb_csv(path, bus_log)
-        else:
-            write_table(path, ADSB_HEADER, adsb_rows(bus_log), fmt)
+        rows = _adsb_lines(bus_log) if fmt == "csv" else adsb_rows(bus_log)
+        write_table(os.path.join(out_dir, "adsb_log"), ADSB_HEADER, rows, fmt)
 
     write_table(
         os.path.join(out_dir, "events"),
         ["tick", "kind", "who", "detail"],
-        [
+        (
             [
                 e["tick"],
                 e["kind"],
@@ -226,7 +206,7 @@ def emit_results(metrics: SimMetrics, out_dir: str, fmt: str = "csv", bus_log=No
                 ";".join(f"{k}={v}" for k, v in sorted(e.items()) if k not in ("tick", "kind", "who")),
             ]
             for e in metrics.events
-        ],
+        ),
         fmt,
     )
 

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
 from skygrid.coarse import (
+    EXIT_INSET,
     CoarsePlan,
     SspParams,
     attraction_region,
@@ -246,6 +247,41 @@ def test_exit_faces_match_reference(case, seed):
     for _ in range(3):
         p = select_exit_point(region, got_rng)
         assert _bits((p.x, p.y, p.z)) == _bits(ref.select_exit_point(want, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+finite = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def boxes(draw):
+    """(lo, hi) corners over any finite coordinates; an axis is as likely
+    to be of zero width as not."""
+    lo, hi = [], []
+    for _ in range(3):
+        a = draw(finite)
+        b = draw(st.one_of(st.just(a), finite))
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    return lo, hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(region=boxes(), seed=st.integers(0, 2**32 - 1))
+@example(region=([3.0, 4.0, 5.0], [3.0, 4.0, 5.0]), seed=0)
+@example(region=([0.0, 7.0, 0.0], [1.5, 7.0, 200.0]), seed=1)
+def test_exit_point_draws_are_rng_uniform(region, seed):
+    """Each coordinate drawn is `rng.uniform(a, b)` to the bit, and the
+    generator is left in the same state; an axis of zero width, or one
+    narrower than two insets, draws nothing."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    p = select_exit_point(region, got_rng)
+    want = []
+    for lo, hi in zip(*region):
+        inset = min(EXIT_INSET, (hi - lo) / 2.0)
+        a, b = lo + inset, hi - inset
+        want.append((lo + hi) / 2.0 if a >= b else float(want_rng.uniform(a, b)))
+    assert _bits((p.x, p.y, p.z)) == _bits(want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

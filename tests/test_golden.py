@@ -16,6 +16,7 @@ numpy build may legitimately produce other values.
 
 import hashlib
 import os
+import re
 
 import numpy
 import pytest
@@ -23,7 +24,7 @@ import pytest
 from skygrid.cli import main
 
 # The numpy version the hashes below were taken with. .github/workflows/tier1.yml
-# installs the same version; change both together.
+# installs the same version; change both together (test_ci_installs_the_golden_numpy).
 GOLDEN_NUMPY = "2.4.6"
 
 TEN_UAVS = "random_uavs: {count: 10, min_cell_separation: 5}\n"
@@ -164,3 +165,10 @@ def test_golden_replan_demo_summary(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "conflicts at waypoints [5]; repaired path has 10 waypoints\n"
     )
+
+
+def test_ci_installs_the_golden_numpy():
+    workflow = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tier1.yml")
+    with open(workflow, encoding="utf-8") as fh:
+        pins = re.findall(r"numpy==([0-9][0-9.]*)", fh.read())
+    assert pins and set(pins) == {GOLDEN_NUMPY}, pins
